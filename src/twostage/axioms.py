@@ -22,8 +22,12 @@ two-stage composition — anything exposing ``choose(profile, subset)``):
            of the worst-grade-count (threshold) order of the full grade
            table.
 
-Checks at the majority-relation level replace profile improvements with
-edge flips and skip ``NC`` (no grade information exists there).  Relations
+Each condition has one checker.  The subset conditions (H, C, O, ACA) scan
+a family of proper subsets given as a parameter: every one, by size, or
+(for search) the deletions of one or two alternatives.  MON1 and SM take a
+probe generator: rank improvements on a profile, edge flips on a relation.
+Checks at the majority-relation level skip ``NC`` (no grade information
+exists there).  Relations
 are certified realizable by an explicit profile construction
 (:func:`realizing_profile`).
 """
@@ -34,12 +38,13 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 from .profiles import (
     MajorityRelation,
     Profile,
     RankImprovement,
+    _fmt_set,
     grade_table,
     improve,
     majority_relation,
@@ -101,6 +106,12 @@ class ChoiceRule(Protocol):
     def choose(self, p: Profile, subset: Iterable[str] | None = None) -> frozenset[str]: ...
 
 
+class MuChoiceRule(Protocol):
+    def choose_mu(
+        self, mu: MajorityRelation, subset: Iterable[str] | None = None
+    ) -> frozenset[str]: ...
+
+
 @dataclass(frozen=True)
 class Counterexample:
     """A reproducible violation.
@@ -138,52 +149,102 @@ class Verdict:
             raise ValueError("a verdict fails exactly when it carries a witness")
 
 
-def _fmt(s: frozenset[str]) -> str:
-    return "{" + ", ".join(sorted(s)) + "}"
+# ---------------------------------------------------------------------------
+# subset families, the choice memo, and probes
+# ---------------------------------------------------------------------------
 
-
-def _subsets_ascending(labels: Sequence[str], min_size: int = 1) -> Iterator[frozenset[str]]:
-    for size in range(min_size, len(labels) + 1):
+def _proper_subsets(labels: Sequence[str]) -> Iterator[frozenset[str]]:
+    """Every non-empty proper subset, by size and then lexicographically."""
+    for size in range(1, len(labels)):
         for combo in itertools.combinations(labels, size):
             yield frozenset(combo)
 
 
-class _Chooser:
-    """Memoizes a rule's choices per subset of one fixed profile."""
+def _deletions(labels: Sequence[str]) -> Iterator[frozenset[str]]:
+    """The non-empty subsets missing one alternative, then those missing two."""
+    universe = frozenset(labels)
+    for r in (1, 2):
+        if r < len(labels):
+            for drop in itertools.combinations(labels, r):
+                yield universe.difference(drop)
 
-    def __init__(self, rule: ChoiceRule, p: Profile):
-        self.rule = rule
-        self.p = p
+
+_Family = Callable[[Sequence[str]], Iterable[frozenset[str]]]
+
+
+class _Memo:
+    """Memoizes one rule's choice per subset of one fixed universe.
+
+    ``choose(subset)`` computes the choice from ``subset``, or from the whole
+    universe when ``subset`` is None.
+    """
+
+    def __init__(
+        self,
+        choose: Callable[[frozenset[str] | None], frozenset[str]],
+        labels: Sequence[str],
+    ):
+        self._choose = choose
+        self.labels = tuple(labels)
+        self.universe = frozenset(labels)
         self._cache: dict[frozenset[str], frozenset[str]] = {}
 
     def __call__(self, subset: frozenset[str] | None = None) -> frozenset[str]:
-        key = frozenset(self.p.labels) if subset is None else subset
+        key = self.universe if subset is None else subset
         got = self._cache.get(key)
         if got is None:
-            got = self.rule.choose(self.p, None if subset is None else subset)
+            got = self._choose(subset)
             self._cache[key] = got
         return got
 
 
-def _improvements(p: Profile, target: str) -> Iterator[RankImprovement]:
-    """Every single-criterion upward move of ``target``: each criterion, each
+# A probe generator strengthens one target alternative in every admissible
+# way, yielding per move the witness fields that record it, a phrase that
+# describes it, and the rule's choice after it.
+_Probes = Callable[[str], Iterator[tuple[dict, str, frozenset[str]]]]
+
+
+def _rank_probes(rule: ChoiceRule, p: Profile) -> _Probes:
+    """Every single-criterion upward move of the target: each criterion, each
     step count that keeps it on the ballot."""
-    j = p.index(target)
-    for i in range(p.n):
-        current = int(p.ranks[i, j])
-        for steps in range(1, current + 1):
-            yield RankImprovement(target, i, steps)
+
+    def probes(target: str):
+        j = p.index(target)
+        for i in range(p.n):
+            for steps in range(1, int(p.ranks[i, j]) + 1):
+                change = RankImprovement(target, i, steps)
+                yield (
+                    {"kind": "improvement", "improvement": change},
+                    f"moving {target} up {steps} step(s) in criterion {i + 1}",
+                    rule.choose(improve(p, change)),
+                )
+
+    return probes
+
+
+def _edge_probes(rule: MuChoiceRule, mu: MajorityRelation) -> _Probes:
+    """Every edge flip that makes the target beat an alternative it did not
+    beat."""
+
+    def probes(target: str):
+        for other in mu.labels:
+            if other != target and not mu.beats(target, other):
+                yield (
+                    {"kind": "edge-flip", "edge": (target, other)},
+                    f"making {target} beat {other}",
+                    rule.choose_mu(perturb_majority(mu, target, other)),
+                )
+
+    return probes
 
 
 # ---------------------------------------------------------------------------
-# profile-level checkers
+# one checker per condition
 # ---------------------------------------------------------------------------
 
-def _check_h(choose: _Chooser, labels) -> Counterexample | None:
+def _check_h(choose: _Memo, family: Iterable[frozenset[str]]) -> Counterexample | None:
     full = choose()
-    for sub in _subsets_ascending(labels):
-        if len(sub) == len(labels):
-            continue
+    for sub in family:
         kept = full & sub
         if not kept:
             continue
@@ -195,60 +256,43 @@ def _check_h(choose: _Chooser, labels) -> Counterexample | None:
                 subsets=(sub,),
                 observed=(("choice_full", full), ("choice_subset", there)),
                 description=(
-                    f"choice {_fmt(full)} meets {_fmt(sub)} in {_fmt(kept)}, "
-                    f"but the subset's choice is {_fmt(there)}"
+                    f"choice {_fmt_set(full)} meets {_fmt_set(sub)} in {_fmt_set(kept)}, "
+                    f"but the subset's choice is {_fmt_set(there)}"
                 ),
             )
     return None
 
 
-def _check_c(choose: _Chooser, labels) -> Counterexample | None:
+def _check_c(choose: _Memo, family: Iterable[frozenset[str]]) -> Counterexample | None:
+    """Pairs of the family that cover the universe, in family order.  Pairs
+    that contain the universe itself can never violate C."""
     full = choose()
-    universe = frozenset(labels)
-    seen: set[frozenset[frozenset[str]]] = set()
-    for left in _subsets_ascending(labels):
-        rest = universe - left
-        # the partner must contain everything left misses
-        for extra in _subsets_ascending(sorted(left), min_size=0) if rest != universe else ():
-            right = rest | extra
-            if not right:
-                continue
-            pair_key = frozenset((left, right))
-            if pair_key in seen:
-                continue
-            seen.add(pair_key)
-            common = choose(left) & choose(right)
-            if not common <= full:
-                return Counterexample(
-                    axiom="C",
-                    kind="subset-pair",
-                    subsets=(left, right),
-                    observed=(
-                        ("choice_full", full),
-                        ("choice_left", choose(left)),
-                        ("choice_right", choose(right)),
-                    ),
-                    description=(
-                        f"{_fmt(left)} and {_fmt(right)} cover the universe and both "
-                        f"choose {_fmt(common)}, which is not inside {_fmt(full)}"
-                    ),
-                )
+    for left, right in itertools.combinations(family, 2):
+        if left | right != choose.universe:
+            continue
+        common = choose(left) & choose(right)
+        if not common <= full:
+            return Counterexample(
+                axiom="C",
+                kind="subset-pair",
+                subsets=(left, right),
+                observed=(
+                    ("choice_full", full),
+                    ("choice_left", choose(left)),
+                    ("choice_right", choose(right)),
+                ),
+                description=(
+                    f"{_fmt_set(left)} and {_fmt_set(right)} cover the universe and both "
+                    f"choose {_fmt_set(common)}, which is not inside {_fmt_set(full)}"
+                ),
+            )
     return None
 
 
-def _subsets_of(s: Sequence[str], min_size: int = 0) -> Iterator[frozenset[str]]:
-    yield from _subsets_ascending(s, min_size) if min_size else itertools.chain(
-        [frozenset()], _subsets_ascending(s)
-    )
-
-
-def _check_o(choose: _Chooser, labels) -> Counterexample | None:
+def _check_o(choose: _Memo, family: Iterable[frozenset[str]]) -> Counterexample | None:
     full = choose()
-    universe = frozenset(labels)
-    others = sorted(universe - full)
-    for extra in _subsets_of(others):
-        sub = full | extra
-        if not sub or sub == universe:
+    for sub in family:
+        if not full <= sub:
             continue
         there = choose(sub)
         if there != full:
@@ -258,18 +302,16 @@ def _check_o(choose: _Chooser, labels) -> Counterexample | None:
                 subsets=(sub,),
                 observed=(("choice_full", full), ("choice_subset", there)),
                 description=(
-                    f"{_fmt(sub)} keeps every chosen alternative of {_fmt(full)} "
-                    f"yet chooses {_fmt(there)}"
+                    f"{_fmt_set(sub)} keeps every chosen alternative of {_fmt_set(full)} "
+                    f"yet chooses {_fmt_set(there)}"
                 ),
             )
     return None
 
 
-def _check_aca(choose: _Chooser, labels) -> Counterexample | None:
+def _check_aca(choose: _Memo, family: Iterable[frozenset[str]]) -> Counterexample | None:
     full = choose()
-    for sub in _subsets_ascending(labels):
-        if len(sub) == len(labels):
-            continue
+    for sub in family:
         kept = full & sub
         if not kept:
             continue
@@ -281,37 +323,33 @@ def _check_aca(choose: _Chooser, labels) -> Counterexample | None:
                 subsets=(sub,),
                 observed=(("choice_full", full), ("choice_subset", there)),
                 description=(
-                    f"{_fmt(sub)} meets the choice {_fmt(full)} in {_fmt(kept)} "
-                    f"but chooses {_fmt(there)}"
+                    f"{_fmt_set(sub)} meets the choice {_fmt_set(full)} in {_fmt_set(kept)} "
+                    f"but chooses {_fmt_set(there)}"
                 ),
             )
     return None
 
 
-def _check_mon1(rule: ChoiceRule, p: Profile, choose: _Chooser) -> Counterexample | None:
+def _check_mon1(choose: _Memo, probes: _Probes) -> Counterexample | None:
     full = choose()
     for a in sorted(full):
-        for change in _improvements(p, a):
-            p2 = improve(p, change)
-            after = rule.choose(p2)
+        for fields, move, after in probes(a):
             if a not in after:
                 return Counterexample(
                     axiom="MON1",
-                    kind="improvement",
-                    improvement=change,
+                    **fields,
                     observed=(("choice_before", full), ("choice_after", after)),
                     description=(
-                        f"{a} is chosen, but moving it up {change.steps} step(s) "
-                        f"in criterion {change.criterion + 1} drops it: choice "
-                        f"becomes {_fmt(after)}"
+                        f"{a} is chosen, but {move} drops it: choice "
+                        f"becomes {_fmt_set(after)}"
                     ),
                 )
     return None
 
 
-def _check_mon2(choose: _Chooser, labels, *, strict: bool) -> Counterexample | None:
+def _check_mon2(choose: _Memo, *, strict: bool) -> Counterexample | None:
     full = choose()
-    universe = frozenset(labels)
+    universe = choose.universe
     for a, b in itertools.combinations(sorted(full), 2):
         a_ok = a in choose(universe - {b})
         b_ok = b in choose(universe - {a})
@@ -329,37 +367,33 @@ def _check_mon2(choose: _Chooser, labels, *, strict: bool) -> Counterexample | N
                 ),
                 description=(
                     f"{a} and {b} are both chosen, but {want} survives removing "
-                    f"the other: C without {b} is {_fmt(choose(universe - {b}))}, "
-                    f"C without {a} is {_fmt(choose(universe - {a}))}"
+                    f"the other: C without {b} is {_fmt_set(choose(universe - {b}))}, "
+                    f"C without {a} is {_fmt_set(choose(universe - {a}))}"
                 ),
             )
     return None
 
 
-def _check_sm(rule: ChoiceRule, p: Profile, choose: _Chooser) -> Counterexample | None:
+def _check_sm(choose: _Memo, probes: _Probes) -> Counterexample | None:
     full = choose()
-    for c in p.labels:
+    for c in choose.labels:
         allowed = (full, frozenset({c}), full | {c})
-        for change in _improvements(p, c):
-            p2 = improve(p, change)
-            after = rule.choose(p2)
+        for fields, move, after in probes(c):
             if after not in allowed:
                 return Counterexample(
                     axiom="SM",
-                    kind="improvement",
-                    improvement=change,
+                    **fields,
                     observed=(("choice_before", full), ("choice_after", after)),
                     description=(
-                        f"moving {c} up {change.steps} step(s) in criterion "
-                        f"{change.criterion + 1} turns the choice from {_fmt(full)} "
-                        f"into {_fmt(after)}, which is neither the old choice, "
+                        f"{move} turns the choice from {_fmt_set(full)} "
+                        f"into {_fmt_set(after)}, which is neither the old choice, "
                         f"{{{c}}}, nor their union"
                     ),
                 )
     return None
 
 
-def _check_nc(choose: _Chooser, p: Profile) -> Counterexample | None:
+def _check_nc(choose: _Memo, p: Profile) -> Counterexample | None:
     full = choose()
     order = threshold_order(grade_table(p))
     best = order[0]
@@ -369,11 +403,46 @@ def _check_nc(choose: _Chooser, p: Profile) -> Counterexample | None:
             kind="grade-order",
             observed=(("choice_full", full), ("best_grade_class", best)),
             description=(
-                f"the choice is {_fmt(full)} but the worst-grade-count order "
-                f"puts {_fmt(best)} first"
+                f"the choice is {_fmt_set(full)} but the worst-grade-count order "
+                f"puts {_fmt_set(best)} first"
             ),
         )
     return None
+
+
+_SUBSET_CHECKS = {"H": _check_h, "C": _check_c, "O": _check_o, "ACA": _check_aca}
+_PROBE_CHECKS = {"MON1": _check_mon1, "SM": _check_sm}
+
+
+def _verdict(
+    axiom: str,
+    choose: _Memo,
+    family: _Family,
+    probes: _Probes,
+    mon2_strict: bool,
+    p: Profile | None = None,
+) -> Verdict:
+    if axiom in _SUBSET_CHECKS:
+        witness = _SUBSET_CHECKS[axiom](choose, family(choose.labels))
+    elif axiom in _PROBE_CHECKS:
+        witness = _PROBE_CHECKS[axiom](choose, probes)
+    elif axiom == "MON2":
+        witness = _check_mon2(choose, strict=mon2_strict)
+    else:
+        witness = _check_nc(choose, p)
+    if witness is not None:
+        return Verdict(axiom, False, witness)
+    detail = ""
+    if axiom == "MON2" and len(choose()) <= 1:
+        detail = "vacuous: fewer than two alternatives chosen"
+    return Verdict(axiom, True, None, detail)
+
+
+def _check_profile(
+    rule: ChoiceRule, p: Profile, axiom: str, family: _Family, mon2_strict: bool
+) -> Verdict:
+    choose = _Memo(lambda subset: rule.choose(p, subset), p.labels)
+    return _verdict(axiom, choose, family, _rank_probes(rule, p), mon2_strict, p)
 
 
 def check_axiom(
@@ -390,64 +459,7 @@ def check_axiom(
     step count).  ``mon2_strict=True`` demands that both members of a chosen
     pair survive the other's removal instead of at least one.
     """
-    axiom = normalize_axiom(axiom)
-    choose = _Chooser(rule, p)
-    labels = p.labels
-    if axiom == "H":
-        witness = _check_h(choose, labels)
-    elif axiom == "C":
-        witness = _check_c(choose, labels)
-    elif axiom == "O":
-        witness = _check_o(choose, labels)
-    elif axiom == "ACA":
-        witness = _check_aca(choose, labels)
-    elif axiom == "MON1":
-        witness = _check_mon1(rule, p, choose)
-    elif axiom == "MON2":
-        witness = _check_mon2(choose, labels, strict=mon2_strict)
-    elif axiom == "SM":
-        witness = _check_sm(rule, p, choose)
-    elif axiom == "NC":
-        witness = _check_nc(choose, p)
-    else:  # pragma: no cover
-        raise AssertionError(axiom)
-    if witness is None:
-        detail = ""
-        if axiom == "MON2" and len(choose()) <= 1:
-            detail = "vacuous: fewer than two alternatives chosen"
-        return Verdict(axiom, True, None, detail)
-    return Verdict(axiom, False, witness)
-
-
-# ---------------------------------------------------------------------------
-# majority-relation-level checkers
-# ---------------------------------------------------------------------------
-
-class MuChoiceRule(Protocol):
-    def choose_mu(
-        self, mu: MajorityRelation, subset: Iterable[str] | None = None
-    ) -> frozenset[str]: ...
-
-
-class _MuChooser:
-    def __init__(self, rule: MuChoiceRule, mu: MajorityRelation):
-        self.rule = rule
-        self.mu = mu
-        self._cache: dict[frozenset[str], frozenset[str]] = {}
-
-    def __call__(self, subset: frozenset[str] | None = None) -> frozenset[str]:
-        key = frozenset(self.mu.labels) if subset is None else subset
-        got = self._cache.get(key)
-        if got is None:
-            got = self.rule.choose_mu(self.mu, None if subset is None else subset)
-            self._cache[key] = got
-        return got
-
-
-def _mu_upgrades(mu: MajorityRelation, target: str) -> Iterator[tuple[str, str]]:
-    for other in mu.labels:
-        if other != target and not mu.beats(target, other):
-            yield (target, other)
+    return _check_profile(rule, p, normalize_axiom(axiom), _proper_subsets, mon2_strict)
 
 
 def check_axiom_mu(
@@ -466,45 +478,8 @@ def check_axiom_mu(
     axiom = normalize_axiom(axiom)
     if axiom == "NC":
         return Verdict(axiom, True, None, "not-applicable: no grade information at the majority level")
-    choose = _MuChooser(rule, mu)
-    labels = mu.labels
-    if axiom in ("H", "C", "O", "ACA"):
-        checker = {"H": _check_h, "C": _check_c, "O": _check_o, "ACA": _check_aca}[axiom]
-        witness = checker(choose, labels)
-    elif axiom == "MON2":
-        witness = _check_mon2(choose, labels, strict=mon2_strict)
-    elif axiom in ("MON1", "SM"):
-        full = choose()
-        witness = None
-        targets = sorted(full) if axiom == "MON1" else labels
-        for t in targets:
-            allowed = (full, frozenset({t}), full | {t})
-            for edge in _mu_upgrades(mu, t):
-                mu2 = perturb_majority(mu, *edge)
-                after = rule.choose_mu(mu2)
-                bad = (t not in after) if axiom == "MON1" else (after not in allowed)
-                if bad:
-                    witness = Counterexample(
-                        axiom=axiom,
-                        kind="edge-flip",
-                        edge=edge,
-                        observed=(("choice_before", full), ("choice_after", after)),
-                        description=(
-                            f"making {edge[0]} beat {edge[1]} turns the choice "
-                            f"from {_fmt(full)} into {_fmt(after)}"
-                        ),
-                    )
-                    break
-            if witness:
-                break
-    else:  # pragma: no cover
-        raise AssertionError(axiom)
-    if witness is None:
-        detail = ""
-        if axiom == "MON2" and len(choose()) <= 1:
-            detail = "vacuous: fewer than two alternatives chosen"
-        return Verdict(axiom, True, None, detail)
-    return Verdict(axiom, False, witness)
+    choose = _Memo(lambda subset: rule.choose_mu(mu, subset), mu.labels)
+    return _verdict(axiom, choose, _proper_subsets, _edge_probes(rule, mu), mon2_strict)
 
 
 # ---------------------------------------------------------------------------
@@ -619,72 +594,6 @@ class SearchResult:
         return self.status == "found"
 
 
-def _restricted_check(
-    rule: ChoiceRule, p: Profile, axiom: str, cfg: SearchConfig
-) -> Counterexample | None:
-    """One-profile check honoring the subset strategy."""
-    if cfg.subset_strategy == "all" or axiom in ("MON1", "MON2", "SM", "NC"):
-        return check_axiom(rule, p, axiom, mon2_strict=cfg.mon2_strict).witness
-    # deletions of at most two alternatives
-    choose = _Chooser(rule, p)
-    labels = p.labels
-    universe = frozenset(labels)
-    full = choose()
-    small = [
-        universe - set(drop)
-        for r in (1, 2)
-        for drop in itertools.combinations(labels, r)
-        if len(labels) - r >= 1
-    ]
-    if axiom == "H":
-        for sub in small:
-            kept = full & sub
-            if kept and not kept <= choose(sub):
-                return Counterexample(
-                    axiom="H", kind="subset", subsets=(sub,),
-                    observed=(("choice_full", full), ("choice_subset", choose(sub))),
-                    description=f"choice loses {_fmt(kept - choose(sub))} in {_fmt(sub)}",
-                )
-        return None
-    if axiom == "O":
-        for sub in small:
-            if full <= sub:
-                there = choose(sub)
-                if there != full:
-                    return Counterexample(
-                        axiom="O", kind="subset", subsets=(sub,),
-                        observed=(("choice_full", full), ("choice_subset", there)),
-                        description=f"dropping unchosen alternatives changes the choice to {_fmt(there)}",
-                    )
-        return None
-    if axiom == "ACA":
-        for sub in small:
-            kept = full & sub
-            if kept and choose(sub) != kept:
-                return Counterexample(
-                    axiom="ACA", kind="subset", subsets=(sub,),
-                    observed=(("choice_full", full), ("choice_subset", choose(sub))),
-                    description=f"{_fmt(sub)} chooses {_fmt(choose(sub))} instead of {_fmt(kept)}",
-                )
-        return None
-    if axiom == "C":
-        for left, right in itertools.combinations(small, 2):
-            if left | right == universe:
-                common = choose(left) & choose(right)
-                if not common <= full:
-                    return Counterexample(
-                        axiom="C", kind="subset-pair", subsets=(left, right),
-                        observed=(
-                            ("choice_full", full),
-                            ("choice_left", choose(left)),
-                            ("choice_right", choose(right)),
-                        ),
-                        description=f"{_fmt(common)} chosen from both covers but not from the universe",
-                    )
-        return None
-    raise AssertionError(axiom)  # pragma: no cover
-
-
 def search_counterexample(
     rule: ChoiceRule, axiom: str, cfg: SearchConfig = SearchConfig()
 ) -> SearchResult:
@@ -696,6 +605,14 @@ def search_counterexample(
     profile with a violation is returned along with the witness.
     """
     axiom = normalize_axiom(axiom)
+
+    def check(p: Profile) -> Counterexample | None:
+        # the 'all' scan is check_axiom itself; calling it by name keeps every
+        # full check visible to the traced benchmark run, which wraps it
+        if cfg.subset_strategy == "all":
+            return check_axiom(rule, p, axiom, mon2_strict=cfg.mon2_strict).witness
+        return _check_profile(rule, p, axiom, _deletions, cfg.mon2_strict).witness
+
     examined = 0
     if cfg.mode == "exhaustive":
         for m in sorted(cfg.m_values):
@@ -704,7 +621,7 @@ def search_counterexample(
                     if examined >= cfg.budget:
                         return SearchResult("budget-exceeded", examined)
                     examined += 1
-                    witness = _restricted_check(rule, p, axiom, cfg)
+                    witness = check(p)
                     if witness is not None:
                         return SearchResult("found", examined, witness, p)
         return SearchResult("exhausted", examined)
@@ -724,7 +641,7 @@ def search_counterexample(
             orders.append(tuple(ballot))
         p = Profile(orders)
         examined += 1
-        witness = _restricted_check(rule, p, axiom, cfg)
+        witness = check(p)
         if witness is not None:
             return SearchResult("found", examined, witness, p)
     return SearchResult("exhausted", examined)

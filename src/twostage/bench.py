@@ -135,7 +135,7 @@ def _fit_power_law(points: Sequence[BenchPoint]) -> tuple[float | None, float | 
 def run_scaling(
     spec: int | str,
     *,
-    m_values: Sequence[int] = (1000, 2000, 3000, 4000, 6000, 8000),
+    m_values: Sequence[int] = DEFAULT_M_GRID,
     n: int = 10,
     seed: int = 20260818,
     budget_seconds: float | None = None,

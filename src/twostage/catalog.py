@@ -121,15 +121,11 @@ def compose(
     two stages differently)."""
 
     def build(spec):
-        if isinstance(spec, Procedure):
-            return spec
         proc = make_procedure(spec)
-        kwargs = {}
-        if q is not None and proc.kind == "profile" and proc.index == 4:
-            kwargs["q"] = q
-        if k is not None and proc.index == 21:
-            kwargs["k"] = k
-        return make_procedure(proc.index, **kwargs) if kwargs else proc
+        if isinstance(spec, Procedure) or not isinstance(proc, Procedure):
+            return proc
+        value = {"q": q, "k": k}.get(proc.param)
+        return proc if value is None else make_procedure(proc.index, **{proc.param: value})
 
     return TwoStage(build(first), build(second))
 

@@ -27,6 +27,7 @@ from .profiles import (
     GradeTable,
     MajorityRelation,
     ProfileFormatError,
+    _fmt_set,
     format_profile,
     parse_grade_table,
     parse_majority_matrix,
@@ -46,11 +47,8 @@ def _default_budget() -> int:
             raise ValueError
         return value
     except ValueError:
-        raise SystemExit(f"error: {_BUDGET_ENV} must be a positive integer, got {raw!r}")
-
-
-def _fmt_set(s) -> str:
-    return "{" + ", ".join(sorted(s)) + "}"
+        print(f"error: {_BUDGET_ENV} must be a positive integer, got {raw!r}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _read_text(path: str) -> str:

@@ -37,6 +37,7 @@ from .profiles import (
     GradeTable,
     MajorityRelation,
     RankImprovement,
+    _fmt_set,
     borda_counts,
     first_place_counts,
     grade_table,
@@ -88,10 +89,6 @@ class FixtureReport:
 
 def corpus_dir() -> Path:
     return Path(importlib.resources.files("twostage") / "data" / "fixtures")
-
-
-def _fmt_set(s: Iterable[str]) -> str:
-    return "{" + ", ".join(sorted(s)) + "}"
 
 
 def _parse_input(spec: dict[str, Any]):

@@ -16,6 +16,12 @@ Procedures defined on mu or on grades can also be evaluated directly from a
 :class:`MajorityRelation` / :class:`GradeTable`, which the fixture corpus and
 counterexample search use.
 
+``_REGISTRY`` is the one place to add a procedure: its row gives the
+procedure's name, the input kind its kernel reads, the :class:`Procedure`
+field passed to the kernel (if any), whether it picks at most one
+alternative, and the kernel itself.  Names, dispatch and labels all derive
+from that row.
+
 Empty choices: only the simple majority rule, the Condorcet winner, and the
 run-off procedure can return an empty set; everything else always chooses at
 least one alternative on a non-empty input.
@@ -24,8 +30,9 @@ least one alternative on a non-empty input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -546,40 +553,49 @@ def simpson(t: TournamentMatrix) -> frozenset[str]:
 # the indexed registry
 # ---------------------------------------------------------------------------
 
-# index -> (mnemonic, input kind, parameter, single winner?)
-_TABLE: dict[int, tuple[str, str, str | None, bool]] = {
-    1: ("simple_majority", "profile", None, True),
-    2: ("plurality", "profile", None, False),
-    3: ("inverse_plurality", "profile", None, False),
-    4: ("q_approval", "profile", "q", False),
-    5: ("run_off", "profile", None, True),
-    6: ("hare", "profile", None, True),
-    7: ("borda", "profile", None, False),
-    8: ("black", "profile", None, False),
-    9: ("inverse_borda", "profile", None, False),
-    10: ("nanson", "profile", None, False),
-    11: ("coombs", "profile", None, True),
-    12: ("minimal_dominant", "mu", None, False),
-    13: ("minimal_undominated", "mu", None, False),
-    14: ("minimal_weakly_stable", "mu", None, False),
-    15: ("fishburn", "mu", None, False),
-    16: ("uncovered_1", "mu", None, False),
-    17: ("uncovered_2", "mu", None, False),
-    18: ("richelson", "mu", None, False),
-    19: ("condorcet_winner", "mu", None, True),
-    20: ("core", "mu", None, False),
-    21: ("k_stable", "mu", "k", False),
-    22: ("threshold", "grades", None, False),
-    23: ("copeland_1", "mu", None, False),
-    24: ("copeland_2", "mu", None, False),
-    25: ("copeland_3", "mu", None, False),
-    26: ("super_threshold", "grades", "threshold", False),
-    27: ("minimax", "support", None, False),
-    28: ("simpson", "support", None, False),
+class _Row(NamedTuple):
+    name: str
+    kind: str  # the input the kernel reads: 'profile' | 'mu' | 'grades' | 'support'
+    param: str | None  # Procedure field passed to the kernel after its input
+    single_winner: bool
+    kernel: Callable[..., frozenset[str]]
+
+
+_REGISTRY: dict[int, _Row] = {
+    1: _Row("simple_majority", "profile", None, True, simple_majority),
+    2: _Row("plurality", "profile", None, False, plurality),
+    3: _Row("inverse_plurality", "profile", None, False, inverse_plurality),
+    4: _Row("q_approval", "profile", "q", False, q_approval),
+    5: _Row("run_off", "profile", None, True, run_off),
+    6: _Row("hare", "profile", None, True, hare),
+    7: _Row("borda", "profile", None, False, borda),
+    8: _Row("black", "profile", None, False, black),
+    9: _Row("inverse_borda", "profile", None, False, inverse_borda),
+    10: _Row("nanson", "profile", None, False, nanson),
+    11: _Row("coombs", "profile", None, True, coombs),
+    12: _Row("minimal_dominant", "mu", None, False, minimal_dominant),
+    13: _Row("minimal_undominated", "mu", None, False, minimal_undominated),
+    14: _Row("minimal_weakly_stable", "mu", None, False, minimal_weakly_stable),
+    15: _Row("fishburn", "mu", None, False, fishburn),
+    16: _Row("uncovered_1", "mu", None, False, uncovered_1),
+    17: _Row("uncovered_2", "mu", None, False, uncovered_2),
+    18: _Row("richelson", "mu", None, False, richelson),
+    19: _Row("condorcet_winner", "mu", None, True, condorcet_winner),
+    20: _Row("core", "mu", None, False, core),
+    21: _Row("k_stable", "mu", "k", False, k_stable),
+    22: _Row("threshold", "grades", None, False, threshold_rule),
+    23: _Row("copeland_1", "mu", None, False, partial(copeland, variant=1)),
+    24: _Row("copeland_2", "mu", None, False, partial(copeland, variant=2)),
+    25: _Row("copeland_3", "mu", None, False, partial(copeland, variant=3)),
+    26: _Row("super_threshold", "grades", "threshold", False, super_threshold),
+    27: _Row("minimax", "support", None, False, minimax),
+    28: _Row("simpson", "support", None, False, simpson),
 }
 
-PROCEDURE_NAMES: dict[int, str] = {i: row[0] for i, row in _TABLE.items()}
-NAME_TO_INDEX: dict[str, int] = {row[0]: i for i, row in _TABLE.items()}
+PROCEDURE_NAMES: dict[int, str] = {i: row.name for i, row in _REGISTRY.items()}
+NAME_TO_INDEX: dict[str, int] = {row.name: i for i, row in _REGISTRY.items()}
+
+_INPUT_NOUN = {"mu": "a majority relation", "grades": "a grade table", "support": "a support matrix"}
 
 
 @dataclass(frozen=True)
@@ -597,9 +613,9 @@ class Procedure:
     threshold: Callable[[GradeTable], float] | None = None
 
     def __post_init__(self):
-        if self.index not in _TABLE:
+        if self.index not in _REGISTRY:
             raise ValueError(f"no procedure with index {self.index}")
-        name, _, param, _ = _TABLE[self.index]
+        name, param = self.name, self.param
         if self.q is not None and param != "q":
             raise ValueError(f"{name} takes no q parameter")
         if self.k is not None and param != "k":
@@ -613,119 +629,69 @@ class Procedure:
 
     @property
     def name(self) -> str:
-        return _TABLE[self.index][0]
+        return _REGISTRY[self.index].name
 
     @property
     def kind(self) -> str:
-        return _TABLE[self.index][1]
+        return _REGISTRY[self.index].kind
+
+    @property
+    def param(self) -> str | None:
+        return _REGISTRY[self.index].param
 
     @property
     def single_winner(self) -> bool:
-        return _TABLE[self.index][3]
+        return _REGISTRY[self.index].single_winner
 
     @property
     def mu_capable(self) -> bool:
         return self.kind == "mu"
 
     def label(self) -> str:
-        if self.index == 4:
-            return f"q_approval(q={self.q})"
-        if self.index == 21:
-            return f"k_stable(k={self.k})"
+        if self.param in ("q", "k"):
+            return f"{self.name}({self.param}={getattr(self, self.param)})"
         return self.name
 
     # -- evaluation ----------------------------------------------------
 
+    def _kernel(self, data) -> frozenset[str]:
+        row = _REGISTRY[self.index]
+        if row.param is None:
+            return row.kernel(data)
+        return row.kernel(data, getattr(self, row.param))
+
+    def _choose_from(self, kind: str, data, subset: Iterable[str] | None) -> frozenset[str]:
+        if self.kind != kind:
+            raise TypeError(f"{self.name} cannot be evaluated from {_INPUT_NOUN[kind]} alone")
+        if subset is not None:
+            data = data.restrict(subset)
+        return self._kernel(data)
+
     def choose(self, p: Profile, subset: Iterable[str] | None = None) -> frozenset[str]:
         pc = contract(p, subset) if subset is not None else p
         kind = self.kind
-        if kind == "profile":
-            return self._profile_choice(pc)
         if kind == "mu":
-            return self.choose_mu(majority_relation(pc))
+            return self._kernel(majority_relation(pc))
         if kind == "grades":
-            return self.choose_grades(grade_table(pc))
-        return self.choose_support(tournament_matrix(pc))
-
-    def _profile_choice(self, pc: Profile) -> frozenset[str]:
-        i = self.index
-        if i == 1:
-            return simple_majority(pc)
-        if i == 2:
-            return plurality(pc)
-        if i == 3:
-            return inverse_plurality(pc)
-        if i == 4:
-            return q_approval(pc, self.q)
-        if i == 5:
-            return run_off(pc)
-        if i == 6:
-            return hare(pc)
-        if i == 7:
-            return borda(pc)
-        if i == 8:
-            return black(pc)
-        if i == 9:
-            return inverse_borda(pc)
-        if i == 10:
-            return nanson(pc)
-        return coombs(pc)
+            return self._kernel(grade_table(pc))
+        if kind == "support":
+            return self._kernel(tournament_matrix(pc))
+        return self._kernel(pc)
 
     def choose_mu(
         self, mu: MajorityRelation, subset: Iterable[str] | None = None
     ) -> frozenset[str]:
-        if not self.mu_capable:
-            raise TypeError(f"{self.name} cannot be evaluated from a majority relation alone")
-        if subset is not None:
-            mu = mu.restrict(subset)
-        i = self.index
-        if i == 12:
-            return minimal_dominant(mu)
-        if i == 13:
-            return minimal_undominated(mu)
-        if i == 14:
-            return minimal_weakly_stable(mu)
-        if i == 15:
-            return fishburn(mu)
-        if i == 16:
-            return uncovered_1(mu)
-        if i == 17:
-            return uncovered_2(mu)
-        if i == 18:
-            return richelson(mu)
-        if i == 19:
-            return condorcet_winner(mu)
-        if i == 20:
-            return core(mu)
-        if i == 21:
-            return k_stable(mu, self.k)
-        if i == 23:
-            return copeland(mu, 1)
-        if i == 24:
-            return copeland(mu, 2)
-        return copeland(mu, 3)
+        return self._choose_from("mu", mu, subset)
 
     def choose_grades(
         self, g: GradeTable, subset: Iterable[str] | None = None
     ) -> frozenset[str]:
-        if self.kind != "grades":
-            raise TypeError(f"{self.name} cannot be evaluated from a grade table alone")
-        if subset is not None:
-            g = g.restrict(subset)
-        if self.index == 22:
-            return threshold_rule(g)
-        return super_threshold(g, self.threshold)
+        return self._choose_from("grades", g, subset)
 
     def choose_support(
         self, t: TournamentMatrix, subset: Iterable[str] | None = None
     ) -> frozenset[str]:
-        if self.kind != "support":
-            raise TypeError(f"{self.name} cannot be evaluated from a support matrix alone")
-        if subset is not None:
-            t = t.restrict(subset)
-        if self.index == 27:
-            return minimax(t)
-        return simpson(t)
+        return self._choose_from("support", t, subset)
 
 
 @dataclass(frozen=True)
@@ -805,9 +771,10 @@ def make_procedure(
             )
     else:
         index = spec
-    if index in _TABLE and _TABLE[index][2] == "q" and q is None:
+    param = _REGISTRY[index].param if index in _REGISTRY else None
+    if param == "q" and q is None:
         q = 2
-    if index in _TABLE and _TABLE[index][2] == "k" and k is None:
+    if param == "k" and k is None:
         k = 2
     return Procedure(index, q=q, k=k, threshold=threshold)
 

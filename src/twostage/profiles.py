@@ -90,13 +90,14 @@ def _check_labels(labels: Iterable[str]) -> tuple[str, ...]:
 class Profile:
     """``n`` strict linear orders over a common universe of ``m`` labels.
 
-    ``orders[i]`` lists the alternatives of criterion ``i`` best first.
-    Internally a rank matrix of shape ``(n, m)`` is kept, aligned with the
-    sorted universe: ``ranks[i, j]`` is the 0-based position of ``labels[j]``
-    in ``orders[i]`` (0 = best, m-1 = worst).
+    The state is the sorted universe ``labels`` plus a rank matrix of shape
+    ``(n, m)`` aligned with it: ``ranks[i, j]`` is the 0-based position of
+    ``labels[j]`` under criterion ``i`` (0 = best, m-1 = worst).
+    ``orders[i]``, criterion ``i``'s alternatives best first, is derived
+    from the ranks on each access.
     """
 
-    __slots__ = ("labels", "orders", "ranks", "_index")
+    __slots__ = ("labels", "ranks", "_index")
 
     def __init__(self, orders: Sequence[Sequence[str]], labels: Sequence[str] | None = None):
         orders = tuple(tuple(o) for o in orders)
@@ -117,7 +118,6 @@ class Profile:
                 ranks[i, index[lab]] = pos
         ranks.setflags(write=False)
         self.labels: tuple[str, ...] = labels
-        self.orders: tuple[tuple[str, ...], ...] = orders
         self.ranks: np.ndarray = ranks
         self._index = index
 
@@ -132,21 +132,24 @@ class Profile:
         self = object.__new__(cls)
         labels = tuple(labels)
         ranks = np.ascontiguousarray(ranks, dtype=np.int32)
-        n, m = ranks.shape
-        if len(labels) != m:
+        if ranks.ndim != 2 or len(labels) != ranks.shape[1]:
             raise ValueError("rank matrix does not match label count")
+        ranks.setflags(write=False)
         self.labels = labels
         self.ranks = ranks
         self._index = {lab: j for j, lab in enumerate(labels)}
-        # orders materialised lazily: argsort of each rank row
-        order_idx = np.argsort(ranks, axis=1, kind="stable")
-        self.orders = tuple(
-            tuple(labels[j] for j in order_idx[i]) for i in range(n)
-        )
-        ranks.setflags(write=False)
         return self
 
     # -- basic container behaviour ------------------------------------
+
+    @property
+    def orders(self) -> tuple[tuple[str, ...], ...]:
+        """Each criterion's alternatives, best first (derived from ``ranks``)."""
+        labels = self.labels
+        return tuple(
+            tuple(labels[j] for j in row)
+            for row in np.argsort(self.ranks, axis=1, kind="stable")
+        )
 
     @property
     def m(self) -> int:
@@ -154,7 +157,7 @@ class Profile:
 
     @property
     def n(self) -> int:
-        return len(self.orders)
+        return self.ranks.shape[0]
 
     def index(self, label: str) -> int:
         try:
@@ -165,10 +168,10 @@ class Profile:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Profile):
             return NotImplemented
-        return self.labels == other.labels and self.orders == other.orders
+        return self.labels == other.labels and self.ranks.tobytes() == other.ranks.tobytes()
 
     def __hash__(self) -> int:
-        return hash((self.labels, self.orders))
+        return hash((self.labels, self.ranks.tobytes()))
 
     def __repr__(self) -> str:
         return f"Profile(m={self.m}, n={self.n}, labels={self.labels!r})"
@@ -398,6 +401,11 @@ class GradeTable:
 # ---------------------------------------------------------------------------
 # text formats
 # ---------------------------------------------------------------------------
+
+def _fmt_set(s: Iterable[str]) -> str:
+    """A set of labels, sorted and brace-delimited: ``{a, b}`` or ``{}``."""
+    return "{" + ", ".join(sorted(s)) + "}"
+
 
 def _data_lines(text: str) -> Iterator[tuple[int, str]]:
     """Yield (1-based line number, stripped content) for non-empty,
@@ -664,12 +672,12 @@ def improve(p: Profile, change: RankImprovement) -> Profile:
             f"cannot move {change.target!r} up {change.steps} steps "
             f"from position {pos}"
         )
-    order = list(p.orders[change.criterion])
-    order.remove(change.target)
-    order.insert(pos - change.steps, change.target)
-    new_orders = list(p.orders)
-    new_orders[change.criterion] = tuple(order)
-    return Profile(new_orders, labels=p.labels)
+    top = pos - change.steps
+    ranks = p.ranks.copy()
+    row = ranks[change.criterion]
+    row[(row >= top) & (row < pos)] += 1
+    row[j] = top
+    return Profile.from_ranks(p.labels, ranks)
 
 
 def perturb_majority(mu: MajorityRelation, winner: str, loser: str) -> MajorityRelation:

@@ -18,6 +18,7 @@ from twostage import (
     all_profiles,
     check_axiom,
     check_axiom_mu,
+    compose,
     contract,
     enumerate_majority_relations,
     first_place_counts,
@@ -428,3 +429,128 @@ def test_verify_bounded_refuses_oversized_spaces():
 
 def test_axiom_names_are_the_eight_documented_conditions():
     assert AXIOMS == ("H", "C", "O", "ACA", "MON1", "MON2", "SM", "NC")
+
+
+# -- pinned tables ------------------------------------------------------------
+#
+# Recorded before the subset-quantified conditions shared one checker per
+# condition; they pin the deletions scan order and the relation-level
+# witnesses.  The m = 4 searches stop at a budget of 1000 profiles to keep
+# the suite fast.
+
+DELETION_SEARCHES = (
+    (2, 3, 'H', 'found', 17, 'subset bc'),
+    (2, 3, 'C', 'exhausted', 216, ''),
+    (2, 3, 'O', 'exhausted', 216, ''),
+    (2, 3, 'ACA', 'found', 17, 'subset bc'),
+    (2, 4, 'H', 'found', 157, 'subset bcd'),
+    (2, 4, 'C', 'found', 167, 'subset-pair abc cd'),
+    (2, 4, 'O', 'budget-exceeded', 1000, ''),
+    (2, 4, 'ACA', 'found', 157, 'subset bcd'),
+    (7, 3, 'H', 'found', 4, 'subset ab'),
+    (7, 3, 'C', 'exhausted', 216, ''),
+    (7, 3, 'O', 'found', 4, 'subset ab'),
+    (7, 3, 'ACA', 'found', 4, 'subset ab'),
+    (7, 4, 'H', 'found', 9, 'subset abd'),
+    (7, 4, 'C', 'found', 10, 'subset-pair acd abd'),
+    (7, 4, 'O', 'found', 9, 'subset abd'),
+    (7, 4, 'ACA', 'found', 9, 'subset abd'),
+    (15, 3, 'H', 'found', 23, 'subset bc'),
+    (15, 3, 'C', 'exhausted', 216, ''),
+    (15, 3, 'O', 'exhausted', 216, ''),
+    (15, 3, 'ACA', 'found', 23, 'subset bc'),
+    (15, 4, 'H', 'found', 205, 'subset bcd'),
+    (15, 4, 'C', 'budget-exceeded', 1000, ''),
+    (15, 4, 'O', 'budget-exceeded', 1000, ''),
+    (15, 4, 'ACA', 'found', 205, 'subset bcd'),
+    ((2, 1), 3, 'H', 'exhausted', 216, ''),
+    ((2, 1), 3, 'C', 'found', 17, 'subset-pair ac ab'),
+    ((2, 1), 3, 'O', 'found', 17, 'subset bc'),
+    ((2, 1), 3, 'ACA', 'exhausted', 216, ''),
+    ((2, 1), 4, 'H', 'budget-exceeded', 1000, ''),
+    ((2, 1), 4, 'C', 'found', 157, 'subset-pair acd abd'),
+    ((2, 1), 4, 'O', 'found', 157, 'subset bcd'),
+    ((2, 1), 4, 'ACA', 'budget-exceeded', 1000, ''),
+    ((27, 28), 3, 'H', 'found', 23, 'subset bc'),
+    ((27, 28), 3, 'C', 'exhausted', 216, ''),
+    ((27, 28), 3, 'O', 'exhausted', 216, ''),
+    ((27, 28), 3, 'ACA', 'found', 23, 'subset bc'),
+    ((27, 28), 4, 'H', 'found', 205, 'subset bcd'),
+    ((27, 28), 4, 'C', 'budget-exceeded', 1000, ''),
+    ((27, 28), 4, 'O', 'budget-exceeded', 1000, ''),
+    ((27, 28), 4, 'ACA', 'found', 205, 'subset bcd'),
+)
+
+# One token per relation of enumerate_majority_relations(3), in order: "."
+# holds, "ab" a one-subset witness, "ab|ac" a subset pair, "a>b" an edge flip.
+MU_VERDICTS = {
+    (15, 'H'): '. . . . . . . . . . . . . . . . ab . . . . . . ab . . .',
+    (15, 'C'): '. . . . . . . . . . . . . . . . . . . . . . . . . . .',
+    (15, 'O'): '. . . . . ab . ab . . ac . . . . bc . . . . ac bc . . . . .',
+    (15, 'ACA'): '. ac ab bc . ab ab ab . bc ac . . . . bc ab . ac . ac bc . ab . . .',
+    (15, 'MON1'): '. . . . . . . . . . . . . . . . . . . . . . . . . . .',
+    (15, 'MON2'): '. . . . . . . . . . . . . . . . . . . . . . . . . . .',
+    (15, 'SM'): 'a>b c>a b>a c>a c>a b>a a>b a>b . b>a c>a b>a . c>a b>a b>c . b>c a>b . a>c c>b c>b . a>b a>b a>c',
+    (16, 'H'): '. . . . . bc . ac . . bc . . . . ab ab . . . ab ac . ab . . .',
+    (16, 'C'): '. . . . . . . . . . . . . . . . . . . . . . . . . . .',
+    (16, 'O'): '. . . . . . . . . . . . . . . . . . . . . . . . . . .',
+    (16, 'ACA'): '. ac ab bc . bc ab ac . bc bc . . . . ab ab . ac . ab ac . ab . . .',
+    (16, 'MON1'): '. . . . . . . . . . . . . . . . . . . . . . . . . . .',
+    (16, 'MON2'): '. . . . . . . . . . . . . . . . . . . . . . . . . . .',
+    (16, 'SM'): 'a>b a>b a>c b>a . b>a a>c a>b a>c b>a c>a . b>a c>a b>a b>c . b>c a>b a>b a>c c>b c>b . . a>b a>c',
+    (19, 'H'): '. . . . . . . . . . . . . . . . . . . . . . . . . . .',
+    (19, 'C'): '. . . . . . . . . . . . . . . . . . . . . . . . . . .',
+    (19, 'O'): 'a a a a a a a a . a a a . . . a a . a . a a . a a . .',
+    (19, 'ACA'): '. . . . . . . . . . . . . . . . . . . . . . . . . . .',
+    (19, 'MON1'): '. . . . . . . . . . . . . . . . . . . . . . . . . . .',
+    (19, 'MON2'): '. . . . . . . . . . . . . . . . . . . . . . . . . . .',
+    (19, 'SM'): '. . . . . . . . a>c . . . b>a c>a b>a . . b>c . a>b . . c>b . . a>b a>c',
+    (20, 'H'): '. . . . . . . . . . . . . . . . . . . . . . . . . . .',
+    (20, 'C'): '. . . . . . . . . . . . . . . . . . . . . . . . . . .',
+    (20, 'O'): '. . . . . ab . ab . . ac . . . . bc a . . . ac bc . a . . .',
+    (20, 'ACA'): '. ac ab bc . ab ab ab . bc ac . . . . bc . . ac . ac bc . . . . .',
+    (20, 'MON1'): '. . . . . . . . . . . . . . . . . . . . . . . . . . .',
+    (20, 'MON2'): '. . . . . . . . . . . . . . . . . . . . . . . . . . .',
+    (20, 'SM'): 'a>b c>a b>a c>a c>a b>a a>b a>b . b>a c>a b>a . c>a b>a b>c . b>c a>b . a>c c>b c>b . a>b a>b a>c',
+    (23, 'H'): '. . . . . . . . . . . . . . . . ab . . . . . . ab . . .',
+    (23, 'C'): '. ab|ac ab|ac ab|bc . . ab|bc . . ac|bc . . . . . . . . ac|bc . . . . . . . .',
+    (23, 'O'): '. ab ac ab . ab bc ab . ac ac . . . . bc . . bc . ac bc . . . . .',
+    (23, 'ACA'): '. ab ac ab . ab bc ab . ac ac . . . . bc ab . bc . ac bc . ab . . .',
+    (23, 'MON1'): '. . . . . . . . . . . . . . . . . . . . . . . . . . .',
+    (23, 'MON2'): '. . . . . . . . . . . . . . . . . . . . . . . . . . .',
+    (23, 'SM'): '. . . . c>a b>a . a>b . . c>a b>a . c>a b>a b>c . b>c . . a>c c>b c>b . a>b a>b a>c',
+}
+
+
+def _rule(spec):
+    return compose(*spec) if isinstance(spec, tuple) else make_procedure(spec)
+
+
+@pytest.mark.parametrize("spec, m, axiom, status, examined, witness", DELETION_SEARCHES)
+def test_deletion_strategy_search_is_pinned(spec, m, axiom, status, examined, witness):
+    cfg = SearchConfig(m_values=(m,), n_values=(3,), subset_strategy="deletions", budget=1000)
+    result = search_counterexample(_rule(spec), axiom, cfg)
+    assert (result.status, result.examined) == (status, examined)
+    got = ""
+    if result.witness is not None:
+        subsets = " ".join("".join(sorted(s)) for s in result.witness.subsets)
+        got = f"{result.witness.kind} {subsets}"
+        assert all(len(s) >= m - 2 for s in result.witness.subsets)
+    assert got == witness
+
+
+@pytest.mark.parametrize("index, axiom", sorted(MU_VERDICTS))
+def test_mu_level_verdicts_are_pinned_on_every_three_alternative_relation(index, axiom):
+    proc = make_procedure(index)
+    tokens = []
+    for mu in enumerate_majority_relations(3):
+        verdict = check_axiom_mu(proc, mu, axiom)
+        w = verdict.witness
+        if verdict.holds:
+            tokens.append(".")
+        elif w.edge is not None:
+            assert w.kind == "edge-flip" and not w.subsets
+            tokens.append(">".join(w.edge))
+        else:
+            tokens.append("|".join("".join(sorted(s)) for s in w.subsets))
+    assert " ".join(tokens) == MU_VERDICTS[index, axiom]

@@ -184,10 +184,22 @@ def test_budget_env_var_feeds_verify(capsys, monkeypatch):
     assert out == "status budget-exceeded\nchecked 0\n"
 
 
-def test_budget_env_var_rejects_garbage(monkeypatch):
+def test_budget_env_var_rejects_garbage(capsys, monkeypatch):
     monkeypatch.setenv("TWOSTAGE_BUDGET", "soon")
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["verify", "--proc", "7", "--axiom", "Mon1"])
+    assert exc.value.code == 2
+    assert "TWOSTAGE_BUDGET must be a positive integer" in capsys.readouterr().err
+
+
+def test_budget_env_var_garbage_is_a_usage_error_for_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("TWOSTAGE_BUDGET", "0")
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "--counts"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "TWOSTAGE_BUDGET must be a positive integer, got '0'" in captured.err
 
 
 # -- fixtures -----------------------------------------------------------------

@@ -367,6 +367,48 @@ def test_make_procedure_accepts_index_name_and_instance():
     assert make_procedure(qp) is qp
 
 
+# label(), kind and single_winner of every index, recorded before the
+# procedure table and its dispatch chains became one registry.
+REGISTRY_SURFACE = {
+    1: ('simple_majority', 'profile', True),
+    2: ('plurality', 'profile', False),
+    3: ('inverse_plurality', 'profile', False),
+    4: ('q_approval(q=2)', 'profile', False),
+    5: ('run_off', 'profile', True),
+    6: ('hare', 'profile', True),
+    7: ('borda', 'profile', False),
+    8: ('black', 'profile', False),
+    9: ('inverse_borda', 'profile', False),
+    10: ('nanson', 'profile', False),
+    11: ('coombs', 'profile', True),
+    12: ('minimal_dominant', 'mu', False),
+    13: ('minimal_undominated', 'mu', False),
+    14: ('minimal_weakly_stable', 'mu', False),
+    15: ('fishburn', 'mu', False),
+    16: ('uncovered_1', 'mu', False),
+    17: ('uncovered_2', 'mu', False),
+    18: ('richelson', 'mu', False),
+    19: ('condorcet_winner', 'mu', True),
+    20: ('core', 'mu', False),
+    21: ('k_stable(k=2)', 'mu', False),
+    22: ('threshold', 'grades', False),
+    23: ('copeland_1', 'mu', False),
+    24: ('copeland_2', 'mu', False),
+    25: ('copeland_3', 'mu', False),
+    26: ('super_threshold', 'grades', False),
+    27: ('minimax', 'support', False),
+    28: ('simpson', 'support', False),
+}
+
+
+def test_registry_surface_is_pinned_for_every_index():
+    assert sorted(REGISTRY_SURFACE) == list(range(1, 29))
+    for index, (label, kind, single_winner) in REGISTRY_SURFACE.items():
+        proc = make_procedure(index)
+        assert (proc.label(), proc.kind, proc.single_winner) == (label, kind, single_winner)
+        assert proc.mu_capable == (kind == "mu")
+
+
 def test_make_procedure_rejects_bad_requests():
     with pytest.raises(ValueError):
         make_procedure(0)
