@@ -118,11 +118,14 @@ def compose(
 ) -> TwoStage:
     """Build a two-stage rule.  ``q`` / ``k`` parameterize whichever stage
     accepts them (pass ready :class:`Procedure` objects to parameterize the
-    two stages differently)."""
+    two stages differently).  Each stage must be one of the 28 indexed
+    procedures, since the two-stage id is built from their indices."""
 
     def build(spec):
         proc = make_procedure(spec)
-        if isinstance(spec, Procedure) or not isinstance(proc, Procedure):
+        if not isinstance(proc, Procedure):
+            raise ValueError(f"{proc.label()} is not an indexed procedure and cannot be a stage")
+        if isinstance(spec, Procedure):
             return proc
         value = {"q": q, "k": k}.get(proc.param)
         return proc if value is None else make_procedure(proc.index, **{proc.param: value})

@@ -35,8 +35,6 @@ from itertools import combinations
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .profiles import (
     GradeTable,
@@ -310,22 +308,52 @@ def richelson(mu: MajorityRelation) -> frozenset[str]:
     return frozenset(lab for lab, c in zip(mu.labels, chosen) if c)
 
 
-def _sink_component_union(adj: np.ndarray, labels: tuple[str, ...]) -> list[frozenset[str]]:
+def _reach(adj: np.ndarray, start: int, blocked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first search along ``adj`` from ``start``, never entering a
+    ``blocked`` vertex: the indicator of the vertices reached (``start``
+    included) and of the last frontier, the farthest of them."""
+    seen = blocked.copy()
+    seen[start] = True
+    frontier = np.zeros_like(seen)
+    frontier[start] = True
+    while True:
+        nxt = adj[frontier].any(axis=0) & ~seen
+        if not nxt.any():
+            return seen & ~blocked, frontier
+        seen |= nxt
+        frontier = nxt
+
+
+def _sink_components(adj: np.ndarray, labels: tuple[str, ...]) -> list[frozenset[str]]:
     """Strongly connected components of ``adj`` with no outgoing edges,
-    as label sets (each such component is one inclusion-minimal closed set)."""
-    m = adj.shape[0]
-    n_comp, comp = connected_components(
-        csr_matrix(adj), directed=True, connection="strong"
-    )
-    outgoing = np.zeros(n_comp, dtype=bool)
-    xs, ys = np.nonzero(adj)
-    cross = comp[xs] != comp[ys]
-    outgoing[comp[xs[cross]]] = True
+    as label sets (each such component is one inclusion-minimal closed set).
+
+    A vertex ``v``'s component is what it reaches that also reaches it, and
+    it is a sink exactly when ``v`` reaches nothing else.  Whatever reaches
+    ``v`` lies in no sink but ``v``'s own, so one visit decides ``v``'s whole
+    backward reach.  A decided vertex's predecessors are then decided too:
+    no undecided vertex reaches one, and both searches skip them.
+
+    Vertices are visited by in-degree, highest first.  The "fails to beat"
+    digraph of procedure 12 then takes exactly one visit: it is
+    semicomplete, so its sink component K is unique, each member has
+    in-degree at least m - |K| (every outsider points at it) and each
+    outsider at most m - |K| - 1 (only other outsiders do); the first vertex
+    visited lies in K and everything reaches it.  After a visit that finds
+    no sink, the next one starts from the farthest vertex ``v`` reached,
+    which heads for a sink; visiting in in-degree order alone costs one
+    search of the rest of a long directed path per vertex on it.
+    """
+    decided = np.zeros(adj.shape[0], dtype=bool)
     sets = []
-    for c in range(n_comp):
-        if not outgoing[c]:
-            members = np.nonzero(comp == c)[0]
-            sets.append(frozenset(labels[i] for i in members))
+    for v in np.argsort(-adj.sum(axis=0), kind="stable"):
+        while not decided[v]:
+            forward, farthest = _reach(adj, v, decided)
+            backward = _reach(adj.T, v, decided)[0]
+            if not (forward & ~backward).any():
+                sets.append(frozenset(labels[i] for i in np.flatnonzero(forward)))
+            decided |= backward
+            v = farthest.argmax()
     sets.sort(key=lambda s: sorted(s))
     return sets
 
@@ -335,11 +363,10 @@ def minimal_dominant_sets(mu: MajorityRelation) -> list[frozenset[str]]:
 
     A set is dominant exactly when it is closed under the relation
     "fails to beat", so the minimal ones are the sink components of that
-    relation's digraph.
+    relation's digraph.  Its self-loops change neither reachability nor the
+    in-degree order.
     """
-    m = mu.m
-    fails = ~mu.matrix & ~np.eye(m, dtype=bool)
-    return _sink_component_union(fails, mu.labels)
+    return _sink_components(~mu.matrix, mu.labels)
 
 
 def minimal_dominant(mu: MajorityRelation) -> frozenset[str]:
@@ -349,7 +376,7 @@ def minimal_dominant(mu: MajorityRelation) -> frozenset[str]:
 def minimal_undominated_sets(mu: MajorityRelation) -> list[frozenset[str]]:
     """All inclusion-minimal sets no outsider beats into (closed under
     "is beaten by", i.e. sink components of the reversed majority digraph)."""
-    return _sink_component_union(mu.matrix.T.copy(), mu.labels)
+    return _sink_components(mu.matrix.T, mu.labels)
 
 
 def minimal_undominated(mu: MajorityRelation) -> frozenset[str]:
@@ -527,11 +554,8 @@ def q_pareto(g: GradeTable | Profile, q: int) -> frozenset[str]:
 
 def minimax(t: TournamentMatrix) -> frozenset[str]:
     """Minimise the strongest support any rival musters against you."""
-    if t.m == 1:
-        return frozenset(t.labels)
-    counts = t.counts.copy()
-    np.fill_diagonal(counts, -1)  # exclude self from the column max
-    worst_against = counts.max(axis=0)
+    # the diagonal is 0 and no count is negative, so it never raises a column max
+    worst_against = t.counts.max(axis=0)
     best = worst_against.min()
     return frozenset(
         lab for lab, w in zip(t.labels, worst_against) if w == best
@@ -540,11 +564,9 @@ def minimax(t: TournamentMatrix) -> frozenset[str]:
 
 def simpson(t: TournamentMatrix) -> frozenset[str]:
     """Maximise your weakest pairwise support (maximin)."""
-    if t.m == 1:
-        return frozenset(t.labels)
-    counts = t.counts.copy()
-    np.fill_diagonal(counts, t.voters + 1)  # exclude self from the row min
-    weakest = counts.min(axis=1)
+    # S(x, y) = voters - S(y, x) off the diagonal, so the row min is voters
+    # minus minimax's column max
+    weakest = t.voters - t.counts.max(axis=0)
     best = weakest.max()
     return frozenset(lab for lab, w in zip(t.labels, weakest) if w == best)
 

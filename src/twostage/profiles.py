@@ -284,6 +284,8 @@ class TournamentMatrix:
             raise ValueError("support matrix shape does not match universe")
         if (counts.diagonal() != 0).any():
             raise ValueError("support matrix diagonal must be zero")
+        if (counts < 0).any():
+            raise ValueError("support counts must be non-negative")
         check = counts.astype(np.int64) + counts.T
         np.fill_diagonal(check, voters)
         if voters <= 0 or (check != voters).any():

@@ -61,6 +61,50 @@ def brute_undominated_sets(labels, edges):
     )
 
 
+def sink_components(labels, arcs):
+    """Strongly connected components with no arc leaving them (Tarjan's
+    algorithm on the digraph ``arcs``), sorted like the library's output.
+
+    Polynomial, so it reaches sizes where subset enumeration cannot.
+    """
+    succ = {x: [y for y in labels if (x, y) in arcs] for x in labels}
+    index, low, stack, on_stack, components = {}, {}, [], set(), []
+
+    def visit(x):
+        index[x] = low[x] = len(index)
+        stack.append(x)
+        on_stack.add(x)
+        for y in succ[x]:
+            if y not in index:
+                visit(y)
+                low[x] = min(low[x], low[y])
+            elif y in on_stack:
+                low[x] = min(low[x], index[y])
+        if low[x] == index[x]:
+            component = set()
+            while x not in component:
+                component.add(stack.pop())
+            on_stack.difference_update(component)
+            components.append(frozenset(component))
+
+    for x in labels:
+        if x not in index:
+            visit(x)
+    sinks = [c for c in components if all(y in c for x in c for y in succ[x])]
+    return sorted(sinks, key=sorted)
+
+
+def scc_dominant_sets(labels, edges):
+    """Minimal dominant sets: the sink components of "fails to beat"."""
+    fails = {(x, y) for x in labels for y in labels if x != y and (x, y) not in edges}
+    return sink_components(labels, fails)
+
+
+def scc_undominated_sets(labels, edges):
+    """Minimal undominated sets: the sink components of "is beaten by"."""
+    return sink_components(labels, {(y, x) for x, y in edges})
+
+
 def is_weakly_stable(labels, edges, b):
     for y in labels:
         if y in b:

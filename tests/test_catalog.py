@@ -25,6 +25,7 @@ from twostage import (
 )
 from twostage.catalog import DEGENERATE_IDS, EQUIVALENT_TO
 from twostage.procedures import (
+    QParetoRule,
     condorcet_winner,
     copeland,
     core,
@@ -89,6 +90,14 @@ def test_compose_parameterizes_the_right_stage():
     custom = compose(Procedure(4, q=5), Procedure(21, k=2))
     assert custom.first.q == 5 and custom.second.k == 2
     assert compose("plurality", "borda") == compose(2, 7)
+
+
+def test_compose_rejects_qpareto_stages():
+    # q-Pareto has no index, so a rule using it would have no two-stage id
+    for stage in ("qpareto", QParetoRule(1)):
+        for first, second in ((stage, 2), (2, stage)):
+            with pytest.raises(ValueError, match="not an indexed procedure"):
+                compose(first, second)
 
 
 # ---------------------------------------------------------------------------

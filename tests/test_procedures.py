@@ -52,6 +52,7 @@ from twostage.procedures import (
     uncovered_2,
     weakly_stable_sets,
 )
+from twostage.profiles import default_labels
 
 
 def orders_of(p: Profile):
@@ -123,6 +124,53 @@ def test_relation_rules_match_oracles_random_m5():
         assert_relation_rules_match(mu)
 
 
+def sparse_relations(m, count, seed):
+    """Random relations with a tie share drawn per relation, so both dense
+    and sparse ones (many small sink components) occur."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        tie = rng.uniform(0.2, 0.98)
+        state = rng.random((m, m))
+        forward = state < (1 - tie) / 2
+        backward = (state >= (1 - tie) / 2) & (state < 1 - tie)
+        beats = np.triu(forward, 1) | np.triu(backward, 1).T
+        yield MajorityRelation(default_labels(m), beats)
+
+
+def assert_sink_rules_match_scc(mu):
+    edges = oracles.edge_set(mu)
+    assert minimal_dominant_sets(mu) == oracles.scc_dominant_sets(mu.labels, edges)
+    assert minimal_undominated_sets(mu) == oracles.scc_undominated_sets(mu.labels, edges)
+
+
+def test_sink_component_rules_match_scc_oracle_random_m6_to_40():
+    for m in (6, 7, 8, 9, 12, 20, 40):
+        for mu in sparse_relations(m, 40, seed=4000 + m):
+            assert_sink_rules_match_scc(mu)
+
+
+def test_sink_component_rules_match_scc_oracle_structured_m200():
+    m = 200
+    labels = default_labels(m)
+    path = np.eye(m, k=1, dtype=bool)
+    cycle = np.zeros((m, m), dtype=bool)
+    half = m // 2
+    for i in range(half):
+        cycle[i, (i + 1) % half] = True
+    pendants_beaten = cycle.copy()
+    pendants_beating = cycle.copy()
+    for i in range(half):
+        pendants_beaten[i, half + i] = True
+        pendants_beating[half + i, i] = True
+    edgeless = np.zeros((m, m), dtype=bool)
+    transitive = np.triu(np.ones((m, m), dtype=bool), 1)
+    for beats in (edgeless, path, path.T, transitive, pendants_beaten, pendants_beating):
+        assert_sink_rules_match_scc(MajorityRelation(labels, beats))
+    edgeless = MajorityRelation(labels, edgeless)
+    assert minimal_dominant_sets(edgeless) == [frozenset(labels)]
+    assert minimal_undominated_sets(edgeless) == [frozenset({x}) for x in labels]
+
+
 def test_minimal_dominant_set_is_unique_and_nested_rules_nonempty():
     for mu in enumerate_majority_relations(4):
         assert len(minimal_dominant_sets(mu)) == 1
@@ -160,6 +208,7 @@ def test_support_rules_match_oracles():
         }
         assert minimax(t) == oracles.brute_minimax(t.labels, support)
         assert simpson(t) == oracles.brute_simpson(t.labels, support)
+        assert simpson(t) == minimax(t)
 
 
 def test_support_rules_single_alternative():

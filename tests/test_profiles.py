@@ -257,6 +257,8 @@ def test_validated_constructors_reject_inconsistent_input():
     with pytest.raises(ValueError):
         TournamentMatrix(("a", "b"), np.array([[1, 2], [1, 0]]), 3)
     with pytest.raises(ValueError):
+        TournamentMatrix(("a", "b"), np.array([[0, -1], [4, 0]]), 3)
+    with pytest.raises(ValueError):
         MajorityRelation(("a", "b"), np.array([[False, True], [True, False]]))
     with pytest.raises(ValueError):
         MajorityRelation(("a", "b"), np.array([[True, False], [False, False]]))
