@@ -48,7 +48,7 @@ def main():
     print("majority-relation procedures:")
     for spec in (19, 20, 12, 13, 14, 15, 16, 17, 18, 23):
         rule = make_procedure(spec)
-        show(rule.label(), rule.choose_mu(mu))
+        show(rule.label(), rule.choose(mu))
 
     print("\npairwise-support procedures:")
     for spec in (27, 28):

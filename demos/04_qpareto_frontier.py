@@ -24,7 +24,7 @@ def main():
     print("\nwidening the cutoff:")
     previous = frozenset()
     for q in range(0, 7):
-        chosen = QParetoRule(q).choose_grades(table)
+        chosen = QParetoRule(q).choose(table)
         assert previous <= chosen, "the choice can only grow with q"
         new = "".join(sorted(chosen - previous))
         print(f"  q={q}:  {{{', '.join(sorted(chosen))}}}"

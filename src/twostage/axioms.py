@@ -1,7 +1,8 @@
 """Normative-condition checkers and a bounded counterexample search.
 
 Eight conditions are checked against a choice rule (a single procedure or a
-two-stage composition — anything exposing ``choose(profile, subset)``):
+two-stage composition — anything exposing ``choose(data, subset)``) on one
+input: a profile, a majority relation or a grade table.
 
 * ``H``    heredity: chosen alternatives stay chosen in any subset that
            contains them: C(X) ∩ X' ⊆ C(X').
@@ -25,11 +26,11 @@ two-stage composition — anything exposing ``choose(profile, subset)``):
 Each condition has one checker.  The subset conditions (H, C, O, ACA) scan
 a family of proper subsets given as a parameter: every one, by size, or
 (for search) the deletions of one or two alternatives.  MON1 and SM take a
-probe generator: rank improvements on a profile, edge flips on a relation.
-Checks at the majority-relation level skip ``NC`` (no grade information
-exists there).  Relations
-are certified realizable by an explicit profile construction
-(:func:`realizing_profile`).
+probe generator chosen by the input: rank improvements on a profile, edge
+flips on a relation; a grade table has no improvement move, so they do not
+apply to one.  ``NC`` reads the grade table (derived from a profile, or
+given); on a relation it holds as not applicable.  Relations are certified
+realizable by an explicit profile construction (:func:`realizing_profile`).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 from .profiles import (
+    GradeTable,
     MajorityRelation,
     Profile,
     RankImprovement,
@@ -103,13 +105,7 @@ def normalize_axiom(name: str) -> str:
 
 
 class ChoiceRule(Protocol):
-    def choose(self, p: Profile, subset: Iterable[str] | None = None) -> frozenset[str]: ...
-
-
-class MuChoiceRule(Protocol):
-    def choose_mu(
-        self, mu: MajorityRelation, subset: Iterable[str] | None = None
-    ) -> frozenset[str]: ...
+    def choose(self, data, subset: Iterable[str] | None = None) -> frozenset[str]: ...
 
 
 @dataclass(frozen=True)
@@ -222,7 +218,7 @@ def _rank_probes(rule: ChoiceRule, p: Profile) -> _Probes:
     return probes
 
 
-def _edge_probes(rule: MuChoiceRule, mu: MajorityRelation) -> _Probes:
+def _edge_probes(rule: ChoiceRule, mu: MajorityRelation) -> _Probes:
     """Every edge flip that makes the target beat an alternative it did not
     beat."""
 
@@ -232,10 +228,18 @@ def _edge_probes(rule: MuChoiceRule, mu: MajorityRelation) -> _Probes:
                 yield (
                     {"kind": "edge-flip", "edge": (target, other)},
                     f"making {target} beat {other}",
-                    rule.choose_mu(perturb_majority(mu, target, other)),
+                    rule.choose(perturb_majority(mu, target, other)),
                 )
 
     return probes
+
+
+def _probes(rule: ChoiceRule, data, axiom: str) -> _Probes:
+    if isinstance(data, Profile):
+        return _rank_probes(rule, data)
+    if isinstance(data, MajorityRelation):
+        return _edge_probes(rule, data)
+    raise ValueError(f"{axiom} needs an improvement move, which only a profile or a majority relation has")
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +397,9 @@ def _check_sm(choose: _Memo, probes: _Probes) -> Counterexample | None:
     return None
 
 
-def _check_nc(choose: _Memo, p: Profile) -> Counterexample | None:
+def _check_nc(choose: _Memo, g: GradeTable) -> Counterexample | None:
     full = choose()
-    order = threshold_order(grade_table(p))
-    best = order[0]
+    best = threshold_order(g)[0]
     if full != best:
         return Counterexample(
             axiom="NC",
@@ -414,22 +417,22 @@ _SUBSET_CHECKS = {"H": _check_h, "C": _check_c, "O": _check_o, "ACA": _check_aca
 _PROBE_CHECKS = {"MON1": _check_mon1, "SM": _check_sm}
 
 
-def _verdict(
-    axiom: str,
-    choose: _Memo,
-    family: _Family,
-    probes: _Probes,
-    mon2_strict: bool,
-    p: Profile | None = None,
+def _check(
+    rule: ChoiceRule, data, axiom: str, family: _Family, mon2_strict: bool
 ) -> Verdict:
+    choose = _Memo(lambda subset: rule.choose(data, subset), data.labels)
     if axiom in _SUBSET_CHECKS:
         witness = _SUBSET_CHECKS[axiom](choose, family(choose.labels))
     elif axiom in _PROBE_CHECKS:
-        witness = _PROBE_CHECKS[axiom](choose, probes)
+        witness = _PROBE_CHECKS[axiom](choose, _probes(rule, data, axiom))
     elif axiom == "MON2":
         witness = _check_mon2(choose, strict=mon2_strict)
+    elif isinstance(data, Profile):
+        witness = _check_nc(choose, grade_table(data))
+    elif isinstance(data, GradeTable):
+        witness = _check_nc(choose, data)
     else:
-        witness = _check_nc(choose, p)
+        return Verdict(axiom, True, None, "not-applicable: no grade information at the majority level")
     if witness is not None:
         return Verdict(axiom, False, witness)
     detail = ""
@@ -438,48 +441,29 @@ def _verdict(
     return Verdict(axiom, True, None, detail)
 
 
-def _check_profile(
-    rule: ChoiceRule, p: Profile, axiom: str, family: _Family, mon2_strict: bool
-) -> Verdict:
-    choose = _Memo(lambda subset: rule.choose(p, subset), p.labels)
-    return _verdict(axiom, choose, family, _rank_probes(rule, p), mon2_strict, p)
-
-
 def check_axiom(
     rule: ChoiceRule,
-    p: Profile,
+    data,
     axiom: str,
     *,
     mon2_strict: bool = False,
 ) -> Verdict:
-    """Check one condition for ``rule`` on the universe of ``p``.
+    """Check one condition for ``rule`` on the universe of ``data``: a
+    profile, a majority relation or a grade table.
 
     Returns the first violation in a deterministic scan order (subsets by
     size then lexicographically; improvements by alternative, criterion,
-    step count).  ``mon2_strict=True`` demands that both members of a chosen
-    pair survive the other's removal instead of at least one.
+    step count; edge flips by alternative, then rival).  On a relation an
+    improvement is an edge flip (strengthening a against x means making a
+    beat x) and ``NC`` holds as not applicable; on a grade table ``MON1``
+    and ``SM`` raise ``ValueError``.  ``mon2_strict=True`` demands that
+    both members of a chosen pair survive the other's removal instead of
+    at least one.
     """
-    return _check_profile(rule, p, normalize_axiom(axiom), _proper_subsets, mon2_strict)
+    return _check(rule, data, normalize_axiom(axiom), _proper_subsets, mon2_strict)
 
 
-def check_axiom_mu(
-    rule: MuChoiceRule,
-    mu: MajorityRelation,
-    axiom: str,
-    *,
-    mon2_strict: bool = False,
-) -> Verdict:
-    """Check one condition at the majority-relation level.
-
-    Improvements become edge flips: strengthening a against x means making
-    a beat x.  ``NC`` needs grades, which a relation does not carry, so it
-    comes back holding with a not-applicable note.
-    """
-    axiom = normalize_axiom(axiom)
-    if axiom == "NC":
-        return Verdict(axiom, True, None, "not-applicable: no grade information at the majority level")
-    choose = _Memo(lambda subset: rule.choose_mu(mu, subset), mu.labels)
-    return _verdict(axiom, choose, _proper_subsets, _edge_probes(rule, mu), mon2_strict)
+check_axiom_mu = check_axiom
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +595,7 @@ def search_counterexample(
         # full check visible to the traced benchmark run, which wraps it
         if cfg.subset_strategy == "all":
             return check_axiom(rule, p, axiom, mon2_strict=cfg.mon2_strict).witness
-        return _check_profile(rule, p, axiom, _deletions, cfg.mon2_strict).witness
+        return _check(rule, p, axiom, _deletions, cfg.mon2_strict).witness
 
     examined = 0
     if cfg.mode == "exhaustive":

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 from .procedures import PROCEDURE_NAMES, Procedure, make_procedure
-from .profiles import MajorityRelation, Profile
 
 __all__ = [
     "AXIOM_KEYS",
@@ -81,32 +80,25 @@ class TwoStage:
         return f"{self.first.label()} -> {self.second.label()}"
 
     def choose_detailed(
-        self, p: Profile, subset: Iterable[str] | None = None
+        self, data, subset: Iterable[str] | None = None
     ) -> tuple[frozenset[str], frozenset[str]]:
-        survivors = self.first.choose(p, subset)
+        """Both stages' choices from ``subset`` of ``data``: a profile, or an
+        input both stages read (a majority relation when both are
+        relation-driven)."""
+        survivors = self.first.choose(data, subset)
         if not survivors:
             return survivors, frozenset()
-        return survivors, self.second.choose(p, survivors)
+        return survivors, self.second.choose(data, survivors)
 
-    def choose(self, p: Profile, subset: Iterable[str] | None = None) -> frozenset[str]:
-        return self.choose_detailed(p, subset)[1]
+    def choose(self, data, subset: Iterable[str] | None = None) -> frozenset[str]:
+        return self.choose_detailed(data, subset)[1]
+
+    choose_mu_detailed = choose_detailed
+    choose_mu = choose
 
     @property
     def mu_capable(self) -> bool:
         return self.first.mu_capable and self.second.mu_capable
-
-    def choose_mu_detailed(
-        self, mu: MajorityRelation, subset: Iterable[str] | None = None
-    ) -> tuple[frozenset[str], frozenset[str]]:
-        survivors = self.first.choose_mu(mu, subset)
-        if not survivors:
-            return survivors, frozenset()
-        return survivors, self.second.choose_mu(mu, survivors)
-
-    def choose_mu(
-        self, mu: MajorityRelation, subset: Iterable[str] | None = None
-    ) -> frozenset[str]:
-        return self.choose_mu_detailed(mu, subset)[1]
 
 
 def compose(

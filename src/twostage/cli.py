@@ -24,8 +24,6 @@ from . import catalog as _catalog
 from . import fixtures as _fixtures
 from .procedures import PROCEDURE_NAMES, make_procedure
 from .profiles import (
-    GradeTable,
-    MajorityRelation,
     ProfileFormatError,
     _fmt_set,
     format_profile,
@@ -112,22 +110,12 @@ def _build_rule(args):
         raise SystemExit(2)
 
 
-def _choose_with(rule, data, subset):
+def _choose_with(choose, data, subset):
+    """``choose(data, subset)``, with an input the rule cannot read (or a
+    bad subset) reported as a usage error."""
     try:
-        if isinstance(data, MajorityRelation):
-            if isinstance(rule, _catalog.TwoStage):
-                return rule.choose_mu_detailed(data, subset)
-            return None, rule.choose_mu(data, subset)
-        if isinstance(data, GradeTable):
-            if isinstance(rule, _catalog.TwoStage):
-                raise TypeError(
-                    "two-stage rules need a full profile, not a grade table"
-                )
-            return None, rule.choose_grades(data, subset)
-        if isinstance(rule, _catalog.TwoStage):
-            return rule.choose_detailed(data, subset)
-        return None, rule.choose(data, subset)
-    except (TypeError, ValueError, AttributeError) as exc:
+        return choose(data, subset)
+    except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
 
@@ -139,8 +127,7 @@ def _choose_with(rule, data, subset):
 def _cmd_choose(args) -> int:
     rule = _build_rule(args)
     data = _load_input(args)
-    _, final = _choose_with(rule, data, _subset(args))
-    print(_fmt_set(final))
+    print(_fmt_set(_choose_with(rule.choose, data, _subset(args))))
     return 0
 
 
@@ -154,7 +141,7 @@ def _cmd_compose(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     data = _load_input(args)
-    stage1, final = _choose_with(rule, data, _subset(args))
+    stage1, final = _choose_with(rule.choose_detailed, data, _subset(args))
     print(f"stage1 {_fmt_set(stage1)}")
     print(f"final {_fmt_set(final)}")
     return 0
@@ -165,10 +152,7 @@ def _cmd_check(args) -> int:
     data = _load_input(args)
     try:
         axiom = _axioms.normalize_axiom(args.axiom)
-        if isinstance(data, MajorityRelation):
-            verdict = _axioms.check_axiom_mu(rule, data, axiom, mon2_strict=args.mon2_strict)
-        else:
-            verdict = _axioms.check_axiom(rule, data, axiom, mon2_strict=args.mon2_strict)
+        verdict = _axioms.check_axiom(rule, data, axiom, mon2_strict=args.mon2_strict)
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -251,14 +235,16 @@ def _cmd_fixtures(args) -> int:
 
 def _cmd_bench(args) -> int:
     if args.suite in ("scaling", "all"):
+        m_values = tuple(m for m in _bench.DEFAULT_M_GRID if m <= args.m_max)
+        if not m_values:
+            print(f"error: --m-max must be at least {_bench.DEFAULT_M_GRID[0]}", file=sys.stderr)
+            return 2
         results = []
         for spec in (7, 27, 28, 23):
             results.append(
                 _bench.run_scaling(
                     spec,
-                    m_values=tuple(
-                        m for m in (500, 1000, 2000, 4000, 6000, 8000) if m <= args.m_max
-                    ),
+                    m_values=m_values,
                     n=10,
                     seed=args.seed,
                     budget_seconds=args.budget_seconds,

@@ -189,23 +189,17 @@ class _FixtureRunner:
         obj = self._input(check)
         subset = check.get("subset")
         subset_fs = frozenset(subset) if subset else None
-        at_mu = isinstance(obj, MajorityRelation)
-        stage1 = None
-        if isinstance(rule, _catalog.TwoStage):
-            if at_mu:
-                stage1, final = rule.choose_mu_detailed(obj, subset_fs)
-            else:
-                stage1, final = rule.choose_detailed(obj, subset_fs)
-        else:
-            final = rule.choose_mu(obj, subset_fs) if at_mu else rule.choose(obj, subset_fs)
         where = f" on {_fmt_set(subset)}" if subset else ""
-        if "expect_stage1" in check and stage1 is not None:
+        if "expect_stage1" in check:
+            stage1, final = rule.choose_detailed(obj, subset_fs)
             want = _expect_set(check["expect_stage1"])
             self._record(
                 f"first stage{where} -> {_fmt_set(want)}",
                 stage1 == want,
                 f"got {_fmt_set(stage1)}",
             )
+        else:
+            final = rule.choose(obj, subset_fs)
         want = _expect_set(check["expect"])
         self._record(
             f"choice{where} -> {_fmt_set(want)}",
@@ -320,10 +314,7 @@ class _FixtureRunner:
         obj = self._input(check)
         axiom = _axioms.normalize_axiom(check["axiom"])
         strict = bool(check.get("mon2_strict", False))
-        if isinstance(obj, MajorityRelation):
-            verdict = _axioms.check_axiom_mu(rule, obj, axiom, mon2_strict=strict)
-        else:
-            verdict = _axioms.check_axiom(rule, obj, axiom, mon2_strict=strict)
+        verdict = _axioms.check_axiom(rule, obj, axiom, mon2_strict=strict)
         want_holds = {"holds": True, "violated": False}[check["expect"]]
         detail = ""
         if verdict.holds != want_holds:

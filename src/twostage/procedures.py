@@ -12,9 +12,13 @@ derived data:
 * the pairwise support matrix -- minimax / Simpson;
 * a grade table -- threshold and super-threshold rules.
 
-Procedures defined on mu or on grades can also be evaluated directly from a
-:class:`MajorityRelation` / :class:`GradeTable`, which the fixture corpus and
-counterexample search use.
+Every rule has one entry point, ``choose(data, subset)``: ``data`` is a
+profile or the input the rule's kernel reads (a :class:`MajorityRelation`,
+:class:`GradeTable` or :class:`TournamentMatrix`), so procedures defined on
+mu or on grades also work on a bare relation or grade table.  A profile is
+contracted to the subset before conversion, so grades derived from it are
+re-ranked within the subset; any other input is restricted to the subset
+and keeps its values.
 
 ``_REGISTRY`` is the one place to add a procedure: its row gives the
 procedure's name, the input kind its kernel reads, the :class:`Procedure`
@@ -617,7 +621,38 @@ _REGISTRY: dict[int, _Row] = {
 PROCEDURE_NAMES: dict[int, str] = {i: row.name for i, row in _REGISTRY.items()}
 NAME_TO_INDEX: dict[str, int] = {row.name: i for i, row in _REGISTRY.items()}
 
-_INPUT_NOUN = {"mu": "a majority relation", "grades": "a grade table", "support": "a support matrix"}
+_INPUTS = {
+    "profile": (Profile, "a full profile"),
+    "mu": (MajorityRelation, "a majority relation"),
+    "grades": (GradeTable, "a grade table"),
+    "support": (TournamentMatrix, "a support matrix"),
+}
+
+
+def _kernel_input(kind: str, data, subset: Iterable[str] | None, name: str):
+    """What a ``kind`` kernel reads, for the choice from ``subset`` of
+    ``data``: a profile is contracted and then converted; any other input
+    must already be of the rule's kind and is restricted.
+
+    The converters are looked up as module globals on each call, so a
+    caller that replaces one (the benchmark's tracer does) sees every use.
+    """
+    if isinstance(data, Profile):
+        if subset is not None:
+            data = contract(data, subset)
+        if kind == "mu":
+            return majority_relation(data)
+        if kind == "grades":
+            return grade_table(data)
+        if kind == "support":
+            return tournament_matrix(data)
+        return data
+    cls, noun = _INPUTS[kind]
+    if not isinstance(data, cls):
+        wanted = noun if kind == "profile" else f"a full profile or {noun}"
+        given = next((n for c, n in _INPUTS.values() if isinstance(data, c)), type(data).__name__)
+        raise TypeError(f"{name} needs {wanted}, not {given}")
+    return data if subset is None else data.restrict(subset)
 
 
 @dataclass(frozen=True)
@@ -674,46 +709,19 @@ class Procedure:
             return f"{self.name}({self.param}={getattr(self, self.param)})"
         return self.name
 
-    # -- evaluation ----------------------------------------------------
-
-    def _kernel(self, data) -> frozenset[str]:
+    def choose(self, data, subset: Iterable[str] | None = None) -> frozenset[str]:
+        """The choice from ``subset`` (default: every alternative) of
+        ``data``, which is a profile or the input this procedure's kernel
+        reads (its ``kind``)."""
         row = _REGISTRY[self.index]
+        data = _kernel_input(row.kind, data, subset, row.name)
         if row.param is None:
             return row.kernel(data)
         return row.kernel(data, getattr(self, row.param))
 
-    def _choose_from(self, kind: str, data, subset: Iterable[str] | None) -> frozenset[str]:
-        if self.kind != kind:
-            raise TypeError(f"{self.name} cannot be evaluated from {_INPUT_NOUN[kind]} alone")
-        if subset is not None:
-            data = data.restrict(subset)
-        return self._kernel(data)
-
-    def choose(self, p: Profile, subset: Iterable[str] | None = None) -> frozenset[str]:
-        pc = contract(p, subset) if subset is not None else p
-        kind = self.kind
-        if kind == "mu":
-            return self._kernel(majority_relation(pc))
-        if kind == "grades":
-            return self._kernel(grade_table(pc))
-        if kind == "support":
-            return self._kernel(tournament_matrix(pc))
-        return self._kernel(pc)
-
-    def choose_mu(
-        self, mu: MajorityRelation, subset: Iterable[str] | None = None
-    ) -> frozenset[str]:
-        return self._choose_from("mu", mu, subset)
-
-    def choose_grades(
-        self, g: GradeTable, subset: Iterable[str] | None = None
-    ) -> frozenset[str]:
-        return self._choose_from("grades", g, subset)
-
-    def choose_support(
-        self, t: TournamentMatrix, subset: Iterable[str] | None = None
-    ) -> frozenset[str]:
-        return self._choose_from("support", t, subset)
+    choose_mu = choose
+    choose_grades = choose
+    choose_support = choose
 
 
 @dataclass(frozen=True)
@@ -750,16 +758,11 @@ class QParetoRule:
     def label(self) -> str:
         return f"qpareto(q={self.q})"
 
-    def choose(self, p: Profile, subset: Iterable[str] | None = None) -> frozenset[str]:
-        pc = contract(p, subset) if subset is not None else p
-        return q_pareto(grade_table(pc), self.q)
+    def choose(self, data, subset: Iterable[str] | None = None) -> frozenset[str]:
+        """The choice from ``subset`` of a profile or a grade table."""
+        return q_pareto(_kernel_input("grades", data, subset, self.name), self.q)
 
-    def choose_grades(
-        self, g: GradeTable, subset: Iterable[str] | None = None
-    ) -> frozenset[str]:
-        if subset is not None:
-            g = g.restrict(subset)
-        return q_pareto(g, self.q)
+    choose_grades = choose
 
 
 def make_procedure(

@@ -87,7 +87,35 @@ def _check_labels(labels: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(out))
 
 
-class Profile:
+class _Universe:
+    """What every input kind shares: the sorted alternative ``labels`` and
+    each label's position in them."""
+
+    __slots__ = ("labels", "_pos")
+
+    def _set_labels(self, labels: tuple[str, ...]) -> None:
+        self.labels = labels
+        self._pos = {lab: j for j, lab in enumerate(labels)}
+
+    @property
+    def m(self) -> int:
+        return len(self.labels)
+
+    def index(self, label: str) -> int:
+        try:
+            return self._pos[label]
+        except KeyError:
+            raise ValueError(f"unknown alternative {label!r}") from None
+
+    def _positions(self, subset: Iterable[str]) -> list[int]:
+        """The positions of a non-empty subset's labels, ascending."""
+        idx = sorted({self.index(lab) for lab in subset})
+        if not idx:
+            raise ValueError("subset of alternatives must be non-empty")
+        return idx
+
+
+class Profile(_Universe):
     """``n`` strict linear orders over a common universe of ``m`` labels.
 
     The state is the sorted universe ``labels`` plus a rank matrix of shape
@@ -97,7 +125,7 @@ class Profile:
     from the ranks on each access.
     """
 
-    __slots__ = ("labels", "ranks", "_index")
+    __slots__ = ("ranks",)
 
     def __init__(self, orders: Sequence[Sequence[str]], labels: Sequence[str] | None = None):
         orders = tuple(tuple(o) for o in orders)
@@ -106,7 +134,7 @@ class Profile:
         if labels is None:
             labels = orders[0]
         labels = _check_labels(labels)
-        index = {lab: j for j, lab in enumerate(labels)}
+        self._set_labels(labels)
         m = len(labels)
         ranks = np.empty((len(orders), m), dtype=np.int32)
         for i, order in enumerate(orders):
@@ -115,11 +143,9 @@ class Profile:
                     f"criterion {i + 1} is not a permutation of the universe"
                 )
             for pos, lab in enumerate(order):
-                ranks[i, index[lab]] = pos
+                ranks[i, self._pos[lab]] = pos
         ranks.setflags(write=False)
-        self.labels: tuple[str, ...] = labels
         self.ranks: np.ndarray = ranks
-        self._index = index
 
     @classmethod
     def from_ranks(cls, labels: Sequence[str], ranks: np.ndarray) -> "Profile":
@@ -135,9 +161,8 @@ class Profile:
         if ranks.ndim != 2 or len(labels) != ranks.shape[1]:
             raise ValueError("rank matrix does not match label count")
         ranks.setflags(write=False)
-        self.labels = labels
+        self._set_labels(labels)
         self.ranks = ranks
-        self._index = {lab: j for j, lab in enumerate(labels)}
         return self
 
     # -- basic container behaviour ------------------------------------
@@ -152,18 +177,8 @@ class Profile:
         )
 
     @property
-    def m(self) -> int:
-        return len(self.labels)
-
-    @property
     def n(self) -> int:
         return self.ranks.shape[0]
-
-    def index(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise ValueError(f"unknown alternative {label!r}") from None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Profile):
@@ -195,7 +210,7 @@ class RankImprovement:
     steps: int
 
 
-class MajorityRelation:
+class MajorityRelation(_Universe):
     """Asymmetric strict-majority relation over a sorted universe.
 
     ``matrix[x, y]`` is True when a strict majority of criteria rank ``x``
@@ -203,7 +218,7 @@ class MajorityRelation:
     relation may be incomplete even though it is always asymmetric.
     """
 
-    __slots__ = ("labels", "matrix", "_index")
+    __slots__ = ("matrix",)
 
     def __init__(self, labels: Sequence[str], matrix: np.ndarray):
         labels = _check_labels(labels)
@@ -215,9 +230,8 @@ class MajorityRelation:
             raise ValueError("majority relation must be asymmetric and irreflexive")
         matrix = matrix.copy()
         matrix.setflags(write=False)
-        self.labels = labels
+        self._set_labels(labels)
         self.matrix = matrix
-        self._index = {lab: j for j, lab in enumerate(labels)}
 
     @classmethod
     def _trusted(cls, labels: tuple[str, ...], matrix: np.ndarray) -> "MajorityRelation":
@@ -226,20 +240,9 @@ class MajorityRelation:
         the cost for thousands of alternatives)."""
         self = object.__new__(cls)
         matrix.setflags(write=False)
-        self.labels = labels
+        self._set_labels(labels)
         self.matrix = matrix
-        self._index = {lab: j for j, lab in enumerate(labels)}
         return self
-
-    @property
-    def m(self) -> int:
-        return len(self.labels)
-
-    def index(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise ValueError(f"unknown alternative {label!r}") from None
 
     def beats(self, x: str, y: str) -> bool:
         return bool(self.matrix[self.index(x), self.index(y)])
@@ -249,9 +252,8 @@ class MajorityRelation:
         return tuple((self.labels[i], self.labels[j]) for i, j in zip(xs, ys))
 
     def restrict(self, subset: Iterable[str]) -> "MajorityRelation":
-        subset = sorted(set(subset))
-        idx = [self.index(lab) for lab in subset]
-        return MajorityRelation(subset, self.matrix[np.ix_(idx, idx)])
+        idx = self._positions(subset)
+        return MajorityRelation([self.labels[j] for j in idx], self.matrix[np.ix_(idx, idx)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MajorityRelation):
@@ -267,14 +269,17 @@ class MajorityRelation:
         return f"MajorityRelation(m={self.m}, edges={len(self.edges())})"
 
 
-class TournamentMatrix:
+class TournamentMatrix(_Universe):
     """Pairwise support counts: ``counts[x, y]`` criteria ranking x above y.
 
     For a profile of strict linear orders ``counts[x, y] + counts[y, x]``
-    equals the number of criteria for every pair x != y.
+    equals the number of criteria for every pair x != y.  Counts computed
+    from a profile keep the dtype they were summed in (uint8 below 255
+    criteria, uint16 below 65535, int64 beyond); counts a caller supplies,
+    and ``restrict``, go through validation and are stored as int32.
     """
 
-    __slots__ = ("labels", "counts", "voters", "_index")
+    __slots__ = ("counts", "voters")
 
     def __init__(self, labels: Sequence[str], counts: np.ndarray, voters: int):
         labels = _check_labels(labels)
@@ -292,10 +297,9 @@ class TournamentMatrix:
             raise ValueError("support counts of opposite pairs must sum to the criterion count")
         counts = counts.astype(np.int32)
         counts.setflags(write=False)
-        self.labels = labels
+        self._set_labels(labels)
         self.counts = counts
         self.voters = int(voters)
-        self._index = {lab: j for j, lab in enumerate(labels)}
 
     @classmethod
     def _trusted(
@@ -304,21 +308,10 @@ class TournamentMatrix:
         """Wrap freshly computed support counts without the validation pass."""
         self = object.__new__(cls)
         counts.setflags(write=False)
-        self.labels = labels
+        self._set_labels(labels)
         self.counts = counts
         self.voters = int(voters)
-        self._index = {lab: j for j, lab in enumerate(labels)}
         return self
-
-    @property
-    def m(self) -> int:
-        return len(self.labels)
-
-    def index(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise ValueError(f"unknown alternative {label!r}") from None
 
     def support(self, x: str, y: str) -> int:
         return int(self.counts[self.index(x), self.index(y)])
@@ -327,15 +320,16 @@ class TournamentMatrix:
         return MajorityRelation(self.labels, self.counts > self.counts.T)
 
     def restrict(self, subset: Iterable[str]) -> "TournamentMatrix":
-        subset = sorted(set(subset))
-        idx = [self.index(lab) for lab in subset]
-        return TournamentMatrix(subset, self.counts[np.ix_(idx, idx)], self.voters)
+        idx = self._positions(subset)
+        return TournamentMatrix(
+            [self.labels[j] for j in idx], self.counts[np.ix_(idx, idx)], self.voters
+        )
 
     def __repr__(self) -> str:
         return f"TournamentMatrix(m={self.m}, voters={self.voters})"
 
 
-class GradeTable:
+class GradeTable(_Universe):
     """Integer grades per (criterion, alternative); larger is better.
 
     ``grades[i, j]`` is the grade criterion ``i`` assigns to ``labels[j]``.
@@ -345,7 +339,7 @@ class GradeTable:
     distinct values that actually occur.
     """
 
-    __slots__ = ("labels", "grades", "_index")
+    __slots__ = ("grades",)
 
     def __init__(self, labels: Sequence[str], grades: np.ndarray):
         labels = _check_labels(labels)
@@ -356,23 +350,12 @@ class GradeTable:
             raise ValueError("grade table needs at least one criterion")
         grades = grades.copy()
         grades.setflags(write=False)
-        self.labels = labels
+        self._set_labels(labels)
         self.grades = grades
-        self._index = {lab: j for j, lab in enumerate(labels)}
-
-    @property
-    def m(self) -> int:
-        return len(self.labels)
 
     @property
     def n(self) -> int:
         return int(self.grades.shape[0])
-
-    def index(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise ValueError(f"unknown alternative {label!r}") from None
 
     def grade(self, label: str, criterion: int) -> int:
         return int(self.grades[criterion, self.index(label)])
@@ -385,9 +368,8 @@ class GradeTable:
         return tuple(int(v) for v in np.unique(self.grades))
 
     def restrict(self, subset: Iterable[str]) -> "GradeTable":
-        subset = sorted(set(subset))
-        idx = [self.index(lab) for lab in subset]
-        return GradeTable(subset, self.grades[:, idx])
+        idx = self._positions(subset)
+        return GradeTable([self.labels[j] for j in idx], self.grades[:, idx])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradeTable):
@@ -546,17 +528,9 @@ def format_majority_matrix(mu: MajorityRelation) -> str:
 # derived structures
 # ---------------------------------------------------------------------------
 
-def _subset_indices(p: Profile, subset: Iterable[str]) -> list[int]:
-    subset = list(subset)
-    if not subset:
-        raise ValueError("subset of alternatives must be non-empty")
-    idx = sorted({p.index(lab) for lab in subset})
-    return idx
-
-
 def contract(p: Profile, subset: Iterable[str]) -> Profile:
     """Restriction of every order to ``subset`` (relative order preserved)."""
-    idx = _subset_indices(p, subset)
+    idx = p._positions(subset)
     if len(idx) == p.m:
         return p
     sub_ranks = p.ranks[:, idx]
@@ -625,9 +599,7 @@ def _pairwise_support(p: Profile) -> np.ndarray:
 
 
 def tournament_matrix(p: Profile) -> TournamentMatrix:
-    return TournamentMatrix._trusted(
-        p.labels, _pairwise_support(p).astype(np.int32), p.n
-    )
+    return TournamentMatrix._trusted(p.labels, _pairwise_support(p), p.n)
 
 
 def majority_relation(p: Profile) -> MajorityRelation:

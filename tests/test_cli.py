@@ -8,6 +8,7 @@ WIDE = "a b c d\nb a c d\na c b d\nd a b c\n"
 SPLIT = "a b c\na b c\nc b a\nb c a\n"
 CHAIN = "a b c\n- 1 1\n0 - 1\n0 0 -\n"
 PARETO = "a b c\n2 2 1\n1 2 2\n"
+SPREAD = "a b c\n3 1 2\n1 3 2\n"
 
 
 @pytest.fixture
@@ -15,6 +16,7 @@ def files(tmp_path):
     paths = {}
     for name, text in (
         ("wide", WIDE), ("split", SPLIT), ("chain", CHAIN), ("pareto", PARETO),
+        ("spread", SPREAD),
     ):
         p = tmp_path / f"{name}.txt"
         p.write_text(text, encoding="utf-8")
@@ -124,6 +126,42 @@ def test_check_on_majority_input(capsys, files):
         capsys, "check", "--proc", "19", "--axiom", "H", "--majority", files["chain"]
     )
     assert (code, out) == (0, "H holds\n")
+
+
+@pytest.mark.parametrize(
+    "rule, axiom, table, code, out",
+    [
+        (("--proc", "qpareto", "--q", "0"), "H", "pareto", 0, "H holds\n"),
+        (("--proc", "22"), "C", "pareto", 0, "C holds\n"),
+        (("--proc", "26"), "O", "spread", 0, "O holds\n"),
+        (("--proc", "qpareto", "--q", "0"), "NC", "spread", 1,
+         "NC violated: the choice is {a, b, c} but the worst-grade-count "
+         "order puts {c} first\n"),
+        (("--first", "22", "--second", "26"), "MON2", "spread", 0,
+         "MON2 holds (vacuous: fewer than two alternatives chosen)\n"),
+    ],
+)
+def test_check_on_grade_table_gives_verdicts_for_grade_rules(capsys, files, rule, axiom, table, code, out):
+    got = run(capsys, "check", *rule, "--axiom", axiom, "--grades", files[table])
+    assert got == (code, out, "")
+
+
+@pytest.mark.parametrize("axiom", ["Mon1", "SM"])
+def test_check_on_grade_table_rejects_improvement_conditions(capsys, files, axiom):
+    code, out, err = run(
+        capsys, "check", "--proc", "qpareto", "--axiom", axiom, "--grades", files["pareto"]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "improvement move" in err
+
+
+@pytest.mark.parametrize(
+    "rule", [("--two-stage", "29"), ("--proc", "2"), ("--proc", "12"), ("--first", "22", "--second", "7")]
+)
+def test_check_on_grade_table_rejects_rules_that_need_a_profile(capsys, files, rule):
+    code, out, err = run(capsys, "check", *rule, "--axiom", "H", "--grades", files["pareto"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "full profile" in err
 
 
 def test_check_unknown_axiom(capsys, files):
@@ -255,12 +293,18 @@ def test_bench_groups_suite(capsys):
 
 
 def test_bench_scaling_suite_small(capsys):
-    code, out, _ = run(capsys, "bench", "--suite", "scaling", "--m-max", "500")
+    code, out, _ = run(capsys, "bench", "--suite", "scaling", "--m-max", "1000")
     assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith("name\tm\tn\tseconds")
     assert len(lines) == 1 + 4  # one grid point per procedure at this cap
     assert "too few" in out
+
+
+def test_bench_m_max_below_the_grid_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "bench", "--suite", "scaling", "--m-max", "500")
+    assert (code, out) == (2, "")
+    assert "--m-max must be at least 1000" in err
 
 
 # -- catalog ------------------------------------------------------------------

@@ -13,6 +13,9 @@ from twostage import (
     GradeTable,
     MajorityRelation,
     Profile,
+    check_axiom,
+    compose,
+    contract,
     enumerate_majority_relations,
     generate_profile,
     grade_table,
@@ -490,20 +493,90 @@ def test_choose_contracts_to_subset():
     )
 
 
+KIND_RULES = {
+    "profile": [Procedure(7)],
+    "mu": [Procedure(12)],
+    "grades": [Procedure(22), QParetoRule(1)],
+    "support": [Procedure(27)],
+}
+
+
+def derived(kind, p):
+    """The input a rule of ``kind`` reads, computed from profile ``p``."""
+    builder = {"mu": majority_relation, "grades": grade_table, "support": tournament_matrix}
+    return builder[kind](p) if kind in builder else p
+
+
 def test_kind_mismatch_raises():
     p = generate_profile(3, 3, seed=5)
-    mu = majority_relation(p)
-    g = grade_table(p)
-    t = tournament_matrix(p)
-    with pytest.raises(TypeError):
-        Procedure(7).choose_mu(mu)
-    with pytest.raises(TypeError):
-        Procedure(12).choose_grades(g)
-    with pytest.raises(TypeError):
-        Procedure(22).choose_support(t)
-    assert Procedure(12).choose_mu(mu) or True  # mu-capable path works
-    assert Procedure(22).choose_grades(g)
-    assert Procedure(27).choose_support(t)
+    for kind, rules in KIND_RULES.items():
+        for rule in rules:
+            for given in KIND_RULES:
+                data = derived(given, p)
+                if given in ("profile", kind):
+                    assert rule.choose(data) == rule.choose(p)
+                    continue
+                for subset in (None, {"a", "b"}):
+                    with pytest.raises(TypeError, match="full profile"):
+                        rule.choose(data, subset)
+    # the per-kind names are aliases of the one entry point
+    assert Procedure(12).choose_mu(majority_relation(p)) == Procedure(12).choose(p)
+    assert Procedure(22).choose_grades(grade_table(p)) == Procedure(22).choose(p)
+    assert Procedure(27).choose_support(tournament_matrix(p)) == Procedure(27).choose(p)
+    with pytest.raises(TypeError, match="full profile"):
+        compose(12, 7).choose_detailed(majority_relation(p))
+
+
+# Grade rules that read the grade values themselves, not only their order:
+# contracting a profile re-ranks the grades within the subset, restricting a
+# grade table keeps them, so the two paths agree on the full universe only.
+CARDINAL_GRADE_RULES = (22, 26)
+RELATION_INDICES = [i for i in range(1, 29) if make_procedure(i).kind == "mu"]
+
+
+def seeded_cases(seed, m_max):
+    """Three seeded profiles per size, m 1..m_max and n 1..7 (even n gives
+    majority ties), each with a random non-empty subset."""
+    rng = np.random.default_rng(seed)
+    for m in range(1, m_max + 1):
+        for n in range(1, 8):
+            for _ in range(3):
+                p = generate_profile(m, n, seed=int(rng.integers(1 << 30)))
+                subset = frozenset(lab for lab in p.labels if rng.random() < 0.6)
+                yield rng, p, subset or frozenset(p.labels[-1:])
+
+
+def test_one_input_path_agrees_with_the_profile_path():
+    rules = [make_procedure(i) for i in range(1, 29)] + [QParetoRule(q) for q in range(3)]
+    for rng, p, subset in seeded_cases(4404, m_max=6):
+        for rule in rules:
+            data = derived(rule.kind, p)
+            assert rule.choose(p) == rule.choose(data), (rule, p, subset)
+            if getattr(rule, "index", None) in CARDINAL_GRADE_RULES:
+                want = rule.choose(grade_table(contract(p, subset)))
+            else:
+                want = rule.choose(data, subset)
+            assert rule.choose(p, subset) == want, (rule, p, subset)
+        mu = majority_relation(p)
+        for _ in range(4):
+            first, second = rng.choice(RELATION_INDICES, size=2)
+            rule = compose(int(first), int(second))
+            for sub in (None, subset):
+                assert rule.choose_detailed(p, sub) == rule.choose_detailed(mu, sub)
+
+
+def test_check_axiom_agrees_on_a_profile_and_its_grade_table():
+    ordinal = ("H", "C", "O", "ACA", "MON2", "NC")
+    cases = [(QParetoRule(q), ordinal) for q in range(3)]
+    cases += [(Procedure(i), ("NC",)) for i in CARDINAL_GRADE_RULES]
+    for _, p, _ in seeded_cases(4405, m_max=6):
+        g = grade_table(p)
+        for rule, axioms in cases:
+            for axiom in axioms:
+                assert check_axiom(rule, p, axiom) == check_axiom(rule, g, axiom), (rule, axiom, p)
+            for axiom in ("MON1", "SM"):
+                with pytest.raises(ValueError, match="improvement move"):
+                    check_axiom(rule, g, axiom)
 
 
 def test_k_stable_rejects_k_of_one():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from twostage.procedures import minimax, simpson
+
 from twostage.profiles import (
     GradeTable,
     MajorityRelation,
@@ -245,10 +247,23 @@ def test_trusted_paths_match_validated_constructors():
             naive += ranks[i][:, None] < ranks[i][None, :]
         t = tournament_matrix(p)
         assert (t.counts == naive).all()
+        assert t.counts.dtype == np.uint8  # the accumulator's dtype, not widened
         TournamentMatrix(p.labels, t.counts, n)  # validation accepts it
         mu = majority_relation(p)
         assert (mu.matrix == (naive > naive.T)).all()
         MajorityRelation(p.labels, mu.matrix)  # validation accepts it
+    # at n >= 255 the counts no longer fit uint8; the boundary is n = 255
+    for m, n, dtype in ((4, 254, np.uint8), (4, 255, np.uint16), (5, 300, np.uint16)):
+        ranks = np.stack([rng.permutation(m) for _ in range(n)])
+        p = Profile.from_ranks(default_labels(m), ranks)
+        naive = (ranks[:, :, None] < ranks[:, None, :]).sum(axis=0)
+        t = tournament_matrix(p)
+        assert t.counts.dtype == dtype
+        assert (t.counts == naive).all()
+        validated = TournamentMatrix(p.labels, t.counts, n)
+        assert validated.counts.dtype == np.int32
+        assert minimax(t) == simpson(t) == minimax(validated) == simpson(validated)
+        assert (t.restrict(p.labels[:3]).counts == naive[:3, :3]).all()
 
 
 def test_validated_constructors_reject_inconsistent_input():
