@@ -35,10 +35,11 @@ realizable by an explicit profile construction (:func:`realizing_profile`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 from .profiles import (
@@ -470,16 +471,31 @@ check_axiom_mu = check_axiom
 # enumeration and realizability
 # ---------------------------------------------------------------------------
 
-def all_profiles(m: int, n: int, labels: Sequence[str] | None = None) -> Iterator[Profile]:
+def _order_tuples(count: int, n: int, orbits: bool) -> Iterator[tuple[int, ...]]:
+    """Index tuples into the ``count`` permutations, lexicographically: all
+    of them, or with ``orbits`` only the non-decreasing (sorted) ones."""
+    if orbits:
+        return itertools.combinations_with_replacement(range(count), n)
+    return itertools.product(range(count), repeat=n)
+
+
+def all_profiles(
+    m: int, n: int, labels: Sequence[str] | None = None, *, orbits: bool = False
+) -> Iterator[Profile]:
     """Every profile of n linear orders over m alternatives, lexicographically
-    by the tuple of orders.  There are (m!)^n of them — keep m and n small."""
+    by the tuple of orders.  There are (m!)^n of them — keep m and n small.
+
+    With ``orbits`` only the sorted order tuples are yielded, in the same
+    order: one profile per orbit under permuting the criteria, C(m!+n-1, n)
+    of them.
+    """
     if labels is None:
         from .profiles import default_labels
 
         labels = default_labels(m)
     perms = list(itertools.permutations(sorted(labels)))
-    for orders in itertools.product(perms, repeat=n):
-        yield Profile(orders)
+    for tup in _order_tuples(len(perms), n, orbits):
+        yield Profile([perms[i] for i in tup])
 
 
 def enumerate_majority_relations(
@@ -569,13 +585,60 @@ class SearchConfig:
 @dataclass(frozen=True)
 class SearchResult:
     status: str  # 'found' | 'exhausted' | 'budget-exceeded'
-    examined: int
+    examined: int  # profiles covered
     witness: Counterexample | None = None
     profile: Profile | None = None
+    evaluated: int = 0  # profiles actually checked
 
     @property
     def found(self) -> bool:
         return self.status == "found"
+
+
+def _checker(
+    rule: ChoiceRule, axiom: str, subset_strategy: str, mon2_strict: bool
+) -> Callable[[Profile], Counterexample | None]:
+    def check(p: Profile) -> Counterexample | None:
+        # the 'all' scan is check_axiom itself; calling it by name keeps every
+        # full check visible to the traced benchmark run, which wraps it
+        if subset_strategy == "all":
+            return check_axiom(rule, p, axiom, mon2_strict=mon2_strict).witness
+        return _check(rule, p, axiom, _deletions, mon2_strict).witness
+
+    return check
+
+
+def _scan_cell(
+    rule: ChoiceRule,
+    m: int,
+    n: int,
+    check: Callable[[Profile], Counterexample | None],
+    budget: int,
+) -> SearchResult:
+    """Check the (m, n) profiles in lexicographic order until one fails or
+    ``budget`` of them are covered.
+
+    For a rule that declares itself ``anonymous`` (blind to the order of the
+    criteria) only the sorted order tuples are checked.  A profile fails
+    exactly when its sorted rearrangement does, and that rearrangement comes
+    no later, so the first failing profile is itself sorted: the witness is
+    the one the full scan finds, and every skipped profile is covered by its
+    orbit.  ``examined`` counts profiles covered (the failing profile's
+    position plus one, or the whole cell, or ``budget`` when cut), as the
+    full scan would; ``evaluated`` counts profiles checked.
+    """
+    count = math.factorial(m)
+    orbits = getattr(rule, "anonymous", False)
+    evaluated = 0
+    for p, tup in zip(all_profiles(m, n, orbits=orbits), _order_tuples(count, n, orbits)):
+        position = functools.reduce(lambda acc, i: acc * count + i, tup, 0)
+        if position >= budget:
+            return SearchResult("budget-exceeded", budget, evaluated=evaluated)
+        evaluated += 1
+        witness = check(p)
+        if witness is not None:
+            return SearchResult("found", position + 1, witness, p, evaluated)
+    return SearchResult("exhausted", count**n, evaluated=evaluated)
 
 
 def search_counterexample(
@@ -587,34 +650,32 @@ def search_counterexample(
     ascending, then n, then the order tuple), so results are reproducible;
     random mode derives every draw from the configured seed.  The first
     profile with a violation is returned along with the witness.
+
+    For an ``anonymous`` rule the exhaustive scan checks one profile per
+    orbit under permuting the criteria and random mode skips a draw whose
+    orbit already passed, with the outcome a check of every profile gives.
+    The budget caps ``examined``, the profiles covered.
     """
     axiom = normalize_axiom(axiom)
-
-    def check(p: Profile) -> Counterexample | None:
-        # the 'all' scan is check_axiom itself; calling it by name keeps every
-        # full check visible to the traced benchmark run, which wraps it
-        if cfg.subset_strategy == "all":
-            return check_axiom(rule, p, axiom, mon2_strict=cfg.mon2_strict).witness
-        return _check(rule, p, axiom, _deletions, cfg.mon2_strict).witness
-
-    examined = 0
+    check = _checker(rule, axiom, cfg.subset_strategy, cfg.mon2_strict)
+    examined = evaluated = 0
     if cfg.mode == "exhaustive":
         for m in sorted(cfg.m_values):
             for n in sorted(cfg.n_values):
-                for p in all_profiles(m, n):
-                    if examined >= cfg.budget:
-                        return SearchResult("budget-exceeded", examined)
-                    examined += 1
-                    witness = check(p)
-                    if witness is not None:
-                        return SearchResult("found", examined, witness, p)
-        return SearchResult("exhausted", examined)
+                cell = _scan_cell(rule, m, n, check, cfg.budget - examined)
+                examined += cell.examined
+                evaluated += cell.evaluated
+                if cell.status != "exhausted":
+                    return replace(cell, examined=examined, evaluated=evaluated)
+        return SearchResult("exhausted", examined, evaluated=evaluated)
     rng = random.Random(cfg.seed)
     from .profiles import default_labels
 
+    orbits = getattr(rule, "anonymous", False)
+    passed: set[tuple[tuple[str, ...], ...]] = set()  # sorted orders of passing draws
     for _ in range(cfg.samples):
         if examined >= cfg.budget:
-            return SearchResult("budget-exceeded", examined)
+            return SearchResult("budget-exceeded", examined, evaluated=evaluated)
         m = rng.choice(cfg.m_values)
         n = rng.choice(cfg.n_values)
         labels = default_labels(m)
@@ -623,20 +684,27 @@ def search_counterexample(
             ballot = list(labels)
             rng.shuffle(ballot)
             orders.append(tuple(ballot))
-        p = Profile(orders)
         examined += 1
+        orbit = tuple(sorted(orders))
+        if orbit in passed:
+            continue
+        p = Profile(orders)
+        evaluated += 1
         witness = check(p)
         if witness is not None:
-            return SearchResult("found", examined, witness, p)
-    return SearchResult("exhausted", examined)
+            return SearchResult("found", examined, witness, p, evaluated)
+        if orbits:
+            passed.add(orbit)
+    return SearchResult("exhausted", examined, evaluated=evaluated)
 
 
 @dataclass(frozen=True)
 class VerificationOutcome:
     status: str  # 'verified' | 'refuted' | 'budget-exceeded'
-    checked: int
+    checked: int  # profiles covered
     witness: Counterexample | None = None
     profile: Profile | None = None
+    evaluated: int = 0  # profiles actually checked
 
 
 def verify_bounded(
@@ -651,17 +719,14 @@ def verify_bounded(
     """Exhaustively confirm ``axiom`` for every profile at one (m, n) size.
 
     This is the only verification entry point: a 'verified' outcome means
-    every one of the (m!)^n profiles was checked.  Sampling cannot verify,
-    so there is deliberately no random mode here.
+    every one of the (m!)^n profiles was covered.  Sampling cannot verify,
+    so there is deliberately no random mode here.  An ``anonymous`` rule is
+    checked on one profile per orbit under permuting the criteria.
     """
     axiom = normalize_axiom(axiom)
     total = math.factorial(m) ** n
     if total > budget:
         return VerificationOutcome("budget-exceeded", 0)
-    checked = 0
-    for p in all_profiles(m, n):
-        verdict = check_axiom(rule, p, axiom, mon2_strict=mon2_strict)
-        checked += 1
-        if not verdict.holds:
-            return VerificationOutcome("refuted", checked, verdict.witness, p)
-    return VerificationOutcome("verified", checked)
+    cell = _scan_cell(rule, m, n, _checker(rule, axiom, "all", mon2_strict), total)
+    status = "refuted" if cell.found else "verified"
+    return VerificationOutcome(status, cell.examined, cell.witness, cell.profile, cell.evaluated)

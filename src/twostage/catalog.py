@@ -100,6 +100,10 @@ class TwoStage:
     def mu_capable(self) -> bool:
         return self.first.mu_capable and self.second.mu_capable
 
+    @property
+    def anonymous(self) -> bool:
+        return self.first.anonymous and self.second.anonymous
+
 
 def compose(
     first: int | str | Procedure,

@@ -704,6 +704,13 @@ class Procedure:
     def mu_capable(self) -> bool:
         return self.kind == "mu"
 
+    @property
+    def anonymous(self) -> bool:
+        """Blind to the order of the criteria, so search and verify may check
+        one profile per orbit.  Every kernel is; a user cutoff callable may
+        read one criterion, so a rule that carries one is not."""
+        return self.threshold is None
+
     def label(self) -> str:
         if self.param in ("q", "k"):
             return f"{self.name}({self.param}={getattr(self, self.param)})"
@@ -754,6 +761,10 @@ class QParetoRule:
     @property
     def mu_capable(self) -> bool:
         return False
+
+    @property
+    def anonymous(self) -> bool:
+        return True
 
     def label(self) -> str:
         return f"qpareto(q={self.q})"
@@ -813,9 +824,6 @@ def apply_procedure(
     k: int | None = None,
     threshold: Callable[[GradeTable], float] | None = None,
 ) -> frozenset[str]:
-    """Evaluate one procedure on the contraction of ``p`` to ``subset``."""
-    if isinstance(spec, Procedure):
-        proc = spec
-    else:
-        proc = make_procedure(spec, q=q, k=k, threshold=threshold)
-    return proc.choose(p, subset)
+    """Evaluate one procedure on the contraction of ``p`` to ``subset``.
+    Parameters given with an existing rule raise, as in :func:`make_procedure`."""
+    return make_procedure(spec, q=q, k=k, threshold=threshold).choose(p, subset)

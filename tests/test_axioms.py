@@ -7,12 +7,16 @@ whose violations are classical.  Every witness is replayed against the
 rule that produced it.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from twostage import (
     Counterexample,
     MajorityRelation,
     Profile,
+    QParetoRule,
     SearchConfig,
     Verdict,
     all_profiles,
@@ -554,3 +558,141 @@ def test_mu_level_verdicts_are_pinned_on_every_three_alternative_relation(index,
         else:
             tokens.append("|".join("".join(sorted(s)) for s in w.subsets))
     assert " ".join(tokens) == MU_VERDICTS[index, axiom]
+
+
+# ---------------------------------------------------------------------------
+# one profile per anonymity orbit
+# ---------------------------------------------------------------------------
+
+class SharedChoices:
+    """A rule's choices behind one memo per rule, shared by the orbit scan and
+    the full scan so that comparing them stays fast.  ``anonymous`` is copied
+    from the rule for the orbit side; without it search and verify check
+    every profile."""
+
+    def __init__(self, rule, memo, *, orbits):
+        self._rule = rule
+        self._memo = memo
+        if orbits:
+            self.anonymous = rule.anonymous
+
+    def choose(self, data, subset=None):
+        key = (data, None if subset is None else frozenset(subset))
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = self._rule.choose(data, subset)
+        return got
+
+
+class PlainRule:
+    """Exposes only ``choose``, so search and verify check every profile."""
+
+    def __init__(self, rule):
+        self._rule = rule
+
+    def choose(self, data, subset=None):
+        return self._rule.choose(data, subset)
+
+
+ORBIT_RULES = (
+    [make_procedure(i) for i in range(1, 29)]
+    + [QParetoRule(q) for q in range(3)]
+    + [compose(a, b) for a, b in ((2, 1), (22, 1), (19, 7), (27, 28), (26, 23), (5, 11))]
+)
+ORBIT_CELLS = ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3))
+# m in (2, 3) and n in (1, 2, 3): the cells end at 2, 6, 14, 20, 56 and 272
+# profiles covered, so these budgets cut inside a cell and on its end; the
+# deletions scan shares the budget code and gets a few of them.
+ORBIT_BUDGETS = {
+    "all": (1, 2, 6, 14, 20, 40, 56, 200_000),
+    "deletions": (6, 40, 200_000),
+}
+
+
+def _outcome(result):
+    covered = result.examined if hasattr(result, "examined") else result.checked
+    orders = None if result.profile is None else result.profile.orders
+    return result.status, covered, result.witness, orders
+
+
+@pytest.mark.parametrize("rule", ORBIT_RULES, ids=lambda rule: rule.label())
+def test_orbit_scan_matches_the_full_scan(rule):
+    assert rule.anonymous
+    memo = {}
+    orbit = SharedChoices(rule, memo, orbits=True)
+    full = SharedChoices(rule, memo, orbits=False)
+
+    def same(run):
+        got, want = run(orbit), run(full)
+        assert _outcome(got) == _outcome(want)
+        assert want.evaluated == (want.examined if hasattr(want, "examined") else want.checked)
+        return got
+
+    for axiom in AXIOMS:
+        for m, n in ORBIT_CELLS:
+            same(lambda r: verify_bounded(r, axiom, m, n))
+        for strategy, budgets in ORBIT_BUDGETS.items():
+            for budget in budgets:
+                cfg = SearchConfig(
+                    m_values=(2, 3), n_values=(1, 2, 3), budget=budget, subset_strategy=strategy
+                )
+                same(lambda r: search_counterexample(r, axiom, cfg))
+        cfg = SearchConfig(m_values=(2, 3), n_values=(1, 2, 3), mode="random", samples=60, seed=5)
+        same(lambda r: search_counterexample(r, axiom, cfg))
+    same(lambda r: verify_bounded(r, "MON2", 3, 3, mon2_strict=True))
+    cfg = SearchConfig(m_values=(2, 3), n_values=(1, 2, 3), mon2_strict=True)
+    same(lambda r: search_counterexample(r, "MON2", cfg))
+    # the bare rule reaches the same outcome as the memoized one
+    assert _outcome(verify_bounded(rule, "H", 3, 3)) == _outcome(verify_bounded(full, "H", 3, 3))
+
+
+@pytest.mark.parametrize(
+    "spec, axiom, m, n, evaluated",
+    [((19, 7), "H", 3, 3, 56), ((2, 1), "MON2", 3, 5, 252), ((7, 7), "MON2", 4, 3, 2600)],
+)
+def test_verified_cells_evaluate_one_profile_per_orbit(spec, axiom, m, n, evaluated):
+    outcome = verify_bounded(compose(*spec), axiom, m, n)
+    assert (outcome.status, outcome.checked) == ("verified", math.factorial(m) ** n)
+    assert outcome.evaluated == evaluated == math.comb(math.factorial(m) + n - 1, n)
+
+
+def test_refuted_cells_count_the_witness_position():
+    outcome = verify_bounded(compose(2, 1), "C", 3, 3)
+    assert (outcome.status, outcome.checked, outcome.evaluated) == ("refuted", 17, 14)
+    assert outcome.profile.orders == tuple(sorted(outcome.profile.orders))
+
+
+def _favourite_of_first_criterion(g):
+    """Cutoff: the grade sum of criterion 0's best alternative."""
+    return float(g.grades.sum(axis=0)[int(np.argmax(g.grades[0]))])
+
+
+def test_rules_that_do_not_declare_anonymity_check_every_profile():
+    reads_one = Procedure(26, threshold=_favourite_of_first_criterion)
+    assert not reads_one.anonymous
+    assert not compose(reads_one, 1).anonymous
+    for rule in (reads_one, compose(reads_one, 1), PlainRule(compose(19, 7))):
+        for axiom in ("H", "O", "MON1"):
+            outcome = verify_bounded(rule, axiom, 3, 3)
+            assert outcome.evaluated == outcome.checked
+            cfg = SearchConfig(m_values=(2, 3), n_values=(1, 2, 3))
+            result = search_counterexample(rule, axiom, cfg)
+            assert result.evaluated == result.examined
+
+
+def test_random_search_skips_orbits_that_already_passed():
+    cfg = SearchConfig(m_values=(3,), n_values=(3, 4), mode="random", samples=300, seed=601)
+    result = search_counterexample(compose(20, 20), "H", cfg)
+    plain = search_counterexample(PlainRule(compose(20, 20)), "H", cfg)
+    assert _outcome(result) == _outcome(plain) == ("exhausted", 300, None, None)
+    # 56 orbits at n = 3 and 126 at n = 4
+    assert result.evaluated <= 182 < plain.evaluated == 300
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 3), (3, 1), (3, 2), (3, 3), (4, 2)])
+def test_orbit_enumeration_is_the_sorted_part_of_the_product(m, n):
+    every = [p.orders for p in all_profiles(m, n)]
+    orbits = [p.orders for p in all_profiles(m, n, orbits=True)]
+    assert orbits == [orders for orders in every if list(orders) == sorted(orders)]
+    assert len(orbits) == math.comb(math.factorial(m) + n - 1, n)
+    assert len(every) == math.factorial(m) ** n

@@ -13,6 +13,7 @@ from twostage import (
     GradeTable,
     MajorityRelation,
     Profile,
+    apply_procedure,
     check_axiom,
     compose,
     contract,
@@ -482,6 +483,31 @@ def test_make_procedure_rejects_bad_requests():
         make_procedure("qpareto", k=2)
     with pytest.raises(ValueError):
         make_procedure("qpareto", q=-1)
+
+
+def test_apply_procedure_rejects_parameters_for_an_existing_rule():
+    p = generate_profile(5, 7, seed=3)
+    assert apply_procedure(4, p, q=3) == frozenset("bcd")
+    assert apply_procedure(Procedure(4, q=1), p) == frozenset("ce")
+    assert apply_procedure(Procedure(4, q=3), p) == apply_procedure(4, p, q=3)
+    for rule, params in (
+        (Procedure(4, q=1), {"q": 3}),
+        (Procedure(21, k=2), {"k": 3}),
+        (Procedure(26), {"threshold": lambda g: 0.0}),
+        (QParetoRule(1), {"k": 2}),
+    ):
+        with pytest.raises(ValueError, match="cannot re-parameterize"):
+            apply_procedure(rule, p, **params)
+
+
+def test_anonymity_is_declared_by_every_built_in_rule():
+    for index in range(1, 29):
+        assert make_procedure(index).anonymous
+    assert QParetoRule(0).anonymous
+    assert compose(27, 28).anonymous
+    cutoff = Procedure(26, threshold=lambda g: 0.0)
+    assert not cutoff.anonymous
+    assert not compose(cutoff, 1).anonymous and not compose(1, cutoff).anonymous
 
 
 def test_choose_contracts_to_subset():
