@@ -74,7 +74,6 @@ from .axioms import (
     Verdict,
     all_profiles,
     check_axiom,
-    check_axiom_mu,
     enumerate_majority_relations,
     normalize_axiom,
     realizing_profile,
@@ -121,7 +120,6 @@ __all__ = [
     "borda_counts",
     "catalog_counts",
     "check_axiom",
-    "check_axiom_mu",
     "classify",
     "classify_group",
     "compose",

@@ -42,18 +42,21 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
+import numpy as np
+
 from .profiles import (
     GradeTable,
     MajorityRelation,
     Profile,
     RankImprovement,
+    _check_labels,
     _fmt_set,
-    grade_table,
+    default_labels,
     improve,
     majority_relation,
     perturb_majority,
 )
-from .procedures import threshold_order
+from .procedures import _kernel_input, threshold_order
 
 __all__ = [
     "AXIOMS",
@@ -61,7 +64,6 @@ __all__ = [
     "Verdict",
     "Counterexample",
     "check_axiom",
-    "check_axiom_mu",
     "SearchConfig",
     "SearchResult",
     "search_counterexample",
@@ -428,10 +430,8 @@ def _check(
         witness = _PROBE_CHECKS[axiom](choose, _probes(rule, data, axiom))
     elif axiom == "MON2":
         witness = _check_mon2(choose, strict=mon2_strict)
-    elif isinstance(data, Profile):
-        witness = _check_nc(choose, grade_table(data))
-    elif isinstance(data, GradeTable):
-        witness = _check_nc(choose, data)
+    elif isinstance(data, (Profile, GradeTable)):
+        witness = _check_nc(choose, _kernel_input("grades", data, None, axiom))
     else:
         return Verdict(axiom, True, None, "not-applicable: no grade information at the majority level")
     if witness is not None:
@@ -464,9 +464,6 @@ def check_axiom(
     return _check(rule, data, normalize_axiom(axiom), _proper_subsets, mon2_strict)
 
 
-check_axiom_mu = check_axiom
-
-
 # ---------------------------------------------------------------------------
 # enumeration and realizability
 # ---------------------------------------------------------------------------
@@ -489,13 +486,16 @@ def all_profiles(
     order: one profile per orbit under permuting the criteria, C(m!+n-1, n)
     of them.
     """
-    if labels is None:
-        from .profiles import default_labels
-
-        labels = default_labels(m)
-    perms = list(itertools.permutations(sorted(labels)))
-    for tup in _order_tuples(len(perms), n, orbits):
-        yield Profile([perms[i] for i in tup])
+    labels = _check_labels(default_labels(m) if labels is None else labels)
+    if n < 1:
+        raise ValueError("profile needs at least one criterion")
+    # one rank row per permutation: rows[k, j] is labels[j]'s place in it
+    rows = np.array(
+        [np.argsort(perm) for perm in itertools.permutations(range(len(labels)))],
+        dtype=np.int32,
+    )
+    for tup in _order_tuples(len(rows), n, orbits):
+        yield Profile.from_ranks(labels, rows[list(tup)])
 
 
 def enumerate_majority_relations(
@@ -503,13 +503,7 @@ def enumerate_majority_relations(
 ) -> Iterator[MajorityRelation]:
     """Every asymmetric relation over m alternatives (each pair independently
     tied, won, or lost): 3^(m(m-1)/2) relations, deterministic order."""
-    import numpy as np
-
-    if labels is None:
-        from .profiles import default_labels
-
-        labels = default_labels(m)
-    labels = tuple(sorted(labels))
+    labels = tuple(sorted(default_labels(m) if labels is None else labels))
     pairs = list(itertools.combinations(range(m), 2))
     for states in itertools.product((0, 1, 2), repeat=len(pairs)):
         beats = np.zeros((m, m), dtype=bool)
@@ -669,8 +663,6 @@ def search_counterexample(
                     return replace(cell, examined=examined, evaluated=evaluated)
         return SearchResult("exhausted", examined, evaluated=evaluated)
     rng = random.Random(cfg.seed)
-    from .profiles import default_labels
-
     orbits = getattr(rule, "anonymous", False)
     passed: set[tuple[tuple[str, ...], ...]] = set()  # sorted orders of passing draws
     for _ in range(cfg.samples):
@@ -724,6 +716,8 @@ def verify_bounded(
     checked on one profile per orbit under permuting the criteria.
     """
     axiom = normalize_axiom(axiom)
+    if budget < 1:
+        raise ValueError("budget must be positive")
     total = math.factorial(m) ** n
     if total > budget:
         return VerificationOutcome("budget-exceeded", 0)

@@ -93,9 +93,6 @@ class TwoStage:
     def choose(self, data, subset: Iterable[str] | None = None) -> frozenset[str]:
         return self.choose_detailed(data, subset)[1]
 
-    choose_mu_detailed = choose_detailed
-    choose_mu = choose
-
     @property
     def mu_capable(self) -> bool:
         return self.first.mu_capable and self.second.mu_capable

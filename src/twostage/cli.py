@@ -23,14 +23,7 @@ from . import bench as _bench
 from . import catalog as _catalog
 from . import fixtures as _fixtures
 from .procedures import PROCEDURE_NAMES, make_procedure
-from .profiles import (
-    ProfileFormatError,
-    _fmt_set,
-    format_profile,
-    parse_grade_table,
-    parse_majority_matrix,
-    parse_profile,
-)
+from .profiles import INPUT_PARSERS, ProfileFormatError, _fmt_set, format_profile
 
 _BUDGET_ENV = "TWOSTAGE_BUDGET"
 
@@ -58,20 +51,15 @@ def _read_text(path: str) -> str:
 
 
 def _load_input(args) -> object:
-    sources = [
-        ("profile", parse_profile),
-        ("grades", parse_grade_table),
-        ("majority", parse_majority_matrix),
-    ]
-    chosen = [(name, fn) for name, fn in sources if getattr(args, name, None)]
+    chosen = [kind for kind in INPUT_PARSERS if getattr(args, kind, None)]
     if len(chosen) != 1:
         print("error: provide exactly one of --profile/--grades/--majority", file=sys.stderr)
         raise SystemExit(2)
-    name, fn = chosen[0]
+    path = getattr(args, chosen[0])
     try:
-        return fn(_read_text(getattr(args, name)))
+        return INPUT_PARSERS[chosen[0]](_read_text(path))
     except ProfileFormatError as exc:
-        print(f"error: {getattr(args, name)}: {exc}", file=sys.stderr)
+        print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
 
 
@@ -214,7 +202,7 @@ def _cmd_fixtures(args) -> int:
     directory = args.dir
     try:
         reports = _fixtures.run_corpus(directory)
-    except (OSError, ValueError, KeyError, ProfileFormatError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not reports:

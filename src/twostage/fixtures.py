@@ -25,6 +25,7 @@ import yaml
 from . import axioms as _axioms
 from . import catalog as _catalog
 from .procedures import (
+    _kernel_input,
     make_procedure,
     minimal_dominant_sets,
     minimal_undominated_sets,
@@ -34,21 +35,14 @@ from .procedures import (
     weakly_stable_sets,
 )
 from .profiles import (
-    GradeTable,
-    MajorityRelation,
+    INPUT_PARSERS,
     RankImprovement,
     _fmt_set,
     borda_counts,
     first_place_counts,
-    grade_table,
     improve,
     last_place_counts,
-    majority_relation,
-    parse_grade_table,
-    parse_majority_matrix,
-    parse_profile,
     perturb_majority,
-    tournament_matrix,
 )
 
 __all__ = [
@@ -92,15 +86,10 @@ def corpus_dir() -> Path:
 
 
 def _parse_input(spec: dict[str, Any]):
-    kind = spec["kind"]
-    text = spec["text"]
-    if kind == "profile":
-        return parse_profile(text)
-    if kind == "grades":
-        return parse_grade_table(text)
-    if kind == "majority":
-        return parse_majority_matrix(text)
-    raise ValueError(f"unknown input kind {kind!r}")
+    parse = INPUT_PARSERS.get(spec["kind"])
+    if parse is None:
+        raise ValueError(f"unknown input kind {spec['kind']!r}")
+    return parse(spec["text"])
 
 
 def _build_rule(spec: dict[str, Any] | None):
@@ -163,6 +152,11 @@ class _FixtureRunner:
             raise ValueError(f"fixture {self.name} has no input named {name!r}")
         return _apply_transforms(self.inputs[name], check.get("apply"))
 
+    def _read(self, check: dict[str, Any], kind: str, subset: frozenset[str] | None = None):
+        """The check's input as a ``kind`` kernel reads it."""
+        where = f"fixture {self.name}: {check['op']}"
+        return _kernel_input(kind, self._input(check), subset, where)
+
     def _rule_for(self, check: dict[str, Any]):
         if "rule" in check:
             return _build_rule(check["rule"])
@@ -208,20 +202,19 @@ class _FixtureRunner:
         )
 
     def _op_counts(self, check):
-        obj = self._input(check)
+        p = self._read(check, "profile")
         which = check["counts"]
         fn = {
             "first_place": first_place_counts,
             "last_place": last_place_counts,
             "borda": borda_counts,
         }[which]
-        got = fn(obj)
+        got = fn(p)
         want = {str(k): int(v) for k, v in check["expect"].items()}
         self._record(f"{which} counts = {want}", got == want, f"got {got}")
 
     def _op_majority_edges(self, check):
-        obj = self._input(check)
-        mu = obj if isinstance(obj, MajorityRelation) else majority_relation(obj)
+        mu = self._read(check, "mu")
         got = sorted(mu.edges())
         want = sorted((str(x), str(y)) for x, y in check["expect"])
         self._record(
@@ -231,8 +224,7 @@ class _FixtureRunner:
         )
 
     def _op_support(self, check):
-        obj = self._input(check)
-        t = tournament_matrix(obj)
+        t = self._read(check, "support")
         ok = True
         detail = ""
         for x, row in check["expect"].items():
@@ -247,8 +239,7 @@ class _FixtureRunner:
         self._record("pairwise support matrix", ok, detail)
 
     def _op_grade_table(self, check):
-        obj = self._input(check)
-        g = obj if isinstance(obj, GradeTable) else grade_table(obj)
+        g = self._read(check, "grades")
         ok = True
         detail = ""
         for label, column in check["expect"].items():
@@ -261,9 +252,7 @@ class _FixtureRunner:
         self._record("grade table", ok, detail)
 
     def _op_threshold_order(self, check):
-        obj = self._input(check)
-        g = obj if isinstance(obj, GradeTable) else grade_table(obj)
-        got = [frozenset(c) for c in threshold_order(g)]
+        got = [frozenset(c) for c in threshold_order(self._read(check, "grades"))]
         want = _expect_sets(check["expect"])
         self._record(
             f"threshold order = {_sets_repr(want)}",
@@ -272,11 +261,8 @@ class _FixtureRunner:
         )
 
     def _op_minimal_sets(self, check):
-        obj = self._input(check)
-        mu = obj if isinstance(obj, MajorityRelation) else majority_relation(obj)
         subset = check.get("subset")
-        if subset:
-            mu = mu.restrict(frozenset(subset))
+        mu = self._read(check, "mu", frozenset(subset) if subset else None)
         which = check["solution"]
         if which == "weakly_stable":
             got = weakly_stable_sets(mu)
@@ -299,9 +285,8 @@ class _FixtureRunner:
         )
 
     def _op_qpareto(self, check):
-        obj = self._input(check)
         q = int(check["q"])
-        got = q_pareto(obj, q)
+        got = q_pareto(self._read(check, "grades"), q)
         want = _expect_set(check["expect"])
         self._record(
             f"q-Pareto at q={q} -> {_fmt_set(want)}",
@@ -336,7 +321,12 @@ def run_fixture(doc: dict[str, Any]) -> FixtureReport:
 
 def run_fixture_file(path: str | Path) -> FixtureReport:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a fixture document must be a mapping")
     return run_fixture(doc)
 
 

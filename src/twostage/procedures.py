@@ -45,9 +45,13 @@ from .profiles import (
     MajorityRelation,
     Profile,
     TournamentMatrix,
+    borda_scores,
     contract,
+    first_places,
     grade_table,
+    last_places,
     majority_relation,
+    top_q_places,
     tournament_matrix,
 )
 
@@ -96,18 +100,6 @@ __all__ = [
 # positional-score rules (need the profile)
 # ---------------------------------------------------------------------------
 
-def _first_counts(p: Profile) -> np.ndarray:
-    return (p.ranks == 0).sum(axis=0)
-
-
-def _last_counts(p: Profile) -> np.ndarray:
-    return (p.ranks == p.m - 1).sum(axis=0)
-
-
-def _borda_scores(p: Profile) -> np.ndarray:
-    return (p.m - 1 - p.ranks).sum(axis=0)
-
-
 def _argmax_set(p: Profile, scores: np.ndarray) -> frozenset[str]:
     best = scores.max()
     return frozenset(lab for lab, s in zip(p.labels, scores) if s == best)
@@ -120,26 +112,25 @@ def _argmin_set(p: Profile, scores: np.ndarray) -> frozenset[str]:
 
 def simple_majority(p: Profile) -> frozenset[str]:
     """Alternatives ranked first by a strict majority of criteria (0 or 1 of them)."""
-    counts = _first_counts(p)
+    counts = first_places(p)
     return frozenset(
         lab for lab, c in zip(p.labels, counts) if 2 * int(c) > p.n
     )
 
 
 def plurality(p: Profile) -> frozenset[str]:
-    return _argmax_set(p, _first_counts(p))
+    return _argmax_set(p, first_places(p))
 
 
 def inverse_plurality(p: Profile) -> frozenset[str]:
     """Alternatives named worst by the fewest criteria."""
-    return _argmin_set(p, _last_counts(p))
+    return _argmin_set(p, last_places(p))
 
 
 def q_approval(p: Profile, q: int) -> frozenset[str]:
     if q < 1:
         raise ValueError("q-approval needs q >= 1")
-    counts = (p.ranks < q).sum(axis=0)
-    return _argmax_set(p, counts)
+    return _argmax_set(p, top_q_places(p, q))
 
 
 def run_off(p: Profile) -> frozenset[str]:
@@ -147,7 +138,7 @@ def run_off(p: Profile) -> frozenset[str]:
     tied final gives the empty choice."""
     if p.m == 1:
         return frozenset(p.labels)
-    counts = _first_counts(p)
+    counts = first_places(p)
     top_score = counts.max()
     top = [lab for lab, c in zip(p.labels, counts) if c == top_score]
     if len(top) >= 2:
@@ -166,7 +157,7 @@ def hare(p: Profile) -> frozenset[str]:
     one holds a strict majority of first places (or all remaining tie)."""
     current = p
     while True:
-        counts = _first_counts(current)
+        counts = first_places(current)
         for lab, c in zip(current.labels, counts):
             if 2 * int(c) > current.n:
                 return frozenset({lab})
@@ -182,11 +173,11 @@ def coombs(p: Profile) -> frozenset[str]:
     criteria."""
     current = p
     while True:
-        firsts = _first_counts(current)
+        firsts = first_places(current)
         for lab, c in zip(current.labels, firsts):
             if 2 * int(c) > current.n:
                 return frozenset({lab})
-        lasts = _last_counts(current)
+        lasts = last_places(current)
         if lasts.min() == lasts.max():
             return frozenset(current.labels)
         most = lasts.max()
@@ -195,7 +186,7 @@ def coombs(p: Profile) -> frozenset[str]:
 
 
 def borda(p: Profile) -> frozenset[str]:
-    return _argmax_set(p, _borda_scores(p))
+    return _argmax_set(p, borda_scores(p))
 
 
 def black(p: Profile) -> frozenset[str]:
@@ -209,7 +200,7 @@ def inverse_borda(p: Profile) -> frozenset[str]:
     all remaining alternatives tie."""
     current = p
     while True:
-        scores = _borda_scores(current)
+        scores = borda_scores(current)
         if scores.min() == scores.max():
             return frozenset(current.labels)
         worst = scores.min()
@@ -222,7 +213,7 @@ def nanson(p: Profile) -> frozenset[str]:
     until no deletion applies."""
     current = p
     while True:
-        scores = _borda_scores(current)
+        scores = borda_scores(current)
         mean = scores.sum() / len(scores)
         keep = [lab for lab, s in zip(current.labels, scores) if s >= mean]
         if len(keep) == current.m:
@@ -531,17 +522,16 @@ def super_threshold(
     return frozenset(lab for lab, s in zip(g.labels, sums) if float(s) >= t)
 
 
-def q_pareto(g: GradeTable | Profile, q: int) -> frozenset[str]:
+def q_pareto(g: GradeTable, q: int) -> frozenset[str]:
     """Alternatives weakly dominated by at most ``q`` others.
 
     y weakly dominates x when y scores at least as well as x on every
     criterion (y itself excluded).  q = 0 keeps exactly the alternatives
-    nothing else weakly dominates.
+    nothing else weakly dominates.  A profile goes through
+    ``QParetoRule(q).choose``, which converts it.
     """
     if q < 0:
         raise ValueError("q-Pareto needs q >= 0")
-    if isinstance(g, Profile):
-        g = grade_table(g)
     m = g.m
     dominates = np.ones((m, m), dtype=bool)
     for i in range(g.n):
@@ -632,7 +622,10 @@ _INPUTS = {
 def _kernel_input(kind: str, data, subset: Iterable[str] | None, name: str):
     """What a ``kind`` kernel reads, for the choice from ``subset`` of
     ``data``: a profile is contracted and then converted; any other input
-    must already be of the rule's kind and is restricted.
+    must already be of the rule's kind and is restricted.  This is the one
+    conversion path: the rules, the NC checker and the fixture runner all
+    read their inputs through it, and a wrong kind raises ``TypeError``
+    naming the operation ``name``.
 
     The converters are looked up as module globals on each call, so a
     caller that replaces one (the benchmark's tracer does) sees every use.
@@ -726,6 +719,7 @@ class Procedure:
             return row.kernel(data)
         return row.kernel(data, getattr(self, row.param))
 
+    # aliases of choose, kept only because perfbench/tracing.py wraps them by name
     choose_mu = choose
     choose_grades = choose
     choose_support = choose
@@ -772,8 +766,6 @@ class QParetoRule:
     def choose(self, data, subset: Iterable[str] | None = None) -> frozenset[str]:
         """The choice from ``subset`` of a profile or a grade table."""
         return q_pareto(_kernel_input("grades", data, subset, self.name), self.q)
-
-    choose_grades = choose
 
 
 def make_procedure(

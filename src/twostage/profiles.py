@@ -13,7 +13,7 @@ iteration order, printed output and generated structures are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +30,12 @@ __all__ = [
     "format_grade_table",
     "parse_majority_matrix",
     "format_majority_matrix",
+    "INPUT_PARSERS",
     "contract",
+    "first_places",
+    "last_places",
+    "top_q_places",
+    "borda_scores",
     "first_place_counts",
     "last_place_counts",
     "top_q_counts",
@@ -480,7 +485,9 @@ def parse_majority_matrix(text: str) -> MajorityRelation:
 
     Line 1 names the universe; row *i* then gives, in the same label order,
     one token per column: ``1`` if the row alternative beats the column
-    alternative, ``0`` if not, and ``-`` allowed on the diagonal.
+    alternative, ``0`` if not, and ``-`` allowed on the diagonal.  A ``1``
+    on the diagonal or in both directions of a pair raises
+    :class:`ProfileFormatError` with its line number.
     """
     lines = list(_data_lines(text))
     if not lines:
@@ -506,7 +513,14 @@ def parse_majority_matrix(text: str) -> MajorityRelation:
                 continue
             if tok not in ("0", "1"):
                 raise ProfileFormatError(f"bad matrix entry {tok!r}", line=no)
-            mat[r, c] = tok == "1"
+            if tok == "1":
+                if r == c:
+                    raise ProfileFormatError(f"{labels[r]} cannot beat itself", line=no)
+                if mat[c, r]:
+                    raise ProfileFormatError(
+                        f"{labels[r]} and {labels[c]} cannot beat each other", line=no
+                    )
+                mat[r, c] = True
     # realign rows/cols from the order labels were named in to sorted order
     order = np.argsort(np.array(labels))
     mat = mat[np.ix_(order, order)]
@@ -522,6 +536,14 @@ def format_majority_matrix(mu: MajorityRelation) -> str:
         ]
         out.append(" ".join(row))
     return "\n".join(out) + "\n"
+
+
+# the text parser of each input kind, keyed as the CLI flags and fixtures name it
+INPUT_PARSERS: dict[str, Callable[[str], object]] = {
+    "profile": parse_profile,
+    "grades": parse_grade_table,
+    "majority": parse_majority_matrix,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -543,29 +565,47 @@ def contract(p: Profile, subset: Iterable[str]) -> Profile:
     return Profile.from_ranks([p.labels[j] for j in idx], new_ranks)
 
 
+def first_places(p: Profile) -> np.ndarray:
+    """Per alternative (aligned with ``p.labels``), the criteria ranking it first."""
+    return (p.ranks == 0).sum(axis=0)
+
+
+def last_places(p: Profile) -> np.ndarray:
+    """Per alternative, the criteria ranking it last."""
+    return (p.ranks == p.m - 1).sum(axis=0)
+
+
+def top_q_places(p: Profile, q: int) -> np.ndarray:
+    """Per alternative, the criteria placing it within their best ``q``."""
+    return (p.ranks < q).sum(axis=0)
+
+
+def borda_scores(p: Profile) -> np.ndarray:
+    """Per alternative, the sum over criteria of (m - 1 - rank): m-1 points
+    for a best place, 0 for a worst place."""
+    return (p.m - 1 - p.ranks).sum(axis=0)
+
+
+def _by_label(p: Profile, scores: np.ndarray) -> dict[str, int]:
+    return {lab: int(s) for lab, s in zip(p.labels, scores)}
+
+
 def first_place_counts(p: Profile) -> dict[str, int]:
-    counts = (p.ranks == 0).sum(axis=0)
-    return {lab: int(c) for lab, c in zip(p.labels, counts)}
+    return _by_label(p, first_places(p))
 
 
 def last_place_counts(p: Profile) -> dict[str, int]:
-    counts = (p.ranks == p.m - 1).sum(axis=0)
-    return {lab: int(c) for lab, c in zip(p.labels, counts)}
+    return _by_label(p, last_places(p))
 
 
 def top_q_counts(p: Profile, q: int) -> dict[str, int]:
-    """How many criteria place each alternative within their best ``q``."""
     if q < 1:
         raise ValueError("q must be at least 1")
-    counts = (p.ranks < q).sum(axis=0)
-    return {lab: int(c) for lab, c in zip(p.labels, counts)}
+    return _by_label(p, top_q_places(p, q))
 
 
 def borda_counts(p: Profile) -> dict[str, int]:
-    """Sum over criteria of (m - 1 - rank): m-1 points for a best place,
-    0 for a worst place."""
-    scores = (p.m - 1 - p.ranks).sum(axis=0)
-    return {lab: int(s) for lab, s in zip(p.labels, scores)}
+    return _by_label(p, borda_scores(p))
 
 
 def _pairwise_support(p: Profile) -> np.ndarray:

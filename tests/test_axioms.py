@@ -7,6 +7,7 @@ whose violations are classical.  Every witness is replayed against the
 rule that produced it.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from twostage import (
     Verdict,
     all_profiles,
     check_axiom,
-    check_axiom_mu,
     compose,
     contract,
     enumerate_majority_relations,
@@ -51,8 +51,6 @@ class FixedOrderRule:
     def choose(self, p, subset=None):
         pool = sorted(subset) if subset is not None else sorted(p.labels)
         return frozenset(pool[:1])
-
-    choose_mu = None  # not relation-driven
 
 
 class TableRule:
@@ -276,29 +274,29 @@ def test_nc_compares_against_the_threshold_order():
 
 def test_mu_level_nc_is_not_applicable():
     mu = majority_relation(WIDE)
-    verdict = check_axiom_mu(Procedure(20), mu, "NC")
+    verdict = check_axiom(Procedure(20), mu, "NC")
     assert verdict.holds
     assert "not-applicable" in verdict.detail
 
 
 def test_mu_level_core_is_improvement_monotone():
     for mu in enumerate_majority_relations(3):
-        assert check_axiom_mu(Procedure(20), mu, "MON1").holds
-        assert check_axiom_mu(Procedure(24), mu, "MON1").holds
+        assert check_axiom(Procedure(20), mu, "MON1").holds
+        assert check_axiom(Procedure(24), mu, "MON1").holds
 
 
 def test_mu_level_fishburn_heredity_violation_replays():
     found = False
     for mu in enumerate_majority_relations(4):
-        verdict = check_axiom_mu(Procedure(15), mu, "H")
+        verdict = check_axiom(Procedure(15), mu, "H")
         if verdict.holds:
             continue
         found = True
         w = verdict.witness
         (sub,) = w.subsets
         rule = Procedure(15)
-        assert rule.choose_mu(mu) == w.observation("choice_full")
-        assert rule.choose_mu(mu, sub) == w.observation("choice_subset")
+        assert rule.choose(mu) == w.observation("choice_full")
+        assert rule.choose(mu, sub) == w.observation("choice_subset")
         kept = w.observation("choice_full") & sub
         assert kept and not kept <= w.observation("choice_subset")
         break
@@ -310,7 +308,7 @@ def test_mu_level_edge_flip_witness_replays():
     # which strict monotonicity forbids.
     found = False
     for mu in enumerate_majority_relations(3):
-        verdict = check_axiom_mu(Procedure(19), mu, "SM")
+        verdict = check_axiom(Procedure(19), mu, "SM")
         if verdict.holds:
             continue
         found = True
@@ -318,7 +316,7 @@ def test_mu_level_edge_flip_witness_replays():
         assert w.kind == "edge-flip"
         from twostage import perturb_majority
 
-        after = Procedure(19).choose_mu(perturb_majority(mu, *w.edge))
+        after = Procedure(19).choose(perturb_majority(mu, *w.edge))
         assert after == w.observation("choice_after")
         break
     assert found
@@ -429,6 +427,12 @@ def test_verify_bounded_refuses_oversized_spaces():
     outcome = verify_bounded(make_procedure(7), "H", 4, 4, budget=1000)
     assert outcome.status == "budget-exceeded"
     assert outcome.checked == 0
+
+
+def test_verify_bounded_rejects_a_budget_below_one():
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            verify_bounded(make_procedure(7), "H", 2, 1, budget=budget)
 
 
 def test_axiom_names_are_the_eight_documented_conditions():
@@ -548,7 +552,7 @@ def test_mu_level_verdicts_are_pinned_on_every_three_alternative_relation(index,
     proc = make_procedure(index)
     tokens = []
     for mu in enumerate_majority_relations(3):
-        verdict = check_axiom_mu(proc, mu, axiom)
+        verdict = check_axiom(proc, mu, axiom)
         w = verdict.witness
         if verdict.holds:
             tokens.append(".")
@@ -696,3 +700,9 @@ def test_orbit_enumeration_is_the_sorted_part_of_the_product(m, n):
     assert orbits == [orders for orders in every if list(orders) == sorted(orders)]
     assert len(orbits) == math.comb(math.factorial(m) + n - 1, n)
     assert len(every) == math.factorial(m) ** n
+    # each yielded profile is the one the validating constructor builds
+    product = list(itertools.product(itertools.permutations("abcd"[:m]), repeat=n))
+    assert every == product
+    for orbit in (False, True):
+        for p in all_profiles(m, n, orbits=orbit):
+            assert p == Profile(p.orders) and p.ranks.dtype == np.int32

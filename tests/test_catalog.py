@@ -133,7 +133,7 @@ def test_choose_factors_through_majority_relation():
         assert rule.mu_capable
         for j in range(20):
             p = generate_profile(4, 5, seed=2000 + 100 * idx + j)
-            assert rule.choose(p) == rule.choose_mu(majority_relation(p))
+            assert rule.choose(p) == rule.choose(majority_relation(p))
 
 
 def test_mu_capability_requires_both_stages():
@@ -141,7 +141,7 @@ def test_mu_capability_requires_both_stages():
     assert not compose(12, 2).mu_capable
     assert compose(12, 13).mu_capable
     with pytest.raises(TypeError):
-        compose(2, 12).choose_mu(majority_relation(generate_profile(3, 3, 1)))
+        compose(2, 12).choose(majority_relation(generate_profile(3, 3, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +285,7 @@ def test_equivalent_ids_match_their_targets_on_tournaments():
         for mu in tournaments(m):
             for ts, rule in rules.items():
                 want = _TARGET_FUNCS[EQUIVALENT_TO[ts]](mu)
-                assert rule.choose_mu(mu) == want, (ts, mu.edges())
+                assert rule.choose(mu) == want, (ts, mu.edges())
 
 
 def test_majority_finish_ids_match_their_targets_on_profiles():

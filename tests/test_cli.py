@@ -203,6 +203,15 @@ def test_verify_confirms_small_case(capsys):
     assert out == "status verified\nchecked 36\n"
 
 
+def test_verify_budget_below_one_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "verify", "--proc", "7", "--axiom", "Mon1", "--m", "3", "--n", "2",
+        "--budget", "0",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: budget must be positive\n"
+
+
 def test_verify_refutes_with_witness(capsys):
     code, out, _ = run(
         capsys, "verify", "--proc", "2", "--axiom", "H", "--m", "3", "--n", "3"
@@ -278,6 +287,38 @@ def test_fixtures_reports_failures(capsys, tmp_path):
     assert "FAIL  bad" in out
     assert "failed:" in out
     assert out.splitlines()[-1] == "total 1 fixtures, 0 passed, 1 failed"
+
+
+@pytest.mark.parametrize("doc", ["- a list\n- of lines\n", "just text\n", "", "name: [open\n"])
+def test_fixtures_rejects_a_document_that_is_not_a_fixture(capsys, tmp_path, doc):
+    (tmp_path / "bad.yaml").write_text(doc, encoding="utf-8")
+    code, out, err = run(capsys, "fixtures", "--dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "bad.yaml" in err
+
+
+@pytest.mark.parametrize("op, fields, wanted", [
+    ("support", "expect: {a: {b: 1}}", "a full profile or a support matrix"),
+    ("counts", "counts: first_place\n    expect: {a: 1}", "a full profile"),
+])
+def test_fixtures_rejects_an_op_its_input_cannot_feed(capsys, tmp_path, op, fields, wanted):
+    (tmp_path / "bad.yaml").write_text(
+        "name: bad\n"
+        "inputs:\n"
+        "  main:\n"
+        "    kind: majority\n"
+        "    text: |\n"
+        "      a b\n"
+        "      - 1\n"
+        "      0 -\n"
+        "checks:\n"
+        f"  - op: {op}\n"
+        f"    {fields}\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "fixtures", "--dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: fixture bad: {op} needs {wanted}, not a majority relation\n"
 
 
 # -- bench --------------------------------------------------------------------
@@ -364,6 +405,18 @@ def test_unreadable_input_file(capsys):
     )
     assert code == 2
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("text, line", [
+    ("a b c\n- 1 1\n1 - 0\n0 1 -\n", 3),  # a and b beat each other
+    ("a b c\n1 1 1\n0 - 1\n0 0 -\n", 2),  # a beats itself
+])
+def test_impossible_majority_matrix_is_an_input_error(capsys, tmp_path, text, line):
+    path = tmp_path / "mu.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "choose", "--proc", "core", "--majority", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: line {line}: ")
 
 
 def test_malformed_profile_file(capsys, tmp_path):

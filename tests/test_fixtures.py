@@ -154,6 +154,25 @@ def test_fixture_runner_rejects_malformed_documents():
         run_fixture({**base, "rule": {"species": 2}, "checks": []})
 
 
+@pytest.mark.parametrize("op, kind, fields", [
+    ("counts", "grades", {"counts": "borda"}),
+    ("counts", "majority", {"counts": "first_place"}),
+    ("majority_edges", "grades", {}),
+    ("support", "grades", {}),
+    ("support", "majority", {}),
+    ("grade_table", "majority", {}),
+    ("threshold_order", "majority", {}),
+    ("minimal_sets", "grades", {"solution": "dominant"}),
+    ("qpareto", "majority", {"q": 0}),
+])
+def test_fixture_ops_reject_an_input_kind_they_cannot_read(op, kind, fields):
+    text = {"grades": "a b\n1 2\n", "majority": "a b\n- 1\n0 -\n"}[kind]
+    doc = {"name": "wrong", "inputs": {"main": {"kind": kind, "text": text}},
+           "checks": [{"op": op, "expect": [], **fields}]}
+    with pytest.raises(TypeError, match=f"^fixture wrong: {op} needs a full profile"):
+        run_fixture(doc)
+
+
 def test_corpus_covers_the_required_minimum():
     # the documented minimum replay set for the acceptance gate
     required = {

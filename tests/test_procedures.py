@@ -394,7 +394,7 @@ def test_q_pareto_grows_with_q_and_accepts_profiles():
             assert previous <= current
             previous = current
         assert q_pareto(g, p.m - 1) == frozenset(p.labels)
-        assert q_pareto(p, 1) == q_pareto(g, 1)
+        assert QParetoRule(1).choose(p) == q_pareto(g, 1)
     with pytest.raises(ValueError):
         q_pareto(grade_table(generate_profile(3, 3, 1)), -1)
 
@@ -545,12 +545,25 @@ def test_kind_mismatch_raises():
                 for subset in (None, {"a", "b"}):
                     with pytest.raises(TypeError, match="full profile"):
                         rule.choose(data, subset)
-    # the per-kind names are aliases of the one entry point
+    # the per-kind names left on Procedure are aliases of the one entry point
     assert Procedure(12).choose_mu(majority_relation(p)) == Procedure(12).choose(p)
     assert Procedure(22).choose_grades(grade_table(p)) == Procedure(22).choose(p)
     assert Procedure(27).choose_support(tournament_matrix(p)) == Procedure(27).choose(p)
     with pytest.raises(TypeError, match="full profile"):
         compose(12, 7).choose_detailed(majority_relation(p))
+
+
+def test_kind_named_aliases_are_gone():
+    import twostage
+    from twostage import axioms
+    from twostage.catalog import TwoStage
+
+    assert not hasattr(axioms, "check_axiom_mu")
+    assert not hasattr(twostage, "check_axiom_mu")
+    assert "check_axiom_mu" not in twostage.__all__
+    assert not hasattr(TwoStage, "choose_mu")
+    assert not hasattr(TwoStage, "choose_mu_detailed")
+    assert not hasattr(QParetoRule, "choose_grades")
 
 
 # Grade rules that read the grade values themselves, not only their order:

@@ -172,8 +172,12 @@ def test_majority_matrix_round_trip():
 
 def test_parse_majority_matrix_rejects_symmetric_pair():
     text = "a b\n- 1\n1 -\n"
-    with pytest.raises((ProfileFormatError, ValueError)):
+    with pytest.raises(ProfileFormatError) as exc:
         parse_majority_matrix(text)
+    assert exc.value.line == 3
+    with pytest.raises(ProfileFormatError) as exc:
+        parse_majority_matrix("a b\n1 1\n0 -\n")  # a beats itself
+    assert exc.value.line == 2
 
 
 def test_restrict_matrix_and_grades():
