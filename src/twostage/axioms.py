@@ -570,6 +570,8 @@ class SearchConfig:
             raise ValueError(f"unknown subset strategy {self.subset_strategy!r}")
         if self.budget < 1:
             raise ValueError("budget must be positive")
+        if self.samples < 1:
+            raise ValueError("samples must be positive")
         if not self.m_values or not self.n_values:
             raise ValueError("m and n ranges must be non-empty")
         if any(m < 1 for m in self.m_values) or any(n < 1 for n in self.n_values):

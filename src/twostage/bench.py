@@ -54,6 +54,8 @@ DEFAULT_M_GRID = (1000, 2000, 3000, 4000, 6000, 8000)
 
 def generate_profile(m: int, n: int, seed: int) -> Profile:
     """Uniform random profile: n independent random orders over m labels."""
+    if m < 1 or n < 1:
+        raise ValueError(f"a profile needs m >= 1 and n >= 1, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
     labels = default_labels(m)
     ranks = np.stack([rng.permutation(m) for _ in range(n)])

@@ -81,12 +81,7 @@ def _build_rule(args):
         raise SystemExit(2)
     try:
         if args.proc is not None:
-            kwargs = {}
-            if args.q is not None:
-                kwargs["q"] = args.q
-            if args.k is not None:
-                kwargs["k"] = args.k
-            return make_procedure(args.proc, **kwargs)
+            return make_procedure(args.proc, q=args.q, k=args.k)
         if args.two_stage is not None:
             return _catalog.two_stage_from_id(args.two_stage, q=args.q, k=args.k)
         if args.first is None or args.second is None:
@@ -240,7 +235,11 @@ def _cmd_bench(args) -> int:
             )
         print(_bench.scaling_report(results), end="")
     if args.suite in ("groups", "all"):
-        report = _bench.run_groups(m=args.group_m, n=10, seed=args.seed)
+        try:
+            report = _bench.run_groups(m=args.group_m, n=10, seed=args.seed)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print("group\tfirst\tsecond\tseconds")
         for row in report.rows:
             print(f"{row.group}\t{row.first}\t{row.second}\t{row.seconds:.6g}")
@@ -261,7 +260,11 @@ def _cmd_catalog(args) -> int:
         return 0
     text = _catalog.export_catalog()
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {args.out}")
     else:
         print(text, end="")

@@ -99,8 +99,7 @@ def _build_rule(spec: dict[str, Any] | None):
         first, second = spec["two_stage"]
         return _catalog.compose(first, second, q=spec.get("q"), k=spec.get("k"))
     if "procedure" in spec:
-        kwargs = {k: spec[k] for k in ("q", "k") if k in spec}
-        return make_procedure(spec["procedure"], **kwargs)
+        return make_procedure(spec["procedure"], q=spec.get("q"), k=spec.get("k"))
     raise ValueError("rule must name either a procedure or a two-stage pair")
 
 

@@ -41,10 +41,12 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .profiles import (
+    _KINDS,
     GradeTable,
     MajorityRelation,
     Profile,
     TournamentMatrix,
+    _Universe,
     borda_scores,
     contract,
     first_places,
@@ -611,13 +613,6 @@ _REGISTRY: dict[int, _Row] = {
 PROCEDURE_NAMES: dict[int, str] = {i: row.name for i, row in _REGISTRY.items()}
 NAME_TO_INDEX: dict[str, int] = {row.name: i for i, row in _REGISTRY.items()}
 
-_INPUTS = {
-    "profile": (Profile, "a full profile"),
-    "mu": (MajorityRelation, "a majority relation"),
-    "grades": (GradeTable, "a grade table"),
-    "support": (TournamentMatrix, "a support matrix"),
-}
-
 
 def _kernel_input(kind: str, data, subset: Iterable[str] | None, name: str):
     """What a ``kind`` kernel reads, for the choice from ``subset`` of
@@ -640,10 +635,10 @@ def _kernel_input(kind: str, data, subset: Iterable[str] | None, name: str):
         if kind == "support":
             return tournament_matrix(data)
         return data
-    cls, noun = _INPUTS[kind]
-    if not isinstance(data, cls):
+    if not (isinstance(data, _Universe) and data.kind == kind):
+        noun = _KINDS[kind].noun
         wanted = noun if kind == "profile" else f"a full profile or {noun}"
-        given = next((n for c, n in _INPUTS.values() if isinstance(data, c)), type(data).__name__)
+        given = data.noun if isinstance(data, _Universe) else type(data).__name__
         raise TypeError(f"{name} needs {wanted}, not {given}")
     return data if subset is None else data.restrict(subset)
 

@@ -43,8 +43,6 @@ __all__ = [
     "majority_relation",
     "tournament_matrix",
     "grade_table",
-    "upper_contour_sets",
-    "lower_contour_sets",
     "improve",
     "perturb_majority",
     "default_labels",
@@ -93,14 +91,40 @@ def _check_labels(labels: Iterable[str]) -> tuple[str, ...]:
 
 
 class _Universe:
-    """What every input kind shares: the sorted alternative ``labels`` and
-    each label's position in them."""
+    """One input value: the sorted alternative ``labels``, their positions,
+    and one read-only array aligned with the labels, named by ``_field``.
+    Each subclass adds only a validating constructor and its accessors, and
+    declares its ``kind`` (as the procedure registry names it) and the
+    ``noun`` error messages use."""
 
     __slots__ = ("labels", "_pos")
 
-    def _set_labels(self, labels: tuple[str, ...]) -> None:
-        self.labels = labels
+    kind: str
+    noun: str
+    _field: str
+    # ``restrict`` keeps the rows and the columns of a square (m, m) array,
+    # or only the columns of a per-criterion (n, m) one
+    _square = True
+    # further state, compared by ``__eq__`` and kept by ``restrict``
+    _extra: tuple[str, ...] = ()
+
+    def _set(self, labels: Sequence[str], array: np.ndarray, *extra) -> None:
+        array.setflags(write=False)
+        self.labels = labels = tuple(labels)
         self._pos = {lab: j for j, lab in enumerate(labels)}
+        setattr(self, self._field, array)
+        if extra:  # skipping the loop keeps Profile.from_ranks, the hot path, cheap
+            for name, value in zip(self._extra, extra):
+                setattr(self, name, value)
+
+    @classmethod
+    def _trusted(cls, labels: Sequence[str], array: np.ndarray, *extra):
+        """Wrap sorted labels and an array known to be valid, without the
+        validation passes (they stream the whole array, which dominates the
+        cost for thousands of alternatives)."""
+        self = object.__new__(cls)
+        self._set(labels, array, *extra)
+        return self
 
     @property
     def m(self) -> int:
@@ -119,6 +143,48 @@ class _Universe:
             raise ValueError("subset of alternatives must be non-empty")
         return idx
 
+    def _array(self) -> np.ndarray:
+        return getattr(self, self._field)
+
+    def _state(self) -> tuple:
+        """What ``__eq__`` compares besides the array's values."""
+        return (type(self), self.labels, *[getattr(self, name) for name in self._extra])
+
+    def _values(self) -> bytes:
+        """The array's values as bytes, whatever integer dtype holds them."""
+        array = self._array()
+        if array.dtype.kind in "iu":
+            array = array.astype(np.int64, copy=False)
+        return array.tobytes()
+
+    def restrict(self, subset: Iterable[str]):
+        """This input over the labels of ``subset``, with the values and
+        dtype of the kept entries.  A principal submatrix of a valid
+        relation or support matrix, or some columns of a grade table, are
+        valid, so nothing is checked again.  A profile is contracted
+        instead (its rows must stay permutations): see :func:`contract`."""
+        if self.kind == "profile":
+            raise TypeError("a profile is contracted, not restricted: use contract()")
+        idx = self._positions(subset)
+        array = self._array()
+        array = array[np.ix_(idx, idx)] if self._square else array[:, idx]
+        extra = (getattr(self, name) for name in self._extra)
+        return self._trusted([self.labels[j] for j in idx], array, *extra)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Universe):
+            return NotImplemented
+        # with the type and labels equal, equal byte strings have equal shapes
+        return self._state() == other._state() and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((self._state(), self._values()))
+
+    def __repr__(self) -> str:
+        extra = "".join(f", {name}={getattr(self, name)!r}" for name in self._extra)
+        shape = self._array().shape
+        return f"{type(self).__name__}(m={self.m}, {self._field}.shape={shape}{extra})"
+
 
 class Profile(_Universe):
     """``n`` strict linear orders over a common universe of ``m`` labels.
@@ -131,6 +197,9 @@ class Profile(_Universe):
     """
 
     __slots__ = ("ranks",)
+    kind = "profile"
+    noun = "a full profile"
+    _field = "ranks"
 
     def __init__(self, orders: Sequence[Sequence[str]], labels: Sequence[str] | None = None):
         orders = tuple(tuple(o) for o in orders)
@@ -139,7 +208,7 @@ class Profile(_Universe):
         if labels is None:
             labels = orders[0]
         labels = _check_labels(labels)
-        self._set_labels(labels)
+        pos = {lab: j for j, lab in enumerate(labels)}
         m = len(labels)
         ranks = np.empty((len(orders), m), dtype=np.int32)
         for i, order in enumerate(orders):
@@ -147,10 +216,9 @@ class Profile(_Universe):
                 raise ValueError(
                     f"criterion {i + 1} is not a permutation of the universe"
                 )
-            for pos, lab in enumerate(order):
-                ranks[i, self._pos[lab]] = pos
-        ranks.setflags(write=False)
-        self.ranks: np.ndarray = ranks
+            for rank, lab in enumerate(order):
+                ranks[i, pos[lab]] = rank
+        self._set(labels, ranks)
 
     @classmethod
     def from_ranks(cls, labels: Sequence[str], ranks: np.ndarray) -> "Profile":
@@ -160,17 +228,10 @@ class Profile(_Universe):
         ``i``; every row must be a permutation of ``0..m-1``.  Labels must
         already be sorted.
         """
-        self = object.__new__(cls)
-        labels = tuple(labels)
         ranks = np.ascontiguousarray(ranks, dtype=np.int32)
         if ranks.ndim != 2 or len(labels) != ranks.shape[1]:
             raise ValueError("rank matrix does not match label count")
-        ranks.setflags(write=False)
-        self._set_labels(labels)
-        self.ranks = ranks
-        return self
-
-    # -- basic container behaviour ------------------------------------
+        return cls._trusted(labels, ranks)
 
     @property
     def orders(self) -> tuple[tuple[str, ...], ...]:
@@ -184,17 +245,6 @@ class Profile(_Universe):
     @property
     def n(self) -> int:
         return self.ranks.shape[0]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Profile):
-            return NotImplemented
-        return self.labels == other.labels and self.ranks.tobytes() == other.ranks.tobytes()
-
-    def __hash__(self) -> int:
-        return hash((self.labels, self.ranks.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"Profile(m={self.m}, n={self.n}, labels={self.labels!r})"
 
     def rank_of(self, label: str, criterion: int) -> int:
         """0-based position of ``label`` under 0-based ``criterion``."""
@@ -224,6 +274,9 @@ class MajorityRelation(_Universe):
     """
 
     __slots__ = ("matrix",)
+    kind = "mu"
+    noun = "a majority relation"
+    _field = "matrix"
 
     def __init__(self, labels: Sequence[str], matrix: np.ndarray):
         labels = _check_labels(labels)
@@ -233,21 +286,7 @@ class MajorityRelation(_Universe):
             raise ValueError("majority matrix shape does not match universe")
         if matrix.diagonal().any() or (matrix & matrix.T).any():
             raise ValueError("majority relation must be asymmetric and irreflexive")
-        matrix = matrix.copy()
-        matrix.setflags(write=False)
-        self._set_labels(labels)
-        self.matrix = matrix
-
-    @classmethod
-    def _trusted(cls, labels: tuple[str, ...], matrix: np.ndarray) -> "MajorityRelation":
-        """Wrap a freshly computed, provably asymmetric bool matrix without
-        the validation passes (they stream the whole matrix, which dominates
-        the cost for thousands of alternatives)."""
-        self = object.__new__(cls)
-        matrix.setflags(write=False)
-        self._set_labels(labels)
-        self.matrix = matrix
-        return self
+        self._set(labels, matrix.copy())
 
     def beats(self, x: str, y: str) -> bool:
         return bool(self.matrix[self.index(x), self.index(y)])
@@ -256,35 +295,23 @@ class MajorityRelation(_Universe):
         xs, ys = np.nonzero(self.matrix)
         return tuple((self.labels[i], self.labels[j]) for i, j in zip(xs, ys))
 
-    def restrict(self, subset: Iterable[str]) -> "MajorityRelation":
-        idx = self._positions(subset)
-        return MajorityRelation([self.labels[j] for j in idx], self.matrix[np.ix_(idx, idx)])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MajorityRelation):
-            return NotImplemented
-        return self.labels == other.labels and bool(
-            np.array_equal(self.matrix, other.matrix)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.labels, self.matrix.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"MajorityRelation(m={self.m}, edges={len(self.edges())})"
-
 
 class TournamentMatrix(_Universe):
     """Pairwise support counts: ``counts[x, y]`` criteria ranking x above y.
 
     For a profile of strict linear orders ``counts[x, y] + counts[y, x]``
-    equals the number of criteria for every pair x != y.  Counts computed
-    from a profile keep the dtype they were summed in (uint8 below 255
-    criteria, uint16 below 65535, int64 beyond); counts a caller supplies,
-    and ``restrict``, go through validation and are stored as int32.
+    equals the number of criteria ``voters`` for every pair x != y.  Counts
+    computed from a profile keep the dtype they were summed in (uint8 below
+    255 criteria, uint16 below 65535, int64 beyond), and ``restrict`` keeps
+    it; counts a caller supplies go through validation and are stored as
+    int32.
     """
 
     __slots__ = ("counts", "voters")
+    kind = "support"
+    noun = "a support matrix"
+    _field = "counts"
+    _extra = ("voters",)
 
     def __init__(self, labels: Sequence[str], counts: np.ndarray, voters: int):
         labels = _check_labels(labels)
@@ -300,38 +327,13 @@ class TournamentMatrix(_Universe):
         np.fill_diagonal(check, voters)
         if voters <= 0 or (check != voters).any():
             raise ValueError("support counts of opposite pairs must sum to the criterion count")
-        counts = counts.astype(np.int32)
-        counts.setflags(write=False)
-        self._set_labels(labels)
-        self.counts = counts
-        self.voters = int(voters)
-
-    @classmethod
-    def _trusted(
-        cls, labels: tuple[str, ...], counts: np.ndarray, voters: int
-    ) -> "TournamentMatrix":
-        """Wrap freshly computed support counts without the validation pass."""
-        self = object.__new__(cls)
-        counts.setflags(write=False)
-        self._set_labels(labels)
-        self.counts = counts
-        self.voters = int(voters)
-        return self
+        self._set(labels, counts.astype(np.int32), int(voters))
 
     def support(self, x: str, y: str) -> int:
         return int(self.counts[self.index(x), self.index(y)])
 
     def majority(self) -> MajorityRelation:
         return MajorityRelation(self.labels, self.counts > self.counts.T)
-
-    def restrict(self, subset: Iterable[str]) -> "TournamentMatrix":
-        idx = self._positions(subset)
-        return TournamentMatrix(
-            [self.labels[j] for j in idx], self.counts[np.ix_(idx, idx)], self.voters
-        )
-
-    def __repr__(self) -> str:
-        return f"TournamentMatrix(m={self.m}, voters={self.voters})"
 
 
 class GradeTable(_Universe):
@@ -345,6 +347,10 @@ class GradeTable(_Universe):
     """
 
     __slots__ = ("grades",)
+    kind = "grades"
+    noun = "a grade table"
+    _field = "grades"
+    _square = False
 
     def __init__(self, labels: Sequence[str], grades: np.ndarray):
         labels = _check_labels(labels)
@@ -353,17 +359,11 @@ class GradeTable(_Universe):
             raise ValueError("grade matrix must be (criteria x alternatives)")
         if grades.shape[0] == 0:
             raise ValueError("grade table needs at least one criterion")
-        grades = grades.copy()
-        grades.setflags(write=False)
-        self._set_labels(labels)
-        self.grades = grades
+        self._set(labels, grades.copy())
 
     @property
     def n(self) -> int:
         return int(self.grades.shape[0])
-
-    def grade(self, label: str, criterion: int) -> int:
-        return int(self.grades[criterion, self.index(label)])
 
     def column(self, label: str) -> tuple[int, ...]:
         return tuple(int(g) for g in self.grades[:, self.index(label)])
@@ -372,19 +372,9 @@ class GradeTable(_Universe):
         """Sorted distinct grade values occurring in the table."""
         return tuple(int(v) for v in np.unique(self.grades))
 
-    def restrict(self, subset: Iterable[str]) -> "GradeTable":
-        idx = self._positions(subset)
-        return GradeTable([self.labels[j] for j in idx], self.grades[:, idx])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GradeTable):
-            return NotImplemented
-        return self.labels == other.labels and bool(
-            np.array_equal(self.grades, other.grades)
-        )
-
-    def __repr__(self) -> str:
-        return f"GradeTable(m={self.m}, n={self.n})"
+# every input class by its kind
+_KINDS: dict[str, type[_Universe]] = {cls.kind: cls for cls in _Universe.__subclasses__()}
 
 
 # ---------------------------------------------------------------------------
@@ -652,24 +642,6 @@ def majority_relation(p: Profile) -> MajorityRelation:
 def grade_table(p: Profile) -> GradeTable:
     """Positional grades: best place -> grade m, worst place -> grade 1."""
     return GradeTable(p.labels, p.m - p.ranks)
-
-
-def upper_contour_sets(mu: MajorityRelation) -> dict[str, frozenset[str]]:
-    """``D(x)``: the alternatives that majority-beat ``x``."""
-    out = {}
-    for j, lab in enumerate(mu.labels):
-        dominators = np.nonzero(mu.matrix[:, j])[0]
-        out[lab] = frozenset(mu.labels[i] for i in dominators)
-    return out
-
-
-def lower_contour_sets(mu: MajorityRelation) -> dict[str, frozenset[str]]:
-    """``L(x)``: the alternatives that ``x`` majority-beats."""
-    out = {}
-    for i, lab in enumerate(mu.labels):
-        beaten = np.nonzero(mu.matrix[i, :])[0]
-        out[lab] = frozenset(mu.labels[j] for j in beaten)
-    return out
 
 
 def improve(p: Profile, change: RankImprovement) -> Profile:

@@ -398,6 +398,8 @@ def test_search_config_validation():
         SearchConfig(subset_strategy="columns")
     with pytest.raises(ValueError):
         SearchConfig(budget=0)
+    with pytest.raises(ValueError, match="samples must be positive"):
+        SearchConfig(mode="random", samples=0)
     with pytest.raises(ValueError):
         SearchConfig(m_values=())
     with pytest.raises(ValueError):

@@ -27,6 +27,12 @@ def test_generate_profile_is_seeded_and_well_formed():
         assert sorted(int(a.ranks[i, j]) for j in range(a.m)) == list(range(a.m))
 
 
+def test_generate_profile_rejects_an_empty_universe_or_no_criteria():
+    for m, n in ((0, 4), (-3, 4), (4, 0)):
+        with pytest.raises(ValueError, match="needs m >= 1 and n >= 1"):
+            generate_profile(m, n, seed=1)
+
+
 def test_measure_call_repeats_fast_calls():
     timed = measure_call(lambda: None, trials=3, min_time=0.001)
     assert timed > 0

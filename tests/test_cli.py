@@ -212,6 +212,16 @@ def test_verify_budget_below_one_is_a_usage_error(capsys):
     assert err == "error: budget must be positive\n"
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_search_samples_below_one_is_a_usage_error(capsys, samples):
+    code, out, err = run(
+        capsys, "search", "--proc", "7", "--axiom", "H", "--mode", "random",
+        "--samples", samples,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: samples must be positive\n"
+
+
 def test_verify_refutes_with_witness(capsys):
     code, out, _ = run(
         capsys, "verify", "--proc", "2", "--axiom", "H", "--m", "3", "--n", "3"
@@ -348,6 +358,13 @@ def test_bench_m_max_below_the_grid_is_a_usage_error(capsys):
     assert "--m-max must be at least 1000" in err
 
 
+@pytest.mark.parametrize("group_m", ["0", "-3"])
+def test_bench_group_m_below_one_is_a_usage_error(capsys, group_m):
+    code, out, err = run(capsys, "bench", "--suite", "groups", "--group-m", group_m)
+    assert (code, out) == (2, "")
+    assert err == f"error: a profile needs m >= 1 and n >= 1, got m={group_m}, n=10\n"
+
+
 # -- catalog ------------------------------------------------------------------
 
 def test_catalog_names(capsys):
@@ -373,6 +390,14 @@ def test_catalog_export_to_file(capsys, tmp_path):
     lines = target.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 785
     assert lines[0].startswith("id\tfirst\t")
+
+
+def test_catalog_export_to_a_missing_directory_is_an_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "table.tsv"
+    code, out, err = run(capsys, "catalog", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
 
 
 # -- usage errors --------------------------------------------------------------

@@ -281,3 +281,101 @@ def test_validated_constructors_reject_inconsistent_input():
         MajorityRelation(("a", "b"), np.array([[False, True], [True, False]]))
     with pytest.raises(ValueError):
         MajorityRelation(("a", "b"), np.array([[True, False], [False, False]]))
+
+
+# -- the value type -------------------------------------------------------------
+
+def _every_kind(p):
+    """A profile and the three inputs computed from it."""
+    return [p, majority_relation(p), grade_table(p), tournament_matrix(p)]
+
+
+def _validated_copy(data):
+    """The same input built again through its validating constructor."""
+    if isinstance(data, Profile):
+        return Profile(data.orders)
+    if isinstance(data, MajorityRelation):
+        return MajorityRelation(data.labels, data.matrix)
+    if isinstance(data, GradeTable):
+        return GradeTable(data.labels, data.grades)
+    return TournamentMatrix(data.labels, data.counts, data.voters)
+
+
+def test_equal_inputs_of_every_kind_hash_equal():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        ranks = np.stack([rng.permutation(m) for _ in range(n)])
+        p = Profile.from_ranks(default_labels(m), ranks)
+        for data in _every_kind(p):
+            again = _validated_copy(data)
+            assert again is not data and again == data and hash(again) == hash(data)
+    # a computed support matrix keeps its uint8 sums; the validated copy is int32
+    t = tournament_matrix(parse_profile(PROFILE_TEXT))
+    validated = _validated_copy(t)
+    assert (t.counts.dtype, validated.counts.dtype) == (np.uint8, np.int32)
+    assert validated == t and hash(validated) == hash(t)
+    assert len({t, validated}) == 1
+
+
+def test_inputs_differ_by_values_labels_and_voters():
+    p = parse_profile(PROFILE_TEXT)
+    other = parse_profile("a b c\na c b\na c b\nc b a\nb a c\nc a b\n")
+    for mine, theirs in zip(_every_kind(p), _every_kind(other)):
+        assert mine != theirs
+    g = grade_table(p)
+    relabelled = GradeTable(("a", "b", "d"), g.grades)
+    assert relabelled != g
+    one = TournamentMatrix(("a", "b"), np.array([[0, 2], [2, 0]]), 4).restrict(("a",))
+    assert one == TournamentMatrix(("a",), np.zeros((1, 1)), 4)
+    assert one != TournamentMatrix(("a",), np.zeros((1, 1)), 5)  # only voters differ
+
+
+def test_a_grade_table_is_a_set_member_and_a_dict_key():
+    p = parse_profile(PROFILE_TEXT)
+    g = grade_table(p)
+    same = GradeTable(p.labels, p.m - p.ranks)
+    raw = parse_grade_table("c a b\n1 3 2\n1 1 1\n")
+    assert {g, same, raw} == {g, raw}
+    seen = {g: "profile", raw: "raw"}
+    assert seen[same] == "profile"
+    assert seen[GradeTable(("a", "b", "c"), [[3, 2, 1], [1, 1, 1]])] == "raw"
+
+
+def test_restrict_equals_the_validating_constructor_on_the_sub_array():
+    rng = np.random.default_rng(37)
+    for _ in range(40):
+        m, n = int(rng.integers(1, 7)), int(rng.integers(1, 8))
+        ranks = np.stack([rng.permutation(m) for _ in range(n)])
+        p = Profile.from_ranks(default_labels(m), ranks)
+        picked = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
+        subset = [p.labels[j] for j in picked]
+        square = np.ix_(picked, picked)
+        mu, g, t = majority_relation(p), grade_table(p), tournament_matrix(p)
+        cases = [
+            (mu, "matrix", MajorityRelation(subset, mu.matrix[square])),
+            (g, "grades", GradeTable(subset, g.grades[:, picked])),
+            (t, "counts", TournamentMatrix(subset, t.counts[square], n)),
+        ]
+        for data, field, built in cases:
+            restricted = data.restrict(subset)
+            assert restricted == built and hash(restricted) == hash(built)
+            assert restricted.labels == tuple(subset)
+            # restriction keeps the dtype (uint8 counts); validation widens counts
+            assert getattr(restricted, field).dtype == getattr(data, field).dtype
+    with pytest.raises(TypeError, match="contracted, not restricted"):
+        p.restrict(p.labels)
+
+
+def test_inputs_of_different_kinds_never_compare_equal():
+    for p in (parse_profile("a\na\n"), parse_profile(PROFILE_TEXT)):
+        inputs = _every_kind(p)
+        for i, x in enumerate(inputs):
+            for j, y in enumerate(inputs):
+                assert (x == y) == (i == j)
+    # the same labels and array values, still different kinds
+    p = parse_profile(PROFILE_TEXT)
+    assert GradeTable(p.labels, p.ranks) != p
+    empty = np.zeros((2, 2), dtype=np.int64)
+    assert GradeTable(("a", "b"), empty) != MajorityRelation(("a", "b"), empty)
+    assert MajorityRelation(("a",), [[False]]) != TournamentMatrix(("a",), [[0]], 1)
