@@ -468,24 +468,102 @@ def check_axiom(
 # enumeration and realizability
 # ---------------------------------------------------------------------------
 
-def _order_tuples(count: int, n: int, orbits: bool) -> Iterator[tuple[int, ...]]:
-    """Index tuples into the ``count`` permutations, lexicographically: all
-    of them, or with ``orbits`` only the non-decreasing (sorted) ones."""
-    if orbits:
-        return itertools.combinations_with_replacement(range(count), n)
-    return itertools.product(range(count), repeat=n)
+# The groups ``all_profiles(orbits=...)`` can quotient by: permuting the
+# criteria, or permuting the criteria and relabelling the alternatives.
+_CRITERIA = "criteria"
+_BOTH = "criteria+alternatives"
+# the relabelling table has (m!)^2 entries: 518,400 at m = 6, 25 million at 7
+_RELABEL_MAX_M = 6
+
+
+def _group(orbits: bool | str) -> bool | str:
+    if orbits is True:
+        return _CRITERIA
+    if orbits in (False, _CRITERIA, _BOTH):
+        return orbits
+    raise ValueError(
+        f"unknown orbits {orbits!r}; expected False, True, {_CRITERIA!r} "
+        f"or {_BOTH!r}"
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _relabellings(m: int) -> np.ndarray:
+    """``act[s, k]``: the index of permutation ``k`` once each alternative
+    ``j`` is renamed ``perms[s][j]``, permutations of ``range(m)`` indexed
+    lexicographically.  Row 0 is the identity."""
+    if m > _RELABEL_MAX_M:
+        raise ValueError(f"orbits under relabelling need m <= {_RELABEL_MAX_M}, got {m}")
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int16).reshape(-1, m)
+    radix = m ** np.arange(m - 1, -1, -1, dtype=np.int32)
+    codes = perms @ radix  # increasing, as the permutations are lexicographic
+    return np.searchsorted(codes, perms[:, perms] @ radix).astype(np.int16)
+
+
+def _least_in_orbit(tuples: np.ndarray, act: np.ndarray) -> np.ndarray:
+    """Which rows of ``tuples`` (sorted index tuples, one per row) no
+    relabelling maps, once re-sorted, to a lexicographically smaller tuple."""
+    images = np.sort(act[:, tuples], axis=2)
+    own = np.broadcast_to(tuples, images.shape)
+    first = (images != own).argmax(axis=2)[..., None]  # first differing place
+    below = np.take_along_axis(images, first, 2) < np.take_along_axis(own, first, 2)
+    return ~below.any(axis=0)[:, 0]
+
+
+def _least_tuples(m: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The sorted index tuples least in their orbit under relabelling, in
+    lexicographic order.  The sorted tuples are filtered in chunks that grow
+    from 64 rows while their relabelled images fit in 2^16 entries, so the
+    work stays in proportion to what is drawn."""
+    act = _relabellings(m)
+    tuples = itertools.combinations_with_replacement(range(len(act)), n)
+    size, cap = 64, max(64, (1 << 16) // (len(act) * n))
+    while chunk := list(itertools.islice(tuples, size)):
+        rows = np.array(chunk, dtype=np.int16)
+        yield from map(tuple, rows[_least_in_orbit(rows, act)].tolist())
+        size = min(2 * size, cap)
+
+
+@functools.lru_cache(maxsize=None)
+def _order_index(m: int) -> dict[tuple[str, ...], int]:
+    """Each linear order of ``default_labels(m)`` by its lexicographic index."""
+    return {order: k for k, order in enumerate(itertools.permutations(default_labels(m)))}
+
+
+def _least_form(orders: Sequence[tuple[str, ...]], group: str) -> tuple:
+    """A key shared by exactly the profiles in the orbit of ``orders`` (linear
+    orders of ``default_labels(m)``): the sorted orders, or under relabelling
+    the least index tuple of the orbit."""
+    if group == _CRITERIA:
+        return tuple(sorted(orders))
+    m = len(orders[0])
+    index = _order_index(m)
+    images = np.sort(_relabellings(m)[:, [index[o] for o in orders]], axis=1)
+    return (m, min(map(tuple, images.tolist())))
+
+
+def _order_tuples(m: int, n: int, group: bool | str) -> Iterator[tuple[int, ...]]:
+    """Index tuples into the m! permutations, lexicographically: all of them,
+    or only those least in their orbit under ``group``."""
+    if not group:
+        return itertools.product(range(math.factorial(m)), repeat=n)
+    if group == _CRITERIA:
+        return itertools.combinations_with_replacement(range(math.factorial(m)), n)
+    return _least_tuples(m, n)
 
 
 def all_profiles(
-    m: int, n: int, labels: Sequence[str] | None = None, *, orbits: bool = False
+    m: int, n: int, labels: Sequence[str] | None = None, *, orbits: bool | str = False
 ) -> Iterator[Profile]:
     """Every profile of n linear orders over m alternatives, lexicographically
     by the tuple of orders.  There are (m!)^n of them — keep m and n small.
 
-    With ``orbits`` only the sorted order tuples are yielded, in the same
-    order: one profile per orbit under permuting the criteria, C(m!+n-1, n)
-    of them.
+    ``orbits`` yields, in the same order, only the profiles least in their
+    orbit under a group: ``True`` or ``"criteria"`` permutes the criteria
+    (the sorted order tuples, C(m!+n-1, n) of them);
+    ``"criteria+alternatives"`` also relabels the alternatives (m <= 6).
     """
+    group = _group(orbits)
     labels = _check_labels(default_labels(m) if labels is None else labels)
     if n < 1:
         raise ValueError("profile needs at least one criterion")
@@ -494,7 +572,7 @@ def all_profiles(
         [np.argsort(perm) for perm in itertools.permutations(range(len(labels)))],
         dtype=np.int32,
     )
-    for tup in _order_tuples(len(rows), n, orbits):
+    for tup in _order_tuples(len(labels), n, group):
         yield Profile.from_ranks(labels, rows[list(tup)])
 
 
@@ -604,6 +682,18 @@ def _checker(
     return check
 
 
+def _orbits(rule: ChoiceRule, m: int) -> bool | str:
+    """The group whose orbits ``rule`` cannot tell apart at size m, as far as
+    the rule declares: ``anonymous`` (blind to the order of the criteria),
+    and with it ``neutral`` (relabelling the alternatives relabels the
+    choice)."""
+    if not getattr(rule, "anonymous", False):
+        return False
+    if getattr(rule, "neutral", False) and m <= _RELABEL_MAX_M:
+        return _BOTH
+    return _CRITERIA
+
+
 def _scan_cell(
     rule: ChoiceRule,
     m: int,
@@ -614,19 +704,20 @@ def _scan_cell(
     """Check the (m, n) profiles in lexicographic order until one fails or
     ``budget`` of them are covered.
 
-    For a rule that declares itself ``anonymous`` (blind to the order of the
-    criteria) only the sorted order tuples are checked.  A profile fails
-    exactly when its sorted rearrangement does, and that rearrangement comes
-    no later, so the first failing profile is itself sorted: the witness is
-    the one the full scan finds, and every skipped profile is covered by its
-    orbit.  ``examined`` counts profiles covered (the failing profile's
-    position plus one, or the whole cell, or ``budget`` when cut), as the
-    full scan would; ``evaluated`` counts profiles checked.
+    Only the profiles least in their orbit under the rule's group
+    (:func:`_orbits`) are checked.  Every condition is blind to the order of
+    the criteria and to the names of the alternatives, so the failing
+    profiles form a union of orbits and the first of them is the least
+    member of its orbit: the witness is the one the full scan finds, and
+    every skipped profile is covered by its orbit.  ``examined`` counts
+    profiles covered (the failing profile's position plus one, or the whole
+    cell, or ``budget`` when cut), as the full scan would; ``evaluated``
+    counts profiles checked.
     """
     count = math.factorial(m)
-    orbits = getattr(rule, "anonymous", False)
+    group = _orbits(rule, m)
     evaluated = 0
-    for p, tup in zip(all_profiles(m, n, orbits=orbits), _order_tuples(count, n, orbits)):
+    for p, tup in zip(all_profiles(m, n, orbits=group), _order_tuples(m, n, group)):
         position = functools.reduce(lambda acc, i: acc * count + i, tup, 0)
         if position >= budget:
             return SearchResult("budget-exceeded", budget, evaluated=evaluated)
@@ -634,6 +725,9 @@ def _scan_cell(
         witness = check(p)
         if witness is not None:
             return SearchResult("found", position + 1, witness, p, evaluated)
+    # the last orbit can end below a budget that the cell exceeds
+    if count**n > budget:
+        return SearchResult("budget-exceeded", budget, evaluated=evaluated)
     return SearchResult("exhausted", count**n, evaluated=evaluated)
 
 
@@ -648,9 +742,10 @@ def search_counterexample(
     profile with a violation is returned along with the witness.
 
     For an ``anonymous`` rule the exhaustive scan checks one profile per
-    orbit under permuting the criteria and random mode skips a draw whose
-    orbit already passed, with the outcome a check of every profile gives.
-    The budget caps ``examined``, the profiles covered.
+    orbit under permuting the criteria, and for one also ``neutral`` under
+    relabelling the alternatives too (m <= 6); random mode skips a draw
+    whose orbit already passed.  The outcome is the one a check of every
+    profile gives.  The budget caps ``examined``, the profiles covered.
     """
     axiom = normalize_axiom(axiom)
     check = _checker(rule, axiom, cfg.subset_strategy, cfg.mon2_strict)
@@ -665,8 +760,7 @@ def search_counterexample(
                     return replace(cell, examined=examined, evaluated=evaluated)
         return SearchResult("exhausted", examined, evaluated=evaluated)
     rng = random.Random(cfg.seed)
-    orbits = getattr(rule, "anonymous", False)
-    passed: set[tuple[tuple[str, ...], ...]] = set()  # sorted orders of passing draws
+    passed: set[tuple] = set()  # least forms of passing draws
     for _ in range(cfg.samples):
         if examined >= cfg.budget:
             return SearchResult("budget-exceeded", examined, evaluated=evaluated)
@@ -679,15 +773,17 @@ def search_counterexample(
             rng.shuffle(ballot)
             orders.append(tuple(ballot))
         examined += 1
-        orbit = tuple(sorted(orders))
-        if orbit in passed:
-            continue
+        group = _orbits(rule, m)
+        if group:
+            orbit = _least_form(orders, group)
+            if orbit in passed:
+                continue
         p = Profile(orders)
         evaluated += 1
         witness = check(p)
         if witness is not None:
             return SearchResult("found", examined, witness, p, evaluated)
-        if orbits:
+        if group:
             passed.add(orbit)
     return SearchResult("exhausted", examined, evaluated=evaluated)
 
@@ -715,7 +811,8 @@ def verify_bounded(
     This is the only verification entry point: a 'verified' outcome means
     every one of the (m!)^n profiles was covered.  Sampling cannot verify,
     so there is deliberately no random mode here.  An ``anonymous`` rule is
-    checked on one profile per orbit under permuting the criteria.
+    checked on one profile per orbit under permuting the criteria, and one
+    also ``neutral`` on one per orbit under relabelling the alternatives too.
     """
     axiom = normalize_axiom(axiom)
     if budget < 1:

@@ -101,6 +101,10 @@ class TwoStage:
     def anonymous(self) -> bool:
         return self.first.anonymous and self.second.anonymous
 
+    @property
+    def neutral(self) -> bool:
+        return self.first.neutral and self.second.neutral
+
 
 def compose(
     first: int | str | Procedure,

@@ -176,6 +176,11 @@ def _cmd_search(args) -> int:
 
 def _cmd_verify(args) -> int:
     rule = _build_rule(args)
+    for flag, values in (("--m", args.m), ("--n", args.n)):
+        if values and len(values) > 1:
+            print(f"error: verify checks one size; {flag} was given {len(values)} times",
+                  file=sys.stderr)
+            return 2
     m = (args.m or (3,))[0]
     n = (args.n or (3,))[0]
     try:
@@ -318,25 +323,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="require both members of a chosen pair to survive removal")
     p.set_defaults(fn=_cmd_check)
 
-    for name, helptext in (
-        ("search", "hunt for a violating profile"),
-        ("verify", "exhaustively confirm a condition at one size"),
-    ):
-        p = subs.add_parser(name, help=helptext)
+    def add_scan_flags(p: argparse.ArgumentParser, repeat: str):
         _add_rule_flags(p)
         p.add_argument("--axiom", required=True)
-        p.add_argument("--m", type=int, action="append",
-                       help="alternative count (repeatable for search)")
-        p.add_argument("--n", type=int, action="append",
-                       help="criterion count (repeatable for search)")
-        p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
-        p.add_argument("--samples", type=int, default=1000)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--m", type=int, action="append", help=f"alternative count{repeat}")
+        p.add_argument("--n", type=int, action="append", help=f"criterion count{repeat}")
         p.add_argument("--budget", type=int, default=_default_budget(),
                        help=f"max profiles examined (default ${_BUDGET_ENV} or 200000)")
-        p.add_argument("--subsets", choices=("all", "deletions"), default="all")
         p.add_argument("--mon2-strict", action="store_true")
-        p.set_defaults(fn=_cmd_search if name == "search" else _cmd_verify)
+
+    p = subs.add_parser("search", help="hunt for a violating profile")
+    add_scan_flags(p, " (repeatable)")
+    p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
+    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--subsets", choices=("all", "deletions"), default="all")
+    p.set_defaults(fn=_cmd_search)
+
+    p = subs.add_parser("verify", help="exhaustively confirm a condition at one size")
+    add_scan_flags(p, " (one value)")
+    p.set_defaults(fn=_cmd_verify)
 
     p = subs.add_parser("fixtures", help="replay the bundled worked-example corpus")
     p.add_argument("--dir", help="alternate fixture directory")

@@ -699,6 +699,14 @@ class Procedure:
         read one criterion, so a rule that carries one is not."""
         return self.threshold is None
 
+    @property
+    def neutral(self) -> bool:
+        """Relabelling the alternatives relabels the choice, so search and
+        verify may also check one profile per relabelling orbit.  Every
+        kernel is; a user cutoff callable may read labels, so a rule that
+        carries one is not."""
+        return self.threshold is None
+
     def label(self) -> str:
         if self.param in ("q", "k"):
             return f"{self.name}({self.param}={getattr(self, self.param)})"
@@ -753,6 +761,10 @@ class QParetoRule:
 
     @property
     def anonymous(self) -> bool:
+        return True
+
+    @property
+    def neutral(self) -> bool:
         return True
 
     def label(self) -> str:

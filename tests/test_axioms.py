@@ -567,20 +567,20 @@ def test_mu_level_verdicts_are_pinned_on_every_three_alternative_relation(index,
 
 
 # ---------------------------------------------------------------------------
-# one profile per anonymity orbit
+# one profile per anonymity (x neutrality) orbit
 # ---------------------------------------------------------------------------
 
 class SharedChoices:
-    """A rule's choices behind one memo per rule, shared by the orbit scan and
-    the full scan so that comparing them stays fast.  ``anonymous`` is copied
-    from the rule for the orbit side; without it search and verify check
-    every profile."""
+    """A rule's choices behind one memo per rule, shared by the orbit scans
+    and the full scan so that comparing them stays fast.  Only the symmetry
+    properties named in ``declares`` are copied from the rule; without
+    ``anonymous`` search and verify check every profile."""
 
-    def __init__(self, rule, memo, *, orbits):
+    def __init__(self, rule, memo, *, declares):
         self._rule = rule
         self._memo = memo
-        if orbits:
-            self.anonymous = rule.anonymous
+        for name in declares:
+            setattr(self, name, getattr(rule, name))
 
     def choose(self, data, subset=None):
         key = (data, None if subset is None else frozenset(subset))
@@ -600,6 +600,20 @@ class PlainRule:
         return self._rule.choose(data, subset)
 
 
+class AnonymousOnly(PlainRule):
+    """Declares ``anonymous`` but not ``neutral``: one profile per orbit
+    under permuting the criteria only."""
+
+    anonymous = True
+
+
+class NeutralOnly(PlainRule):
+    """Declares ``neutral`` but not ``anonymous``, which earns no smaller
+    scan."""
+
+    neutral = True
+
+
 ORBIT_RULES = (
     [make_procedure(i) for i in range(1, 29)]
     + [QParetoRule(q) for q in range(3)]
@@ -608,10 +622,12 @@ ORBIT_RULES = (
 ORBIT_CELLS = ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3))
 # m in (2, 3) and n in (1, 2, 3): the cells end at 2, 6, 14, 20, 56 and 272
 # profiles covered, so these budgets cut inside a cell and on its end; the
-# deletions scan shares the budget code and gets a few of them.
+# deletions scan shares the budget code and gets a few of them.  Budgets 1,
+# 10, 40 and 100 cut a cell after its last orbit under relabelling (at 0, 7,
+# 25 and 78 covered), which must still read as budget-exceeded.
 ORBIT_BUDGETS = {
-    "all": (1, 2, 6, 14, 20, 40, 56, 200_000),
-    "deletions": (6, 40, 200_000),
+    "all": (1, 2, 6, 10, 14, 20, 40, 56, 100, 200_000),
+    "deletions": (6, 40, 100, 200_000),
 }
 
 
@@ -623,16 +639,17 @@ def _outcome(result):
 
 @pytest.mark.parametrize("rule", ORBIT_RULES, ids=lambda rule: rule.label())
 def test_orbit_scan_matches_the_full_scan(rule):
-    assert rule.anonymous
+    assert rule.anonymous and rule.neutral
     memo = {}
-    orbit = SharedChoices(rule, memo, orbits=True)
-    full = SharedChoices(rule, memo, orbits=False)
+    both = SharedChoices(rule, memo, declares=("anonymous", "neutral"))
+    anonymous = SharedChoices(rule, memo, declares=("anonymous",))
+    full = SharedChoices(rule, memo, declares=())
 
     def same(run):
-        got, want = run(orbit), run(full)
-        assert _outcome(got) == _outcome(want)
+        want = run(full)
         assert want.evaluated == (want.examined if hasattr(want, "examined") else want.checked)
-        return got
+        for side in (both, anonymous):
+            assert _outcome(run(side)) == _outcome(want)
 
     for axiom in AXIOMS:
         for m, n in ORBIT_CELLS:
@@ -657,15 +674,43 @@ def test_orbit_scan_matches_the_full_scan(rule):
     [((19, 7), "H", 3, 3, 56), ((2, 1), "MON2", 3, 5, 252), ((7, 7), "MON2", 4, 3, 2600)],
 )
 def test_verified_cells_evaluate_one_profile_per_orbit(spec, axiom, m, n, evaluated):
-    outcome = verify_bounded(compose(*spec), axiom, m, n)
+    outcome = verify_bounded(AnonymousOnly(compose(*spec)), axiom, m, n)
     assert (outcome.status, outcome.checked) == ("verified", math.factorial(m) ** n)
     assert outcome.evaluated == evaluated == math.comb(math.factorial(m) + n - 1, n)
 
 
 def test_refuted_cells_count_the_witness_position():
-    outcome = verify_bounded(compose(2, 1), "C", 3, 3)
+    outcome = verify_bounded(AnonymousOnly(compose(2, 1)), "C", 3, 3)
     assert (outcome.status, outcome.checked, outcome.evaluated) == ("refuted", 17, 14)
     assert outcome.profile.orders == tuple(sorted(outcome.profile.orders))
+
+
+@pytest.mark.parametrize(
+    "spec, axiom, m, n, evaluated",
+    [((19, 7), "H", 3, 3, 10), ((2, 1), "MON2", 3, 5, 42), ((7, 7), "MON2", 4, 3, 111)],
+)
+def test_verified_cells_evaluate_one_profile_per_neutral_orbit(spec, axiom, m, n, evaluated):
+    outcome = verify_bounded(compose(*spec), axiom, m, n)
+    assert (outcome.status, outcome.checked, outcome.evaluated) == (
+        "verified", math.factorial(m) ** n, evaluated
+    )
+    assert evaluated == sum(1 for _ in all_profiles(m, n, orbits="criteria+alternatives"))
+
+
+def test_refuted_cells_count_the_witness_position_among_neutral_orbits():
+    outcome = verify_bounded(compose(2, 1), "C", 3, 3)
+    assert (outcome.status, outcome.checked, outcome.evaluated) == ("refuted", 17, 9)
+    assert _outcome(outcome) == _outcome(verify_bounded(PlainRule(compose(2, 1)), "C", 3, 3))
+
+
+def test_a_budget_past_the_last_orbit_is_still_exceeded():
+    # (2, 4) has 16 profiles and its orbits under both groups start at 0, 1
+    # and 3, so a budget of 5 ends the orbits but not the cell
+    cfg = SearchConfig(m_values=(2,), n_values=(4,), budget=5)
+    rule = compose(20, 20)
+    result = search_counterexample(rule, "H", cfg)
+    assert _outcome(result) == _outcome(search_counterexample(PlainRule(rule), "H", cfg))
+    assert (result.status, result.examined, result.evaluated) == ("budget-exceeded", 5, 3)
 
 
 def _favourite_of_first_criterion(g):
@@ -675,9 +720,10 @@ def _favourite_of_first_criterion(g):
 
 def test_rules_that_do_not_declare_anonymity_check_every_profile():
     reads_one = Procedure(26, threshold=_favourite_of_first_criterion)
-    assert not reads_one.anonymous
-    assert not compose(reads_one, 1).anonymous
-    for rule in (reads_one, compose(reads_one, 1), PlainRule(compose(19, 7))):
+    assert not reads_one.anonymous and not reads_one.neutral
+    assert not compose(reads_one, 1).anonymous and not compose(reads_one, 1).neutral
+    wrapped = (PlainRule(compose(19, 7)), NeutralOnly(compose(19, 7)))
+    for rule in (reads_one, compose(reads_one, 1), *wrapped):
         for axiom in ("H", "O", "MON1"):
             outcome = verify_bounded(rule, axiom, 3, 3)
             assert outcome.evaluated == outcome.checked
@@ -691,8 +737,12 @@ def test_random_search_skips_orbits_that_already_passed():
     result = search_counterexample(compose(20, 20), "H", cfg)
     plain = search_counterexample(PlainRule(compose(20, 20)), "H", cfg)
     assert _outcome(result) == _outcome(plain) == ("exhausted", 300, None, None)
-    # 56 orbits at n = 3 and 126 at n = 4
-    assert result.evaluated <= 182 < plain.evaluated == 300
+    # 56 orbits at n = 3 and 126 at n = 4 under permuting the criteria, 10
+    # and 24 when the alternatives are relabelled too
+    assert result.evaluated <= 34
+    anonymous = search_counterexample(AnonymousOnly(compose(20, 20)), "H", cfg)
+    assert _outcome(anonymous) == _outcome(plain)
+    assert result.evaluated < anonymous.evaluated <= 182 < plain.evaluated == 300
 
 
 @pytest.mark.parametrize("m, n", [(1, 3), (2, 3), (3, 1), (3, 2), (3, 3), (4, 2)])
@@ -708,3 +758,34 @@ def test_orbit_enumeration_is_the_sorted_part_of_the_product(m, n):
     for orbit in (False, True):
         for p in all_profiles(m, n, orbits=orbit):
             assert p == Profile(p.orders) and p.ranks.dtype == np.int32
+
+
+def _least_in_orbit(orders):
+    """The least rearrangement of ``orders`` under permuting the criteria and
+    relabelling the alternatives, by brute force."""
+    labels = sorted(orders[0])
+    return min(
+        tuple(sorted(tuple(rename[x] for x in order) for order in orders))
+        for rename in (dict(zip(labels, image)) for image in itertools.permutations(labels))
+    )
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2)])
+def test_neutral_orbit_enumeration_keeps_the_least_of_each_orbit(m, n):
+    every = [p.orders for p in all_profiles(m, n)]
+    least = [p.orders for p in all_profiles(m, n, orbits="criteria+alternatives")]
+    assert least == [orders for orders in every if _least_in_orbit(orders) == orders]
+    assert least == sorted({_least_in_orbit(orders) for orders in every})
+    for p in all_profiles(m, n, orbits="criteria+alternatives"):
+        assert p == Profile(p.orders) and p.ranks.dtype == np.int32
+
+
+def test_neutral_orbit_enumeration_is_lazy_and_bounded():
+    # (6, 3) has 62,891,499 sorted order tuples; drawing the first few
+    # orbits filters only the first chunks of them
+    first = list(itertools.islice(all_profiles(6, 3, orbits="criteria+alternatives"), 5))
+    assert [p.orders for p in first] == sorted({_least_in_orbit(p.orders) for p in first})
+    with pytest.raises(ValueError, match="m <= 6"):
+        next(all_profiles(7, 2, orbits="criteria+alternatives"))
+    with pytest.raises(ValueError, match="unknown orbits"):
+        next(all_profiles(3, 2, orbits="alternatives"))

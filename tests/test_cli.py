@@ -203,6 +203,28 @@ def test_verify_confirms_small_case(capsys):
     assert out == "status verified\nchecked 36\n"
 
 
+@pytest.mark.parametrize("flag, values", [("--m", ("3", "4")), ("--n", ("2", "5"))])
+def test_verify_rejects_a_repeated_size(capsys, flag, values):
+    argv = ["verify", "--proc", "7", "--axiom", "Mon1", "--m", "3", "--n", "2"]
+    for value in values[1:]:
+        argv += [flag, value]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: verify checks one size; {flag} was given 2 times\n"
+
+
+@pytest.mark.parametrize(
+    "flag", [("--mode", "random"), ("--samples", "5"), ("--seed", "3"), ("--subsets", "deletions")]
+)
+def test_verify_rejects_search_only_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--proc", "7", "--axiom", "Mon1", "--m", "3", "--n", "2", *flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
 def test_verify_budget_below_one_is_a_usage_error(capsys):
     code, out, err = run(
         capsys, "verify", "--proc", "7", "--axiom", "Mon1", "--m", "3", "--n", "2",

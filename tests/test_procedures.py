@@ -500,14 +500,47 @@ def test_apply_procedure_rejects_parameters_for_an_existing_rule():
             apply_procedure(rule, p, **params)
 
 
+# every parameterized rule at several parameters, and a seeded spread of
+# compositions across the input kinds
+DECLARING_RULES = (
+    [make_procedure(i) for i in range(1, 29) if i not in (4, 21)]
+    + [Procedure(4, q=q) for q in (1, 2, 3)]
+    + [Procedure(21, k=k) for k in (2, 3)]
+    + [QParetoRule(q) for q in (0, 1, 2)]
+    + [compose(a, b) for a, b in ((2, 1), (22, 1), (19, 7), (27, 28), (26, 23), (5, 11), (6, 17))]
+    + [compose(a, b) for a, b in np.random.default_rng(41).integers(1, 29, size=(12, 2)).tolist()]
+)
+
+
+@pytest.mark.parametrize("rule", DECLARING_RULES, ids=lambda rule: rule.label())
+def test_declared_symmetries_hold_on_random_profiles_and_subsets(rule):
+    """What search and verify rely on: a ``neutral`` rule's choice follows a
+    relabelling of the alternatives, and an ``anonymous`` rule's choice
+    ignores the order of the criteria, from every subset."""
+    assert rule.anonymous and rule.neutral
+    rng = np.random.default_rng(sum(map(ord, rule.label())))
+    for trial in range(60):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        p = generate_profile(m, n, seed=int(rng.integers(2**31)))
+        orders = p.orders
+        subset = frozenset(x for x in p.labels if rng.random() < 0.7) or frozenset(p.labels[:1])
+        rename = dict(zip(p.labels, rng.permutation(p.labels).tolist()))
+        relabelled = Profile([[rename[x] for x in order] for order in orders])
+        want = frozenset(rename[x] for x in rule.choose(p, subset))
+        assert rule.choose(relabelled, {rename[x] for x in subset}) == want, (trial, orders)
+        shuffled = Profile([orders[i] for i in rng.permutation(n)])
+        assert rule.choose(shuffled, subset) == rule.choose(p, subset), (trial, orders)
+
+
 def test_anonymity_is_declared_by_every_built_in_rule():
     for index in range(1, 29):
         assert make_procedure(index).anonymous
     assert QParetoRule(0).anonymous
     assert compose(27, 28).anonymous
+    # a cutoff callable may read one criterion or one label
     cutoff = Procedure(26, threshold=lambda g: 0.0)
-    assert not cutoff.anonymous
-    assert not compose(cutoff, 1).anonymous and not compose(1, cutoff).anonymous
+    for rule in (cutoff, compose(cutoff, 1), compose(1, cutoff)):
+        assert not rule.anonymous and not rule.neutral
 
 
 def test_choose_contracts_to_subset():
