@@ -25,6 +25,7 @@ import io
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
+from .axioms import AXIOMS as AXIOM_KEYS
 from .procedures import PROCEDURE_NAMES, Procedure, make_procedure
 
 __all__ = [
@@ -43,8 +44,6 @@ __all__ = [
     "DEGENERATE_IDS",
     "EQUIVALENT_TO",
 ]
-
-AXIOM_KEYS = ("H", "C", "O", "ACA", "MON1", "MON2", "SM", "NC")
 
 
 def encode_two_stage(first: int, second: int) -> int:

@@ -154,37 +154,32 @@ def run_off(p: Profile) -> frozenset[str]:
     return simple_majority(contract(p, finalists))
 
 
+def _eliminate(
+    p: Profile, doomed: Callable[[Profile], np.ndarray], majority: bool = False
+) -> frozenset[str]:
+    """The elimination family: contract ``p`` to what ``doomed`` spares,
+    recomputing on each contraction, until ``doomed`` marks no alternative
+    or every one.  With ``majority``, a strict first-place majority ends the
+    run before each round."""
+    while True:
+        if majority and (winner := simple_majority(p)):
+            return winner
+        drop = doomed(p)
+        if drop.all() or not drop.any():
+            return frozenset(p.labels)
+        p = contract(p, [lab for lab, d in zip(p.labels, drop) if not d])
+
+
 def hare(p: Profile) -> frozenset[str]:
     """Iteratively drop the alternatives with the fewest first places until
     one holds a strict majority of first places (or all remaining tie)."""
-    current = p
-    while True:
-        counts = first_places(current)
-        for lab, c in zip(current.labels, counts):
-            if 2 * int(c) > current.n:
-                return frozenset({lab})
-        if counts.min() == counts.max():
-            return frozenset(current.labels)
-        worst = counts.min()
-        keep = [lab for lab, c in zip(current.labels, counts) if c != worst]
-        current = contract(current, keep)
+    return _eliminate(p, lambda c: (s := first_places(c)) == s.min(), majority=True)
 
 
 def coombs(p: Profile) -> frozenset[str]:
     """Like Hare, but eliminate the alternatives named worst by the most
     criteria."""
-    current = p
-    while True:
-        firsts = first_places(current)
-        for lab, c in zip(current.labels, firsts):
-            if 2 * int(c) > current.n:
-                return frozenset({lab})
-        lasts = last_places(current)
-        if lasts.min() == lasts.max():
-            return frozenset(current.labels)
-        most = lasts.max()
-        keep = [lab for lab, c in zip(current.labels, lasts) if c != most]
-        current = contract(current, keep)
+    return _eliminate(p, lambda c: (s := last_places(c)) == s.max(), majority=True)
 
 
 def borda(p: Profile) -> frozenset[str]:
@@ -200,27 +195,13 @@ def black(p: Profile) -> frozenset[str]:
 def inverse_borda(p: Profile) -> frozenset[str]:
     """Delete the lowest Borda scorers (recomputing after each round) until
     all remaining alternatives tie."""
-    current = p
-    while True:
-        scores = borda_scores(current)
-        if scores.min() == scores.max():
-            return frozenset(current.labels)
-        worst = scores.min()
-        keep = [lab for lab, s in zip(current.labels, scores) if s != worst]
-        current = contract(current, keep)
+    return _eliminate(p, lambda c: (s := borda_scores(c)) == s.min())
 
 
 def nanson(p: Profile) -> frozenset[str]:
     """Delete everything with a strictly below-average Borda score, repeat
     until no deletion applies."""
-    current = p
-    while True:
-        scores = borda_scores(current)
-        mean = scores.sum() / len(scores)
-        keep = [lab for lab, s in zip(current.labels, scores) if s >= mean]
-        if len(keep) == current.m:
-            return frozenset(current.labels)
-        current = contract(current, keep)
+    return _eliminate(p, lambda c: (s := borda_scores(c)) < s.sum() / len(s))
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +215,17 @@ def condorcet_winner(mu: MajorityRelation) -> frozenset[str]:
     return frozenset(mu.labels[i] for i in idx)
 
 
+def _unbeaten(mu: MajorityRelation, beats: np.ndarray) -> frozenset[str]:
+    """The alternatives no alternative beats under ``beats`` (an m x m
+    relation over ``mu``'s labels): the shared last step of the core and
+    the covering rules."""
+    beaten = beats.any(axis=0)
+    return frozenset(lab for lab, b in zip(mu.labels, beaten) if not b)
+
+
 def core(mu: MajorityRelation) -> frozenset[str]:
     """Undominated alternatives: empty upper contour set."""
-    dominated = mu.matrix.any(axis=0)
-    return frozenset(lab for lab, d in zip(mu.labels, dominated) if not d)
+    return _unbeaten(mu, mu.matrix)
 
 
 def copeland(mu: MajorityRelation, variant: int) -> frozenset[str]:
@@ -273,36 +261,23 @@ def fishburn(mu: MajorityRelation) -> frozenset[str]:
     """Alternatives whose upper contour set is not a strict superset of any
     other's (undominated in the Fishburn auxiliary relation)."""
     upper = mu.matrix.T  # row x = indicator of D(x)
-    sub = _subset_rows(upper)
     sizes = upper.sum(axis=1)
-    gamma = sub & (sizes[:, None] < sizes[None, :])
-    chosen = ~gamma.any(axis=0)
-    return frozenset(lab for lab, c in zip(mu.labels, chosen) if c)
+    return _unbeaten(mu, _subset_rows(upper) & (sizes[:, None] < sizes[None, :]))
 
 
 def uncovered_1(mu: MajorityRelation) -> frozenset[str]:
     """Covering = beating plus upper-contour containment (D(x) within D(y))."""
-    upper = mu.matrix.T
-    cover = mu.matrix & _subset_rows(upper)
-    chosen = ~cover.any(axis=0)
-    return frozenset(lab for lab, c in zip(mu.labels, chosen) if c)
+    return _unbeaten(mu, mu.matrix & _subset_rows(mu.matrix.T))
 
 
 def uncovered_2(mu: MajorityRelation) -> frozenset[str]:
     """Covering = beating plus lower-contour containment (L(y) within L(x))."""
-    lower = mu.matrix
-    cover = mu.matrix & _subset_rows(lower).T
-    chosen = ~cover.any(axis=0)
-    return frozenset(lab for lab, c in zip(mu.labels, chosen) if c)
+    return _unbeaten(mu, mu.matrix & _subset_rows(mu.matrix).T)
 
 
 def richelson(mu: MajorityRelation) -> frozenset[str]:
     """Covering needs the beat and both contour containments at once."""
-    upper = mu.matrix.T
-    lower = mu.matrix
-    cover = mu.matrix & _subset_rows(upper) & _subset_rows(lower).T
-    chosen = ~cover.any(axis=0)
-    return frozenset(lab for lab, c in zip(mu.labels, chosen) if c)
+    return _unbeaten(mu, mu.matrix & _subset_rows(mu.matrix.T) & _subset_rows(mu.matrix).T)
 
 
 def _reach(adj: np.ndarray, start: int, blocked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -380,15 +355,9 @@ def minimal_undominated(mu: MajorityRelation) -> frozenset[str]:
     return frozenset().union(*minimal_undominated_sets(mu))
 
 
-def _attacker_masks(mu: MajorityRelation) -> list[int]:
-    """Per alternative, the bitmask of alternatives that beat it."""
-    masks = []
-    for j in range(mu.m):
-        mask = 0
-        for i in np.nonzero(mu.matrix[:, j])[0]:
-            mask |= 1 << int(i)
-        masks.append(mask)
-    return masks
+def _row_masks(matrix: np.ndarray) -> list[int]:
+    """Per row of a boolean matrix, the bitmask of the columns it marks."""
+    return [sum(1 << int(j) for j in np.flatnonzero(row)) for row in matrix]
 
 
 def _smallest_masks(m: int, qualifies: Callable[[int], bool]) -> list[int]:
@@ -425,7 +394,7 @@ def weakly_stable_sets(mu: MajorityRelation) -> list[frozenset[str]]:
     every stable set of the first size that admits one.
     """
     m = mu.m
-    att = _attacker_masks(mu)
+    att = _row_masks(mu.matrix.T)  # per alternative, the ones that beat it
     full = (1 << m) - 1
 
     def qualifies(mask: int) -> bool:
@@ -459,16 +428,11 @@ def k_stable_sets(mu: MajorityRelation, k: int) -> list[frozenset[str]]:
     m = mu.m
     adj = mu.matrix
     reach = adj.copy()
-    power = adj.copy()
+    power = adj
     for _ in range(k - 1):
-        power = (power.astype(np.uint8) @ adj.astype(np.uint8)) > 0
+        power = power @ adj  # a bool product: it counts no paths, so nothing wraps
         reach |= power
-    reach_masks = []
-    for i in range(m):
-        mask = 0
-        for j in np.nonzero(reach[i])[0]:
-            mask |= 1 << int(j)
-        reach_masks.append(mask)
+    reach_masks = _row_masks(reach)
     full = (1 << m) - 1
 
     def qualifies(mask: int) -> bool:
@@ -496,18 +460,15 @@ def threshold_order(g: GradeTable) -> list[frozenset[str]]:
 
     An alternative's signature counts its worst grades first: fewer bottom
     grades wins; ties move to the next grade up, and so on (lexicographic
-    comparison of grade-count vectors from worst grade to best).
+    comparison of grade-count vectors from worst grade to best).  Two grade
+    columns sorted ascending first differ where one moves past a grade the
+    other still repeats, so that comparison orders the sorted columns, and
+    the largest sorted column is the best.
     """
-    scale = g.scale()
-    signatures: dict[str, tuple[int, ...]] = {}
-    for lab in g.labels:
-        column = g.column(lab)
-        signatures[lab] = tuple(sum(1 for v in column if v == s) for s in scale)
-    classes: dict[tuple[int, ...], list[str]] = {}
-    for lab, sig in signatures.items():
-        classes.setdefault(sig, []).append(lab)
-    ordered = sorted(classes.items(), key=lambda kv: kv[0])
-    return [frozenset(labs) for _, labs in ordered]
+    classes: dict[tuple[int, ...], set[str]] = {}
+    for lab, column in zip(g.labels, np.sort(g.grades, axis=0).T.tolist()):
+        classes.setdefault(tuple(column), set()).add(lab)
+    return [frozenset(classes[key]) for key in sorted(classes, reverse=True)]
 
 
 def threshold_rule(g: GradeTable) -> frozenset[str]:

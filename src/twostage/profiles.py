@@ -332,9 +332,6 @@ class TournamentMatrix(_Universe):
     def support(self, x: str, y: str) -> int:
         return int(self.counts[self.index(x), self.index(y)])
 
-    def majority(self) -> MajorityRelation:
-        return MajorityRelation(self.labels, self.counts > self.counts.T)
-
 
 class GradeTable(_Universe):
     """Integer grades per (criterion, alternative); larger is better.
@@ -367,10 +364,6 @@ class GradeTable(_Universe):
 
     def column(self, label: str) -> tuple[int, ...]:
         return tuple(int(g) for g in self.grades[:, self.index(label)])
-
-    def scale(self) -> tuple[int, ...]:
-        """Sorted distinct grade values occurring in the table."""
-        return tuple(int(v) for v in np.unique(self.grades))
 
 
 # every input class by its kind

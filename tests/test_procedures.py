@@ -13,6 +13,7 @@ from twostage import (
     GradeTable,
     MajorityRelation,
     Profile,
+    all_profiles,
     apply_procedure,
     check_axiom,
     compose,
@@ -238,7 +239,12 @@ def test_scoring_rules_match_oracles():
 
 
 def test_elimination_rules_match_oracles():
-    for p in random_profiles(PROFILE_CASES, base_seed=500):
+    every_sorted = (
+        p
+        for m, n in [(3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3)]
+        for p in all_profiles(m, n, orbits=True)
+    )
+    for p in [*random_profiles(PROFILE_CASES, base_seed=500), *every_sorted]:
         orders = orders_of(p)
         assert run_off(p) == oracles.brute_run_off(orders)
         assert hare(p) == oracles.brute_hare(orders)
@@ -366,16 +372,24 @@ def test_super_threshold_hand_case():
     assert super_threshold(THRESHOLD_TABLE, threshold=lambda g: 7.5) == frozenset()
 
 
-def test_threshold_rules_match_oracles_random():
-    rng = np.random.default_rng(20260819)
-    for _ in range(200):
-        m = int(rng.integers(1, 6))
+def random_grade_tables(count, max_m, low, high, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = int(rng.integers(1, max_m + 1))
         n = int(rng.integers(1, 6))
-        labels = tuple("abcdefgh"[:m])
-        g = GradeTable(labels, rng.integers(1, 5, size=(n, m)))
+        yield GradeTable(tuple("abcdefgh"[:m]), rng.integers(low, high, size=(n, m)))
+
+
+def test_threshold_rules_match_oracles_random():
+    # the second batch adds zero and negative grades and m up to 8
+    for g in [
+        *random_grade_tables(200, 5, 1, 5, seed=20260819),
+        *random_grade_tables(400, 8, -3, 5, seed=20261018),
+    ]:
+        labels = g.labels
         columns = {lab: g.column(lab) for lab in labels}
         assert threshold_order(g) == oracles.brute_threshold_order(labels, columns)
-        for q in range(0, m + 1):
+        for q in range(0, g.m + 1):
             assert q_pareto(g, q) == oracles.brute_q_pareto(labels, columns, q)
 
 
@@ -649,6 +663,17 @@ def test_check_axiom_agrees_on_a_profile_and_its_grade_table():
             for axiom in ("MON1", "SM"):
                 with pytest.raises(ValueError, match="improvement move"):
                     check_axiom(rule, g, axiom)
+
+
+def test_k_stable_counts_no_paths_past_a_byte():
+    # x001 reaches x002 by exactly 256 two-step paths, through x003..x258
+    m = 258
+    beats = np.zeros((m, m), dtype=bool)
+    beats[0, 2:] = True
+    beats[2:, 1] = True
+    beats[1, 0] = True
+    mu = MajorityRelation(default_labels(m), beats)
+    assert k_stable_sets(mu, 2) == [frozenset({"x001"}), frozenset({"x002"})]
 
 
 def test_k_stable_rejects_k_of_one():
