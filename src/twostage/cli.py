@@ -8,6 +8,8 @@ profile), ``verify`` (exhaustive confirmation at one size), ``fixtures``
 
 Exit status: 0 on success, 1 when a check/verify finds a violation, a
 search comes back empty, or any fixture fails, 2 on usage or input errors.
+A command raises on a usage or input error, and :func:`main` is the one
+place that prints it, as a single ``error: <message>`` line on stderr.
 All chosen sets print sorted and brace-delimited, e.g. ``{a, b}`` or ``{}``.
 """
 
@@ -29,102 +31,68 @@ _BUDGET_ENV = "TWOSTAGE_BUDGET"
 
 
 def _default_budget() -> int:
-    raw = os.environ.get(_BUDGET_ENV)
-    if raw is None:
-        return 200_000
+    raw = os.environ.get(_BUDGET_ENV, "200000")
     try:
         value = int(raw)
-        if value < 1:
-            raise ValueError
-        return value
     except ValueError:
+        value = 0
+    if value < 1:
         print(f"error: {_BUDGET_ENV} must be a positive integer, got {raw!r}", file=sys.stderr)
-        raise SystemExit(2) from None
-
-
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
+    return value
 
 
 def _load_input(args) -> object:
-    chosen = [kind for kind in INPUT_PARSERS if getattr(args, kind, None)]
+    chosen = [kind for kind in INPUT_PARSERS if getattr(args, kind)]
     if len(chosen) != 1:
-        print("error: provide exactly one of --profile/--grades/--majority", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError("provide exactly one of --profile/--grades/--majority")
     path = getattr(args, chosen[0])
     try:
-        return INPUT_PARSERS[chosen[0]](_read_text(path))
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise OSError(f"cannot read {path}: {exc}") from None
+    try:
+        return INPUT_PARSERS[chosen[0]](text)
     except ProfileFormatError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ProfileFormatError(f"{path}: {exc}") from None
 
 
 def _subset(args):
-    if getattr(args, "subset", None):
+    if args.subset:
         return frozenset(x.strip() for x in args.subset.split(",") if x.strip())
     return None
 
 
 def _build_rule(args):
-    """Rule from --proc, --two-stage, or --first/--second."""
+    """Rule from --proc (where the command takes it), --two-stage, or
+    --first/--second."""
+    proc = getattr(args, "proc", None)
     has_pair = args.first is not None or args.second is not None
-    picked = sum([args.proc is not None, args.two_stage is not None, has_pair])
-    if picked != 1:
-        print(
-            "error: pick a rule with --proc NAME, --two-stage ID, or --first I --second J",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    try:
-        if args.proc is not None:
-            return make_procedure(args.proc, q=args.q, k=args.k)
-        if args.two_stage is not None:
-            return _catalog.two_stage_from_id(args.two_stage, q=args.q, k=args.k)
-        if args.first is None or args.second is None:
-            print("error: --first and --second go together", file=sys.stderr)
-            raise SystemExit(2)
-        return _catalog.compose(args.first, args.second, q=args.q, k=args.k)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-
-
-def _choose_with(choose, data, subset):
-    """``choose(data, subset)``, with an input the rule cannot read (or a
-    bad subset) reported as a usage error."""
-    try:
-        return choose(data, subset)
-    except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+    if sum([proc is not None, args.two_stage is not None, has_pair]) != 1:
+        rules = "--proc NAME, --two-stage ID, or" if hasattr(args, "proc") else "--two-stage ID or"
+        raise ValueError(f"pick a rule with {rules} --first I --second J")
+    if proc is not None:
+        return make_procedure(proc, q=args.q, k=args.k)
+    if args.two_stage is not None:
+        return _catalog.two_stage_from_id(args.two_stage, q=args.q, k=args.k)
+    if args.first is None or args.second is None:
+        raise ValueError("--first and --second go together")
+    return _catalog.compose(args.first, args.second, q=args.q, k=args.k)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each raises on a usage or input error, and main reports it
 # ---------------------------------------------------------------------------
 
 def _cmd_choose(args) -> int:
     rule = _build_rule(args)
-    data = _load_input(args)
-    print(_fmt_set(_choose_with(rule.choose, data, _subset(args))))
+    print(_fmt_set(rule.choose(_load_input(args), _subset(args))))
     return 0
 
 
 def _cmd_compose(args) -> int:
-    if args.first is None or args.second is None:
-        print("error: compose needs --first and --second", file=sys.stderr)
-        return 2
-    try:
-        rule = _catalog.compose(args.first, args.second, q=args.q, k=args.k)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    data = _load_input(args)
-    stage1, final = _choose_with(rule.choose_detailed, data, _subset(args))
+    rule = _build_rule(args)
+    stage1, final = rule.choose_detailed(_load_input(args), _subset(args))
     print(f"stage1 {_fmt_set(stage1)}")
     print(f"final {_fmt_set(final)}")
     return 0
@@ -133,12 +101,8 @@ def _cmd_compose(args) -> int:
 def _cmd_check(args) -> int:
     rule = _build_rule(args)
     data = _load_input(args)
-    try:
-        axiom = _axioms.normalize_axiom(args.axiom)
-        verdict = _axioms.check_axiom(rule, data, axiom, mon2_strict=args.mon2_strict)
-    except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    axiom = _axioms.normalize_axiom(args.axiom)
+    verdict = _axioms.check_axiom(rule, data, axiom, mon2_strict=args.mon2_strict)
     if verdict.holds:
         note = f" ({verdict.detail})" if verdict.detail else ""
         print(f"{axiom} holds{note}")
@@ -149,22 +113,18 @@ def _cmd_check(args) -> int:
 
 def _cmd_search(args) -> int:
     rule = _build_rule(args)
-    try:
-        axiom = _axioms.normalize_axiom(args.axiom)
-        cfg = _axioms.SearchConfig(
-            m_values=tuple(args.m or (3,)),
-            n_values=tuple(args.n or (3,)),
-            mode=args.mode,
-            samples=args.samples,
-            seed=args.seed,
-            budget=args.budget,
-            subset_strategy=args.subsets,
-            mon2_strict=args.mon2_strict,
-        )
-        result = _axioms.search_counterexample(rule, axiom, cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    axiom = _axioms.normalize_axiom(args.axiom)
+    cfg = _axioms.SearchConfig(
+        m_values=tuple(args.m or (3,)),
+        n_values=tuple(args.n or (3,)),
+        mode=args.mode,
+        samples=args.samples,
+        seed=args.seed,
+        budget=args.budget,
+        subset_strategy=args.subsets,
+        mon2_strict=args.mon2_strict,
+    )
+    result = _axioms.search_counterexample(rule, axiom, cfg)
     print(f"status {result.status}")
     print(f"examined {result.examined}")
     if result.found:
@@ -178,19 +138,13 @@ def _cmd_verify(args) -> int:
     rule = _build_rule(args)
     for flag, values in (("--m", args.m), ("--n", args.n)):
         if values and len(values) > 1:
-            print(f"error: verify checks one size; {flag} was given {len(values)} times",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"verify checks one size; {flag} was given {len(values)} times")
     m = (args.m or (3,))[0]
     n = (args.n or (3,))[0]
-    try:
-        axiom = _axioms.normalize_axiom(args.axiom)
-        outcome = _axioms.verify_bounded(
-            rule, axiom, m, n, budget=args.budget, mon2_strict=args.mon2_strict
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    axiom = _axioms.normalize_axiom(args.axiom)
+    outcome = _axioms.verify_bounded(
+        rule, axiom, m, n, budget=args.budget, mon2_strict=args.mon2_strict
+    )
     print(f"status {outcome.status}")
     print(f"checked {outcome.checked}")
     if outcome.status == "refuted":
@@ -199,24 +153,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    directory = args.dir
-    try:
-        reports = _fixtures.run_corpus(directory)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    reports = _fixtures.run_corpus(args.dir)
     if not reports:
-        print("error: no fixtures found", file=sys.stderr)
-        return 2
-    failed = 0
+        raise ValueError("no fixtures found")
+    failed = sum(not report.passed for report in reports)
     for report in reports:
-        mark = "PASS" if report.passed else "FAIL"
-        print(f"{mark}  {report.name}  ({len(report.checks)} checks)")
-        if not report.passed:
-            failed += 1
-            for c in report.checks:
-                if not c.passed:
-                    print(f"      failed: {c.description} -- {c.detail}")
+        print(f"{'PASS' if report.passed else 'FAIL'}  {report.name}  ({len(report.checks)} checks)")
+        for c in report.checks:
+            if not c.passed:
+                print(f"      failed: {c.description} -- {c.detail}")
     print(f"total {len(reports)} fixtures, {len(reports) - failed} passed, {failed} failed")
     return 0 if failed == 0 else 1
 
@@ -225,26 +170,16 @@ def _cmd_bench(args) -> int:
     if args.suite in ("scaling", "all"):
         m_values = tuple(m for m in _bench.DEFAULT_M_GRID if m <= args.m_max)
         if not m_values:
-            print(f"error: --m-max must be at least {_bench.DEFAULT_M_GRID[0]}", file=sys.stderr)
-            return 2
-        results = []
-        for spec in (7, 27, 28, 23):
-            results.append(
-                _bench.run_scaling(
-                    spec,
-                    m_values=m_values,
-                    n=10,
-                    seed=args.seed,
-                    budget_seconds=args.budget_seconds,
-                )
+            raise ValueError(f"--m-max must be at least {_bench.DEFAULT_M_GRID[0]}")
+        results = [
+            _bench.run_scaling(
+                spec, m_values=m_values, n=10, seed=args.seed, budget_seconds=args.budget_seconds
             )
+            for spec in (7, 27, 28, 23)
+        ]
         print(_bench.scaling_report(results), end="")
     if args.suite in ("groups", "all"):
-        try:
-            report = _bench.run_groups(m=args.group_m, n=10, seed=args.seed)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        report = _bench.run_groups(m=args.group_m, n=10, seed=args.seed)
         print("group\tfirst\tsecond\tseconds")
         for row in report.rows:
             print(f"{row.group}\t{row.first}\t{row.second}\t{row.seconds:.6g}")
@@ -268,8 +203,7 @@ def _cmd_catalog(args) -> int:
         try:
             Path(args.out).write_text(text, encoding="utf-8")
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
+            raise OSError(f"cannot write {args.out}: {exc}") from None
         print(f"wrote {args.out}")
     else:
         print(text, end="")
@@ -280,8 +214,9 @@ def _cmd_catalog(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_rule_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--proc", help="procedure index (1..28), mnemonic name, or 'qpareto'")
+def _add_rule_flags(sub: argparse.ArgumentParser, proc: bool = True):
+    if proc:
+        sub.add_argument("--proc", help="procedure index (1..28), mnemonic name, or 'qpareto'")
     sub.add_argument("--two-stage", type=int, dest="two_stage",
                      help="two-stage id in 1..784")
     sub.add_argument("--first", type=int, help="first-stage index 1..28")
@@ -290,11 +225,12 @@ def _add_rule_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--k", type=int, help="reach bound for k-stable sets (k > 1)")
 
 
-def _add_input_flags(sub: argparse.ArgumentParser):
+def _add_input_flags(sub: argparse.ArgumentParser, subset: bool = True):
     sub.add_argument("--profile", help="profile file (labels line, then one order per criterion)")
     sub.add_argument("--grades", help="grade-table file (labels line, then one grade row per criterion)")
     sub.add_argument("--majority", help="majority-matrix file (labels line, then 0/1 rows)")
-    sub.add_argument("--subset", help="comma-separated alternatives to restrict to")
+    if subset:
+        sub.add_argument("--subset", help="comma-separated alternatives to restrict to")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,13 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_choose)
 
     p = subs.add_parser("compose", help="apply a two-stage rule")
-    _add_rule_flags(p)
+    _add_rule_flags(p, proc=False)
     _add_input_flags(p)
     p.set_defaults(fn=_cmd_compose)
 
     p = subs.add_parser("check", help="check one normative condition on one input")
     _add_rule_flags(p)
-    _add_input_flags(p)
+    _add_input_flags(p, subset=False)
     p.add_argument("--axiom", required=True, help="H, C, O, ACA, Mon1, Mon2, SM, or NC")
     p.add_argument("--mon2-strict", action="store_true",
                    help="require both members of a chosen pair to survive removal")
@@ -366,15 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
     except BrokenPipeError:
         return 0
+    except (ValueError, TypeError, KeyError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 import yaml
 
@@ -85,11 +85,26 @@ def corpus_dir() -> Path:
     return Path(importlib.resources.files("twostage") / "data" / "fixtures")
 
 
-def _parse_input(spec: dict[str, Any]):
-    parse = INPUT_PARSERS.get(spec["kind"])
-    if parse is None:
-        raise ValueError(f"unknown input kind {spec['kind']!r}")
-    return parse(spec["text"])
+def _lookup(table: dict[str, Any], key, what: str):
+    if key not in table:
+        raise ValueError(f"unknown {what} {key!r}")
+    return table[key]
+
+
+_COUNTS = {
+    "first_place": first_place_counts,
+    "last_place": last_place_counts,
+    "borda": borda_counts,
+}
+
+# each minimal-set family from a relation and the reach bound k, which only
+# k-stable sets read
+_MINIMAL_SETS = {
+    "weakly_stable": lambda mu, k: weakly_stable_sets(mu),
+    "dominant": lambda mu, k: minimal_dominant_sets(mu),
+    "undominated": lambda mu, k: minimal_undominated_sets(mu),
+    "k_stable": k_stable_sets,
+}
 
 
 def _build_rule(spec: dict[str, Any] | None):
@@ -103,32 +118,8 @@ def _build_rule(spec: dict[str, Any] | None):
     raise ValueError("rule must name either a procedure or a two-stage pair")
 
 
-def _apply_transforms(obj, steps: list[dict[str, Any]] | None):
-    if not steps:
-        return obj
-    for step in steps:
-        if "improve" in step:
-            spec = step["improve"]
-            change = RankImprovement(
-                spec["target"], int(spec["criterion"]) - 1, int(spec["steps"])
-            )
-            obj = improve(obj, change)
-        elif "perturb" in step:
-            spec = step["perturb"]
-            obj = perturb_majority(obj, spec["winner"], spec["loser"])
-        elif step.get("realize"):
-            obj = _axioms.realizing_profile(obj)
-        else:
-            raise ValueError(f"unknown transform {step!r}")
-    return obj
-
-
-def _expect_set(value) -> frozenset[str]:
-    return frozenset() if value is None else frozenset(str(v) for v in value)
-
-
-def _expect_sets(value) -> list[frozenset[str]]:
-    return [_expect_set(v) for v in value]
+def _by_size(s: frozenset[str]):
+    return len(s), sorted(s)
 
 
 def _sets_repr(sets: Iterable[Iterable[str]]) -> str:
@@ -139,36 +130,86 @@ class _FixtureRunner:
     def __init__(self, doc: dict[str, Any]):
         self.name = doc["name"]
         self.title = doc.get("title", "")
-        raw = doc.get("inputs", {})
-        self.inputs = {key: _parse_input(spec) for key, spec in raw.items()}
+        raw = self._mapping(doc.get("inputs", {}), "inputs")
+        self.inputs = {key: self._parse_input(key, spec) for key, spec in raw.items()}
         self.rule = _build_rule(doc.get("rule"))
         self.checks = doc.get("checks", [])
         self.results: list[CheckResult] = []
 
+    def _invalid(self, message: str) -> ValueError:
+        return ValueError(f"fixture {self.name}: {message}")
+
+    def _mapping(self, value, what: str) -> dict[str, Any]:
+        if not isinstance(value, dict):
+            raise self._invalid(f"{what} must be a mapping")
+        return value
+
+    def _listed(self, value, what: str):
+        """``value``, refused as a bare string, which would read as its characters."""
+        if isinstance(value, str):
+            raise self._invalid(f"write {what} as a list, not the string {value!r}")
+        return value
+
+    def _set(self, value) -> frozenset[str]:
+        value = self._listed(value, "a set")
+        return frozenset() if value is None else frozenset(str(v) for v in value)
+
+    def _sets(self, value) -> list[frozenset[str]]:
+        return [self._set(v) for v in self._listed(value, "a list of sets")]
+
+    def _parse_input(self, key: str, spec) -> object:
+        spec = self._mapping(spec, f"input {key!r}")
+        parse = _lookup(INPUT_PARSERS, spec["kind"], "input kind")
+        if not isinstance(spec["text"], str):
+            raise self._invalid(f"the text of input {key!r} must be a string")
+        return parse(spec["text"])
+
     def _input(self, check: dict[str, Any]):
         name = check.get("input", "main")
         if name not in self.inputs:
-            raise ValueError(f"fixture {self.name} has no input named {name!r}")
-        return _apply_transforms(self.inputs[name], check.get("apply"))
+            raise self._invalid(f"no input named {name!r}")
+        obj = self.inputs[name]
+        for step in check.get("apply") or ():
+            step = self._mapping(step, "a transform")
+            if "improve" in step:
+                spec = step["improve"]
+                change = RankImprovement(
+                    spec["target"], int(spec["criterion"]) - 1, int(spec["steps"])
+                )
+                obj = improve(obj, change)
+            elif "perturb" in step:
+                spec = step["perturb"]
+                obj = perturb_majority(obj, spec["winner"], spec["loser"])
+            elif step.get("realize"):
+                obj = _axioms.realizing_profile(obj)
+            else:
+                raise ValueError(f"unknown transform {step!r}")
+        return obj
 
     def _read(self, check: dict[str, Any], kind: str, subset: frozenset[str] | None = None):
         """The check's input as a ``kind`` kernel reads it."""
         where = f"fixture {self.name}: {check['op']}"
         return _kernel_input(kind, self._input(check), subset, where)
 
+    def _subset(self, check: dict[str, Any]) -> frozenset[str] | None:
+        subset = check.get("subset")
+        return self._set(subset) if subset else None
+
     def _rule_for(self, check: dict[str, Any]):
         if "rule" in check:
             return _build_rule(check["rule"])
         if self.rule is None:
-            raise ValueError(f"fixture {self.name}: check needs a rule")
+            raise self._invalid("check needs a rule")
         return self.rule
 
-    def _record(self, description: str, passed: bool, detail: str = ""):
-        self.results.append(CheckResult(description, passed, detail))
+    def _record(self, description: str, got, want, shown: Callable[[Any], str]):
+        """One check, passed when ``got == want``, with ``got`` as ``shown`` renders it."""
+        self.results.append(CheckResult(description, got == want, f"got {shown(got)}"))
 
     # ------------------------------------------------------------------
     def run(self) -> FixtureReport:
-        for check in self.checks:
+        for number, check in enumerate(self.checks, start=1):
+            check = self._mapping(check, f"check {number}")
             op = check["op"]
             handler = getattr(self, f"_op_{op}", None)
             if handler is None:
@@ -180,118 +221,68 @@ class _FixtureRunner:
     def _op_choose(self, check):
         rule = self._rule_for(check)
         obj = self._input(check)
-        subset = check.get("subset")
-        subset_fs = frozenset(subset) if subset else None
+        subset = self._subset(check)
         where = f" on {_fmt_set(subset)}" if subset else ""
         if "expect_stage1" in check:
-            stage1, final = rule.choose_detailed(obj, subset_fs)
-            want = _expect_set(check["expect_stage1"])
-            self._record(
-                f"first stage{where} -> {_fmt_set(want)}",
-                stage1 == want,
-                f"got {_fmt_set(stage1)}",
-            )
+            if not hasattr(rule, "choose_detailed"):
+                raise self._invalid("expect_stage1 needs a two-stage rule")
+            stage1, final = rule.choose_detailed(obj, subset)
+            want = self._set(check["expect_stage1"])
+            self._record(f"first stage{where} -> {_fmt_set(want)}", stage1, want, _fmt_set)
         else:
-            final = rule.choose(obj, subset_fs)
-        want = _expect_set(check["expect"])
-        self._record(
-            f"choice{where} -> {_fmt_set(want)}",
-            final == want,
-            f"got {_fmt_set(final)}",
-        )
+            final = rule.choose(obj, subset)
+        want = self._set(check["expect"])
+        self._record(f"choice{where} -> {_fmt_set(want)}", final, want, _fmt_set)
 
     def _op_counts(self, check):
         p = self._read(check, "profile")
         which = check["counts"]
-        fn = {
-            "first_place": first_place_counts,
-            "last_place": last_place_counts,
-            "borda": borda_counts,
-        }[which]
-        got = fn(p)
+        got = _lookup(_COUNTS, which, "counts")(p)
         want = {str(k): int(v) for k, v in check["expect"].items()}
-        self._record(f"{which} counts = {want}", got == want, f"got {got}")
+        self._record(f"{which} counts = {want}", got, want, str)
 
     def _op_majority_edges(self, check):
-        mu = self._read(check, "mu")
-        got = sorted(mu.edges())
+        got = sorted(self._read(check, "mu").edges())
         want = sorted((str(x), str(y)) for x, y in check["expect"])
-        self._record(
-            f"majority edges = {want}",
-            got == want,
-            f"got {got}",
-        )
+        self._record(f"majority edges = {want}", got, want, str)
 
     def _op_support(self, check):
         t = self._read(check, "support")
-        ok = True
-        detail = ""
-        for x, row in check["expect"].items():
-            for y, count in row.items():
-                got = t.support(str(x), str(y))
-                if got != int(count):
-                    ok = False
-                    detail = f"support({x}, {y}) = {got}, expected {count}"
-                    break
-            if not ok:
-                break
-        self._record("pairwise support matrix", ok, detail)
+        expect = check["expect"]
+        want = {str(x): {str(y): int(n) for y, n in row.items()} for x, row in expect.items()}
+        got = {x: {y: t.support(x, y) for y in row} for x, row in want.items()}
+        self._record("pairwise support matrix", got, want, str)
 
     def _op_grade_table(self, check):
         g = self._read(check, "grades")
-        ok = True
-        detail = ""
-        for label, column in check["expect"].items():
-            got = list(g.column(str(label)))
-            want = [int(v) for v in column]
-            if got != want:
-                ok = False
-                detail = f"grades of {label}: got {got}, expected {want}"
-                break
-        self._record("grade table", ok, detail)
+        want = {str(label): [int(v) for v in column] for label, column in check["expect"].items()}
+        got = {label: list(g.column(label)) for label in want}
+        self._record("grade table", got, want, str)
 
     def _op_threshold_order(self, check):
         got = [frozenset(c) for c in threshold_order(self._read(check, "grades"))]
-        want = _expect_sets(check["expect"])
-        self._record(
-            f"threshold order = {_sets_repr(want)}",
-            got == want,
-            f"got {_sets_repr(got)}",
-        )
+        want = self._sets(check["expect"])
+        self._record(f"threshold order = {_sets_repr(want)}", got, want, _sets_repr)
 
     def _op_minimal_sets(self, check):
-        subset = check.get("subset")
-        mu = self._read(check, "mu", frozenset(subset) if subset else None)
+        subset = self._subset(check)
+        mu = self._read(check, "mu", subset)
         which = check["solution"]
-        if which == "weakly_stable":
-            got = weakly_stable_sets(mu)
-        elif which == "dominant":
-            got = minimal_dominant_sets(mu)
-        elif which == "undominated":
-            got = minimal_undominated_sets(mu)
-        elif which == "k_stable":
-            got = k_stable_sets(mu, int(check.get("k", 2)))
-        else:
-            raise ValueError(f"unknown solution family {which!r}")
-        got = list(got)
-        want = _expect_sets(check["expect"])
+        got = _lookup(_MINIMAL_SETS, which, "solution family")(mu, int(check.get("k", 2)))
+        want = self._sets(check["expect"])
         where = f" on {_fmt_set(subset)}" if subset else ""
         self._record(
             f"minimal {which} sets{where} = {_sets_repr(want)}",
-            sorted(got, key=lambda s: (len(s), sorted(s)))
-            == sorted(want, key=lambda s: (len(s), sorted(s))),
-            f"got {_sets_repr(got)}",
+            sorted(got, key=_by_size),
+            sorted(want, key=_by_size),
+            _sets_repr,
         )
 
     def _op_qpareto(self, check):
         q = int(check["q"])
         got = q_pareto(self._read(check, "grades"), q)
-        want = _expect_set(check["expect"])
-        self._record(
-            f"q-Pareto at q={q} -> {_fmt_set(want)}",
-            got == want,
-            f"got {_fmt_set(got)}",
-        )
+        want = self._set(check["expect"])
+        self._record(f"q-Pareto at q={q} -> {_fmt_set(want)}", got, want, _fmt_set)
 
     def _op_axiom(self, check):
         rule = self._rule_for(check)
@@ -300,17 +291,12 @@ class _FixtureRunner:
         strict = bool(check.get("mon2_strict", False))
         verdict = _axioms.check_axiom(rule, obj, axiom, mon2_strict=strict)
         want_holds = {"holds": True, "violated": False}[check["expect"]]
-        detail = ""
-        if verdict.holds != want_holds:
-            detail = (
-                verdict.witness.description
-                if verdict.witness
-                else "no violation found"
-            )
+        found = f"a violation: {verdict.witness.description}" if verdict.witness else "no violation"
         self._record(
             f"axiom {axiom} {'holds' if want_holds else 'is violated'}",
-            verdict.holds == want_holds,
-            detail,
+            verdict.holds,
+            want_holds,
+            lambda holds: found,
         )
 
 
@@ -319,11 +305,10 @@ def run_fixture(doc: dict[str, Any]) -> FixtureReport:
 
 
 def run_fixture_file(path: str | Path) -> FixtureReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    try:
+        doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except yaml.YAMLError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a fixture document must be a mapping")
     return run_fixture(doc)
@@ -331,7 +316,4 @@ def run_fixture_file(path: str | Path) -> FixtureReport:
 
 def run_corpus(directory: str | Path | None = None) -> list[FixtureReport]:
     base = Path(directory) if directory is not None else corpus_dir()
-    reports = []
-    for path in sorted(base.glob("*.yaml")):
-        reports.append(run_fixture_file(path))
-    return reports
+    return [run_fixture_file(path) for path in sorted(base.glob("*.yaml"))]

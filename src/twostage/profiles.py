@@ -447,12 +447,14 @@ def parse_grade_table(text: str) -> GradeTable:
                 f"expected {len(labels)} grades, got {len(parts)}", line=no
             )
         try:
-            rows.append([int(v) for v in parts])
+            rows.append(np.array([int(v) for v in parts], dtype=np.int64))
         except ValueError:
             raise ProfileFormatError("grades must be integers", line=no) from None
+        except OverflowError:
+            raise ProfileFormatError("grades must lie within signed 64-bit range", line=no) from None
     # columns follow the order labels were named on line 1; realign to sorted
     order = np.argsort(np.array(labels))
-    grades = np.array(rows, dtype=np.int64)[:, order]
+    grades = np.array(rows)[:, order]
     return GradeTable(sorted(labels), grades)
 
 

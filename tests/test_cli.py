@@ -87,6 +87,17 @@ def test_compose_requires_both_stages(capsys, files):
     assert "error:" in err
 
 
+def test_compose_takes_a_two_stage_id(capsys, files):
+    code, out, err = run(capsys, "compose", "--two-stage", "29", "--profile", files["wide"])
+    assert (code, out, err) == (0, "stage1 {a, b, d}\nfinal {}\n", "")
+
+
+def test_compose_without_a_rule_names_its_rule_flags(capsys, files):
+    code, out, err = run(capsys, "compose", "--profile", files["wide"])
+    assert (code, out) == (2, "")
+    assert err == "error: pick a rule with --two-stage ID or --first I --second J\n"
+
+
 def test_compose_rejects_grade_table_input(capsys, files):
     code, _, err = run(
         capsys, "compose", "--first", "2", "--second", "7", "--grades", files["pareto"]
@@ -213,12 +224,22 @@ def test_verify_rejects_a_repeated_size(capsys, flag, values):
     assert err == f"error: verify checks one size; {flag} was given 2 times\n"
 
 
-@pytest.mark.parametrize(
-    "flag", [("--mode", "random"), ("--samples", "5"), ("--seed", "3"), ("--subsets", "deletions")]
-)
-def test_verify_rejects_search_only_flags(capsys, flag):
+@pytest.mark.parametrize("command, flag", [
+    ("verify", ("--mode", "random")),
+    ("verify", ("--samples", "5")),
+    ("verify", ("--seed", "3")),
+    ("verify", ("--subsets", "deletions")),
+    ("compose", ("--proc", "7")),
+    ("check", ("--subset", "zz")),
+])
+def test_a_flag_the_command_does_not_take_is_a_usage_error(capsys, files, command, flag):
+    argv = {
+        "verify": ["verify", "--proc", "7", "--axiom", "Mon1", "--m", "3", "--n", "2"],
+        "compose": ["compose", "--first", "2", "--second", "1", "--profile", files["wide"]],
+        "check": ["check", "--proc", "7", "--axiom", "H", "--profile", files["wide"]],
+    }[command]
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--proc", "7", "--axiom", "Mon1", "--m", "3", "--n", "2", *flag])
+        main([*argv, *flag])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -353,7 +374,19 @@ def test_fixtures_rejects_an_op_its_input_cannot_feed(capsys, tmp_path, op, fiel
     assert err == f"error: fixture bad: {op} needs {wanted}, not a majority relation\n"
 
 
+def test_fixtures_rejects_a_document_of_the_wrong_shape(capsys, tmp_path):
+    (tmp_path / "bad.yaml").write_text("name: bad\ninputs: [1, 2]\n", encoding="utf-8")
+    code, out, err = run(capsys, "fixtures", "--dir", str(tmp_path))
+    assert (code, out, err) == (2, "", "error: fixture bad: inputs must be a mapping\n")
+
+
 # -- bench --------------------------------------------------------------------
+
+@pytest.mark.parametrize("suite", ["scaling", "groups"])
+def test_bench_negative_seed_is_a_usage_error(capsys, suite):
+    code, out, err = run(capsys, "bench", "--suite", suite, "--seed", "-1", "--m-max", "1000")
+    assert (code, out, err) == (2, "", "error: expected non-negative integer\n")
+
 
 def test_bench_groups_suite(capsys):
     code, out, _ = run(capsys, "bench", "--suite", "groups", "--group-m", "40")
@@ -454,6 +487,14 @@ def test_unreadable_input_file(capsys):
     assert "cannot read" in err
 
 
+def test_an_input_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "p.txt"
+    path.write_bytes(b"a b\n\xff\n")
+    code, out, err = run(capsys, "choose", "--proc", "2", "--profile", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+
+
 @pytest.mark.parametrize("text, line", [
     ("a b c\n- 1 1\n1 - 0\n0 1 -\n", 3),  # a and b beat each other
     ("a b c\n1 1 1\n0 - 1\n0 0 -\n", 2),  # a beats itself
@@ -464,6 +505,14 @@ def test_impossible_majority_matrix_is_an_input_error(capsys, tmp_path, text, li
     code, out, err = run(capsys, "choose", "--proc", "core", "--majority", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {path}: line {line}: ")
+
+
+def test_a_grade_past_64_bits_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("a b\n99999999999999999999999 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "choose", "--proc", "22", "--grades", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: line 2: grades must lie within signed 64-bit range\n"
 
 
 def test_malformed_profile_file(capsys, tmp_path):

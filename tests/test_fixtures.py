@@ -173,6 +173,41 @@ def test_fixture_ops_reject_an_input_kind_they_cannot_read(op, kind, fields):
         run_fixture(doc)
 
 
+SET_AS_STRING = "write a set as a list, not the string 'ab'"
+
+
+@pytest.mark.parametrize("body, message", [
+    pytest.param("inputs: [1, 2]\n", "inputs must be a mapping", id="inputs"),
+    pytest.param("inputs:\n  main: profile\n", "input 'main' must be a mapping", id="input"),
+    pytest.param("inputs:\n  main: {kind: profile, text: 5}\n",
+                 "the text of input 'main' must be a string", id="text"),
+    pytest.param("checks: [choose]\n", "check 1 must be a mapping", id="check"),
+    pytest.param("checks:\n  - {op: choose, apply: [realize], expect: [a]}\n",
+                 "a transform must be a mapping", id="transform"),
+    pytest.param("checks:\n  - {op: choose, expect: ab}\n", SET_AS_STRING, id="expect"),
+    pytest.param("checks:\n  - {op: choose, subset: ab, expect: [a]}\n", SET_AS_STRING,
+                 id="subset"),
+    pytest.param("checks:\n  - {op: choose, rule: {two_stage: [2, 7]}, expect_stage1: ab, "
+                 "expect: [a]}\n", SET_AS_STRING, id="expect_stage1"),
+    pytest.param("checks:\n  - {op: choose, expect_stage1: [a], expect: [a]}\n",
+                 "expect_stage1 needs a two-stage rule", id="expect_stage1-one-stage"),
+    pytest.param("checks:\n  - {op: qpareto, q: 0, expect: ab}\n", SET_AS_STRING, id="qpareto"),
+    pytest.param("checks:\n  - {op: threshold_order, expect: ab}\n",
+                 "write a list of sets as a list, not the string 'ab'", id="set-list"),
+    pytest.param("checks:\n  - {op: minimal_sets, solution: dominant, expect: [ab]}\n",
+                 SET_AS_STRING, id="set-list-member"),
+])
+def test_fixture_documents_of_the_wrong_shape_name_the_fixture(tmp_path, body, message):
+    head = "name: bad\nrule: {procedure: 7}\n"
+    if not body.startswith("inputs"):
+        head += "inputs:\n  main: {kind: profile, text: \"a b\\nb a\\na b\\n\"}\n"
+    path = tmp_path / "bad.yaml"
+    path.write_text(head + body, encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        run_fixture_file(path)
+    assert str(exc.value) == f"fixture bad: {message}"
+
+
 def test_corpus_covers_the_required_minimum():
     # the documented minimum replay set for the acceptance gate
     required = {

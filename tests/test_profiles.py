@@ -161,6 +161,11 @@ def test_parse_grade_table_rejects_bad_rows():
         parse_grade_table("a b\n1 x\n")
     with pytest.raises(ProfileFormatError):
         parse_grade_table("a b\n")
+    for grade in ("99999999999999999999999", "-9223372036854775809"):
+        with pytest.raises(ProfileFormatError, match="^line 3: grades must lie within signed 64-bit"):
+            parse_grade_table(f"a b\n1 2\n{grade} 1\n")
+    bounds = parse_grade_table("a b\n-9223372036854775808 9223372036854775807\n")
+    assert bounds.column("b") == (9223372036854775807,)
 
 
 def test_majority_matrix_round_trip():
