@@ -107,17 +107,6 @@ _MINIMAL_SETS = {
 }
 
 
-def _build_rule(spec: dict[str, Any] | None):
-    if spec is None:
-        return None
-    if "two_stage" in spec:
-        first, second = spec["two_stage"]
-        return _catalog.compose(first, second, q=spec.get("q"), k=spec.get("k"))
-    if "procedure" in spec:
-        return make_procedure(spec["procedure"], q=spec.get("q"), k=spec.get("k"))
-    raise ValueError("rule must name either a procedure or a two-stage pair")
-
-
 def _by_size(s: frozenset[str]):
     return len(s), sorted(s)
 
@@ -132,8 +121,10 @@ class _FixtureRunner:
         self.title = doc.get("title", "")
         raw = self._mapping(doc.get("inputs", {}), "inputs")
         self.inputs = {key: self._parse_input(key, spec) for key, spec in raw.items()}
-        self.rule = _build_rule(doc.get("rule"))
+        self.rule = self._rule(doc.get("rule"), "rule")
         self.checks = doc.get("checks", [])
+        if not isinstance(self.checks, list):
+            raise self._invalid("checks must be a list")
         self.results: list[CheckResult] = []
 
     def _invalid(self, message: str) -> ValueError:
@@ -143,6 +134,19 @@ class _FixtureRunner:
         if not isinstance(value, dict):
             raise self._invalid(f"{what} must be a mapping")
         return value
+
+    def _rule(self, spec, what: str):
+        if spec is None:
+            return None
+        spec = self._mapping(spec, what)
+        if "two_stage" in spec:
+            pair = spec["two_stage"]
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise self._invalid(f"the two_stage of {what} must be a list of two procedures")
+            return _catalog.compose(*pair, q=spec.get("q"), k=spec.get("k"))
+        if "procedure" in spec:
+            return make_procedure(spec["procedure"], q=spec.get("q"), k=spec.get("k"))
+        raise self._invalid(f"{what} must name either a procedure or a two-stage pair")
 
     def _listed(self, value, what: str):
         """``value``, refused as a bare string, which would read as its characters."""
@@ -197,7 +201,7 @@ class _FixtureRunner:
 
     def _rule_for(self, check: dict[str, Any]):
         if "rule" in check:
-            return _build_rule(check["rule"])
+            return self._rule(check["rule"], "a check's rule")
         if self.rule is None:
             raise self._invalid("check needs a rule")
         return self.rule

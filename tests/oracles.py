@@ -193,6 +193,33 @@ def brute_richelson(labels, edges):
     )
 
 
+# -- pairwise counts and grades of plain order lists -------------------------
+
+def brute_support(orders):
+    """support[x][y] = number of orders placing x above y, for x != y."""
+    support = {x: {y: 0 for y in orders[0] if y != x} for x in orders[0]}
+    for order in orders:
+        for i, x in enumerate(order):
+            row = support[x]
+            for y in order[i + 1:]:
+                row[y] += 1
+    return support
+
+
+def brute_majority_edges(orders):
+    """Pairs (x, y) that a strict majority of the orders place x above y."""
+    n = len(orders)
+    return {
+        (x, y) for x, row in brute_support(orders).items() for y, s in row.items() if 2 * s > n
+    }
+
+
+def brute_grade_columns(orders):
+    """columns[x] = x's grade in each order: m for a best place, 1 for a worst."""
+    m = len(orders[0])
+    return {x: tuple(m - order.index(x) for order in orders) for x in orders[0]}
+
+
 # -- simple relation rules ---------------------------------------------------
 
 def brute_condorcet(labels, edges):
@@ -223,7 +250,7 @@ def brute_copeland(labels, edges, variant):
 def brute_minimax(labels, support):
     """support[x][y] = number of criteria ranking x above y."""
     worst = {
-        x: max(support[y][x] for y in labels if y != x) for x in labels
+        x: max((support[y][x] for y in labels if y != x), default=0) for x in labels
     }
     best = min(worst.values())
     return frozenset(x for x, w in worst.items() if w == best)
@@ -231,7 +258,7 @@ def brute_minimax(labels, support):
 
 def brute_simpson(labels, support):
     weakest = {
-        x: min(support[x][y] for y in labels if y != x) for x in labels
+        x: min((support[x][y] for y in labels if y != x), default=0) for x in labels
     }
     best = max(weakest.values())
     return frozenset(x for x, w in weakest.items() if w == best)
@@ -258,6 +285,13 @@ def brute_threshold_order(labels, columns):
         else:
             classes.append(frozenset({x}))
     return classes
+
+
+def brute_super_threshold(labels, columns):
+    """Alternatives whose grade sum is at least the mean grade sum."""
+    sums = {x: sum(columns[x]) for x in labels}
+    mean = sum(sums.values()) / len(labels)
+    return frozenset(x for x in labels if sums[x] >= mean)
 
 
 def brute_q_pareto(labels, columns, q):

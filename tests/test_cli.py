@@ -380,6 +380,16 @@ def test_fixtures_rejects_a_document_of_the_wrong_shape(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: fixture bad: inputs must be a mapping\n")
 
 
+@pytest.mark.parametrize("field, message", [
+    ("rule: 5", "rule must be a mapping"),
+    ("checks: 5", "checks must be a list"),
+])
+def test_fixtures_names_a_rule_or_checks_of_the_wrong_shape(capsys, tmp_path, field, message):
+    (tmp_path / "bad.yaml").write_text(f"name: bad\n{field}\n", encoding="utf-8")
+    code, out, err = run(capsys, "fixtures", "--dir", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: fixture bad: {message}\n")
+
+
 # -- bench --------------------------------------------------------------------
 
 @pytest.mark.parametrize("suite", ["scaling", "groups"])

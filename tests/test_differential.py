@@ -1,0 +1,118 @@
+"""Every procedure against the brute-force oracles in ``oracles.py`` on
+drawn profiles and subsets with m <= 6, and every rule that reads a majority
+relation or a support matrix: its choice from a profile equals its choice
+from that profile's relation or matrix."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+import oracles  # noqa: E402
+from twostage.procedures import PROCEDURE_NAMES, make_procedure  # noqa: E402
+from twostage.profiles import (  # noqa: E402
+    Profile,
+    default_labels,
+    majority_relation,
+    tournament_matrix,
+)
+
+# q-approval and k-stable take their catalog default, q = k = 2
+RULES = {index: make_procedure(index) for index in PROCEDURE_NAMES}
+
+
+def _union(sets):
+    return frozenset().union(*sets)
+
+
+# each procedure's oracle, on a case holding the orders over the chosen
+# subset (best first), their sorted labels, majority edges, support and grades
+ORACLES = {
+    1: lambda c: oracles.brute_simple_majority(c.orders),
+    2: lambda c: oracles.brute_plurality(c.orders),
+    3: lambda c: oracles.brute_inverse_plurality(c.orders),
+    4: lambda c: oracles.brute_q_approval(c.orders, 2),
+    5: lambda c: oracles.brute_run_off(c.orders),
+    6: lambda c: oracles.brute_hare(c.orders),
+    7: lambda c: oracles.brute_borda_rule(c.orders),
+    8: lambda c: oracles.brute_condorcet(c.labels, c.edges) or oracles.brute_borda_rule(c.orders),
+    9: lambda c: oracles.brute_inverse_borda(c.orders),
+    10: lambda c: oracles.brute_nanson(c.orders),
+    11: lambda c: oracles.brute_coombs(c.orders),
+    12: lambda c: _union(oracles.brute_dominant_sets(c.labels, c.edges)),
+    13: lambda c: _union(oracles.brute_undominated_sets(c.labels, c.edges)),
+    14: lambda c: _union(oracles.brute_weakly_stable_sets(c.labels, c.edges)),
+    15: lambda c: oracles.brute_fishburn(c.labels, c.edges),
+    16: lambda c: oracles.brute_uncovered_1(c.labels, c.edges),
+    17: lambda c: oracles.brute_uncovered_2(c.labels, c.edges),
+    18: lambda c: oracles.brute_richelson(c.labels, c.edges),
+    19: lambda c: oracles.brute_condorcet(c.labels, c.edges),
+    20: lambda c: oracles.brute_core(c.labels, c.edges),
+    21: lambda c: _union(oracles.brute_k_stable_sets(c.labels, c.edges, 2)),
+    22: lambda c: oracles.brute_threshold_order(c.labels, c.columns)[0],
+    23: lambda c: oracles.brute_copeland(c.labels, c.edges, 1),
+    24: lambda c: oracles.brute_copeland(c.labels, c.edges, 2),
+    25: lambda c: oracles.brute_copeland(c.labels, c.edges, 3),
+    26: lambda c: oracles.brute_super_threshold(c.labels, c.columns),
+    27: lambda c: oracles.brute_minimax(c.labels, c.support),
+    28: lambda c: oracles.brute_simpson(c.labels, c.support),
+}
+
+
+class _Case:
+    def __init__(self, orders):
+        self.orders = orders
+        self.labels = sorted(orders[0])
+        self.edges = oracles.brute_majority_edges(orders)
+        self.support = oracles.brute_support(orders)
+        self.columns = oracles.brute_grade_columns(orders)
+
+
+@st.composite
+def profiles_and_subsets(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    labels = default_labels(m)
+    orders = [draw(st.permutations(labels)) for _ in range(n)]
+    subset = draw(st.none() | st.sets(st.sampled_from(labels), min_size=1))
+    return Profile(orders, labels), subset
+
+
+# a single alternative and criterion, and even numbers of criteria with ties
+EXAMPLES = [
+    (Profile([("a",)]), None),
+    (Profile([("a", "b"), ("b", "a")]), None),
+    (Profile([("a", "b", "c"), ("c", "b", "a"), ("b", "a", "c"), ("b", "c", "a")]), {"a", "c"}),
+]
+
+
+def test_every_procedure_is_covered_by_an_oracle():
+    assert set(ORACLES) == set(RULES)
+
+
+def _examples(test):
+    for example in EXAMPLES:
+        test = hypothesis.example(case=example)(test)
+    return test
+
+
+@_examples
+@hypothesis.settings(max_examples=200)
+@hypothesis.given(case=profiles_and_subsets())
+def test_every_procedure_matches_its_oracle(case):
+    p, subset = case
+    keep = p.labels if subset is None else subset
+    oracle_case = _Case([tuple(x for x in order if x in keep) for order in p.orders])
+    for index, oracle in ORACLES.items():
+        assert RULES[index].choose(p, subset) == oracle(oracle_case), RULES[index].name
+
+
+@_examples
+@hypothesis.settings(max_examples=200)
+@hypothesis.given(case=profiles_and_subsets())
+def test_a_relation_or_support_rule_chooses_alike_from_a_profile_and_its_matrix(case):
+    p, subset = case
+    derived = {"mu": majority_relation(p), "support": tournament_matrix(p)}
+    for rule in RULES.values():
+        if rule.kind in derived:
+            assert rule.choose(p, subset) == rule.choose(derived[rule.kind], subset), rule.name

@@ -181,7 +181,15 @@ SET_AS_STRING = "write a set as a list, not the string 'ab'"
     pytest.param("inputs:\n  main: profile\n", "input 'main' must be a mapping", id="input"),
     pytest.param("inputs:\n  main: {kind: profile, text: 5}\n",
                  "the text of input 'main' must be a string", id="text"),
+    pytest.param("rule: 5\n", "rule must be a mapping", id="rule"),
+    pytest.param("rule: {two_stage: 5}\n", "the two_stage of rule must be a list of two procedures",
+                 id="two_stage"),
+    pytest.param("rule: {name: borda}\n",
+                 "rule must name either a procedure or a two-stage pair", id="rule-names-nothing"),
+    pytest.param("checks: 5\n", "checks must be a list", id="checks"),
     pytest.param("checks: [choose]\n", "check 1 must be a mapping", id="check"),
+    pytest.param("checks:\n  - {op: choose, rule: 5, expect: [a]}\n",
+                 "a check's rule must be a mapping", id="check-rule"),
     pytest.param("checks:\n  - {op: choose, apply: [realize], expect: [a]}\n",
                  "a transform must be a mapping", id="transform"),
     pytest.param("checks:\n  - {op: choose, expect: ab}\n", SET_AS_STRING, id="expect"),
@@ -198,7 +206,9 @@ SET_AS_STRING = "write a set as a list, not the string 'ab'"
                  SET_AS_STRING, id="set-list-member"),
 ])
 def test_fixture_documents_of_the_wrong_shape_name_the_fixture(tmp_path, body, message):
-    head = "name: bad\nrule: {procedure: 7}\n"
+    head = "name: bad\n"
+    if not body.startswith("rule"):
+        head += "rule: {procedure: 7}\n"
     if not body.startswith("inputs"):
         head += "inputs:\n  main: {kind: profile, text: \"a b\\nb a\\na b\\n\"}\n"
     path = tmp_path / "bad.yaml"

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import oracles
+from twostage.bench import generate_profile
 from twostage.procedures import minimax, simpson
 
 from twostage.profiles import (
@@ -12,6 +14,7 @@ from twostage.profiles import (
     ProfileFormatError,
     RankImprovement,
     TournamentMatrix,
+    _pairwise_support,
     borda_counts,
     contract,
     default_labels,
@@ -384,3 +387,28 @@ def test_inputs_of_different_kinds_never_compare_equal():
     empty = np.zeros((2, 2), dtype=np.int64)
     assert GradeTable(("a", "b"), empty) != MajorityRelation(("a", "b"), empty)
     assert MajorityRelation(("a",), [[False]]) != TournamentMatrix(("a",), [[0]], 1)
+
+
+# (m, n) at each switch point of the support kernel: the rank dtype
+# (int8 up to m = 128), a row panel narrower than m (m = 1100), the
+# accumulator dtype (uint8 below n = 255), and n * panel width * m on
+# either side of the 1 << 16 elements one compare may span (at m = 64 a
+# compare holds 16 criteria, at m = 181 two, from m = 256 one).
+SUPPORT_KERNEL_SIZES = [
+    *((m, 3) for m in (1, 2, 127, 128, 129, 1100)),
+    *((5, n) for n in (1, 2, 254, 255, 256)),
+    (64, 15), (64, 16), (64, 17), (64, 33), (181, 2), (181, 3), (255, 2), (256, 2),
+]
+
+
+@pytest.mark.parametrize("m, n", SUPPORT_KERNEL_SIZES)
+def test_support_kernel_matches_a_brute_count(m, n):
+    p = generate_profile(m, n, seed=1000 * m + n)
+    ranks = p.ranks.copy()
+    support = oracles.brute_support(p.orders)
+    want = np.array([[support[x].get(y, 0) for y in p.labels] for x in p.labels])
+    assert (_pairwise_support(p) == want).all()
+    t = tournament_matrix(p)
+    assert t.voters == n and (t.counts == want).all()
+    assert (majority_relation(p).matrix == (2 * want > n)).all()
+    assert p.ranks.dtype == np.int32 and (p.ranks == ranks).all()
