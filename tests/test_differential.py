@@ -1,7 +1,8 @@
 """Every procedure against the brute-force oracles in ``oracles.py`` on
 drawn profiles and subsets with m <= 6, and every rule that reads a majority
 relation or a support matrix: its choice from a profile equals its choice
-from that profile's relation or matrix."""
+from that profile's relation or matrix.  Every rule's declared anonymity and
+neutrality hold on drawn criteria orders and relabellings."""
 
 import pytest
 
@@ -9,7 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 import oracles  # noqa: E402
-from twostage.procedures import PROCEDURE_NAMES, make_procedure  # noqa: E402
+from twostage.procedures import PROCEDURE_NAMES, QParetoRule, make_procedure  # noqa: E402
 from twostage.profiles import (  # noqa: E402
     Profile,
     default_labels,
@@ -116,3 +117,38 @@ def test_a_relation_or_support_rule_chooses_alike_from_a_profile_and_its_matrix(
     for rule in RULES.values():
         if rule.kind in derived:
             assert rule.choose(p, subset) == rule.choose(derived[rule.kind], subset), rule.name
+
+
+# every indexed procedure at its catalog default, and the q-Pareto rule
+DECLARING = list(RULES.values()) + [QParetoRule(2)]
+
+
+@st.composite
+def profiles_and_symmetries(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    labels = default_labels(m)
+    orders = [draw(st.permutations(labels)) for _ in range(n)]
+    criteria = draw(st.permutations(range(n)))
+    rename = dict(zip(labels, draw(st.permutations(labels))))
+    return Profile(orders, labels), criteria, rename
+
+
+@hypothesis.example(case=(Profile([("a", "b")]), [0], {"a": "b", "b": "a"}))
+@hypothesis.example(
+    case=(Profile([("a", "b", "c"), ("c", "b", "a")]), [1, 0], {"a": "c", "b": "a", "c": "b"})
+)
+@hypothesis.settings(max_examples=150)
+@hypothesis.given(case=profiles_and_symmetries())
+def test_declared_anonymity_and_neutrality_hold(case):
+    """What the orbit scans of search and verify rely on: an ``anonymous``
+    rule ignores the order of the criteria, and a ``neutral`` rule's choice
+    follows a relabelling of the alternatives."""
+    p, criteria, rename = case
+    permuted = Profile([p.orders[i] for i in criteria], p.labels)
+    relabelled = Profile([[rename[x] for x in order] for order in p.orders], p.labels)
+    for rule in DECLARING:
+        assert rule.anonymous and rule.neutral, rule.label()
+        chosen = rule.choose(p)
+        assert rule.choose(permuted) == chosen, rule.label()
+        assert rule.choose(relabelled) == frozenset(rename[x] for x in chosen), rule.label()

@@ -28,6 +28,7 @@ from twostage import (
 from twostage.procedures import (
     Procedure,
     QParetoRule,
+    _row_masks,
     black,
     borda,
     condorcet_winner,
@@ -149,7 +150,7 @@ def assert_sink_rules_match_scc(mu):
 
 
 def test_sink_component_rules_match_scc_oracle_random_m6_to_40():
-    for m in (6, 7, 8, 9, 12, 20, 40):
+    for m in (6, 7, 8, 9, 12, 20, 40, 63, 64, 65, 129):
         for mu in sparse_relations(m, 40, seed=4000 + m):
             assert_sink_rules_match_scc(mu)
 
@@ -174,6 +175,28 @@ def test_sink_component_rules_match_scc_oracle_structured_m200():
     edgeless = MajorityRelation(labels, edgeless)
     assert minimal_dominant_sets(edgeless) == [frozenset(labels)]
     assert minimal_undominated_sets(edgeless) == [frozenset({x}) for x in labels]
+
+
+def test_stable_set_rules_match_oracles_m8_m9():
+    for m in (8, 9):
+        for mu in sparse_relations(m, 12, seed=5000 + m):
+            labels, edges = mu.labels, oracles.edge_set(mu)
+            assert sorted(weakly_stable_sets(mu), key=sorted) == oracles.brute_weakly_stable_sets(labels, edges)
+            for k in (2, 3):
+                assert sorted(k_stable_sets(mu, k), key=sorted) == oracles.brute_k_stable_sets(labels, edges, k)
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65, 257])
+def test_row_masks_match_one_bit_per_marked_column(m):
+    """A C-contiguous matrix and a strided slice pack their rows directly;
+    a transposed view, whose rows are its base's columns, packs eight base
+    rows at a time after padding.  All give bit j for column j at every
+    width."""
+    matrix = np.random.default_rng(m).random((m, m + 3)) < 0.5
+    matrix[:, -1] = matrix[-1] = True  # the top bit and the last byte are set
+    for view in (matrix, matrix.T, matrix[:, :m].T):
+        brute = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in view]
+        assert _row_masks(view) == brute
 
 
 def test_minimal_dominant_set_is_unique_and_nested_rules_nonempty():
