@@ -487,17 +487,29 @@ def _group(orbits: bool | str) -> bool | str:
     )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
+def _permutations(m: int) -> tuple[np.ndarray, np.ndarray, dict[bytes, int]]:
+    """The m! permutations of ``range(m)`` in lexicographic order, read-only:
+    ``orders[k]`` lists the alternatives best first, ``rows[k]`` is its rank
+    row (``rows[k, j]`` is alternative ``j``'s place), and ``index`` maps
+    the bytes of a rank row back to ``k``."""
+    orders = np.array(list(itertools.permutations(range(m))), dtype=np.int16).reshape(-1, m)
+    rows = np.argsort(orders, axis=1).astype(np.int32)
+    orders.setflags(write=False)
+    rows.setflags(write=False)
+    return orders, rows, {row.tobytes(): k for k, row in enumerate(rows)}
+
+
+@functools.cache
 def _relabellings(m: int) -> np.ndarray:
     """``act[s, k]``: the index of permutation ``k`` once each alternative
-    ``j`` is renamed ``perms[s][j]``, permutations of ``range(m)`` indexed
-    lexicographically.  Row 0 is the identity."""
+    ``j`` is renamed ``orders[s][j]``.  Row 0 is the identity."""
     if m > _RELABEL_MAX_M:
         raise ValueError(f"orbits under relabelling need m <= {_RELABEL_MAX_M}, got {m}")
-    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int16).reshape(-1, m)
+    orders, _, _ = _permutations(m)
     radix = m ** np.arange(m - 1, -1, -1, dtype=np.int32)
-    codes = perms @ radix  # increasing, as the permutations are lexicographic
-    return np.searchsorted(codes, perms[:, perms] @ radix).astype(np.int16)
+    codes = orders @ radix  # increasing, as the permutations are lexicographic
+    return np.searchsorted(codes, orders[:, orders] @ radix).astype(np.int16)
 
 
 def _least_in_orbit(tuples: np.ndarray, act: np.ndarray) -> np.ndarray:
@@ -512,22 +524,25 @@ def _least_in_orbit(tuples: np.ndarray, act: np.ndarray) -> np.ndarray:
 
 def _least_tuples(m: int, n: int) -> Iterator[tuple[int, ...]]:
     """The sorted index tuples least in their orbit under relabelling, in
-    lexicographic order.  The sorted tuples are filtered in chunks that grow
-    from 64 rows while their relabelled images fit in 2^16 entries, so the
-    work stays in proportion to what is drawn."""
+    lexicographic order.  Relabelling by the inverse of a member's order
+    maps that member to the identity, permutation 0, so only tuples that
+    start with 0 can be least.  They are filtered in chunks that grow from
+    64 rows while their relabelled images fit in 2^16 entries, so the work
+    stays in proportion to what is drawn."""
     act = _relabellings(m)
-    tuples = itertools.combinations_with_replacement(range(len(act)), n)
+    rests = itertools.combinations_with_replacement(range(len(act)), n - 1)
     size, cap = 64, max(64, (1 << 16) // (len(act) * n))
-    while chunk := list(itertools.islice(tuples, size)):
+    while chunk := [(0, *rest) for rest in itertools.islice(rests, size)]:
         rows = np.array(chunk, dtype=np.int16)
         yield from map(tuple, rows[_least_in_orbit(rows, act)].tolist())
         size = min(2 * size, cap)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _order_index(m: int) -> dict[tuple[str, ...], int]:
     """Each linear order of ``default_labels(m)`` by its lexicographic index."""
-    return {order: k for k, order in enumerate(itertools.permutations(default_labels(m)))}
+    orders = np.array(default_labels(m))[_permutations(m)[0]].tolist()
+    return {tuple(order): k for k, order in enumerate(orders)}
 
 
 def _least_form(orders: Sequence[tuple[str, ...]], group: str) -> tuple:
@@ -540,16 +555,6 @@ def _least_form(orders: Sequence[tuple[str, ...]], group: str) -> tuple:
     index = _order_index(m)
     images = np.sort(_relabellings(m)[:, [index[o] for o in orders]], axis=1)
     return (m, min(map(tuple, images.tolist())))
-
-
-def _order_tuples(m: int, n: int, group: bool | str) -> Iterator[tuple[int, ...]]:
-    """Index tuples into the m! permutations, lexicographically: all of them,
-    or only those least in their orbit under ``group``."""
-    if not group:
-        return itertools.product(range(math.factorial(m)), repeat=n)
-    if group == _CRITERIA:
-        return itertools.combinations_with_replacement(range(math.factorial(m)), n)
-    return _least_tuples(m, n)
 
 
 def all_profiles(
@@ -567,12 +572,14 @@ def all_profiles(
     labels = _check_labels(default_labels(m) if labels is None else labels)
     if n < 1:
         raise ValueError("profile needs at least one criterion")
-    # one rank row per permutation: rows[k, j] is labels[j]'s place in it
-    rows = np.array(
-        [np.argsort(perm) for perm in itertools.permutations(range(len(labels)))],
-        dtype=np.int32,
-    )
-    for tup in _order_tuples(len(labels), n, group):
+    _, rows, _ = _permutations(len(labels))
+    if not group:
+        tuples = itertools.product(range(len(rows)), repeat=n)
+    elif group == _CRITERIA:
+        tuples = itertools.combinations_with_replacement(range(len(rows)), n)
+    else:
+        tuples = _least_tuples(len(labels), n)
+    for tup in tuples:
         yield Profile.from_ranks(labels, rows[list(tup)])
 
 
@@ -715,10 +722,11 @@ def _scan_cell(
     counts profiles checked.
     """
     count = math.factorial(m)
-    group = _orbits(rule, m)
+    _, _, index = _permutations(m)
     evaluated = 0
-    for p, tup in zip(all_profiles(m, n, orbits=group), _order_tuples(m, n, group)):
-        position = functools.reduce(lambda acc, i: acc * count + i, tup, 0)
+    # called by its module name, so a traced run sees the enumeration
+    for p in all_profiles(m, n, orbits=_orbits(rule, m)):
+        position = functools.reduce(lambda acc, row: acc * count + index[row.tobytes()], p.ranks, 0)
         if position >= budget:
             return SearchResult("budget-exceeded", budget, evaluated=evaluated)
         evaluated += 1

@@ -10,12 +10,13 @@ Two experiments:
   compare the groups.
 
 Measurements auto-repeat fast calls until they are long enough to time
-reliably and take the median of several trials.  Exceeding a time budget
+reliably and keep the minimum of several trials.  Exceeding a time budget
 stops the grid early and flags the result as partial rather than failing.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -143,27 +144,31 @@ def run_scaling(
     budget_seconds: float | None = None,
     trials: int = 3,
 ) -> BenchResult:
-    """Time one procedure across ``m_values`` and fit the power law."""
+    """Time one procedure across ``m_values`` and fit the power law.
+
+    The grid is timed in ``trials`` rounds.  Each round times every grid
+    point once with :func:`measure_call`, and each point keeps its minimum,
+    so a burst of load on the machine slows one sample of every point
+    rather than every sample of one point, which would bend the fit."""
     proc = make_procedure(spec)
-    points: list[BenchPoint] = []
-    partial = False
+    grid = sorted(m_values)
     note = ""
+    if proc.index in _SET_ENUMERATION_PROCS and grid[-1] > SET_ENUMERATION_LIMIT:
+        grid = [m for m in grid if m <= SET_ENUMERATION_LIMIT]
+        note = (
+            f"stable-set enumeration is capped at {SET_ENUMERATION_LIMIT} "
+            f"alternatives; larger sizes skipped"
+        )
+    profiles = [generate_profile(m, n, seed + i) for i, m in enumerate(grid)]
+    best = [math.inf] * len(grid)
     started = time.perf_counter()
-    for i, m in enumerate(sorted(m_values)):
-        if proc.index in _SET_ENUMERATION_PROCS and m > SET_ENUMERATION_LIMIT:
-            partial = True
-            note = (
-                f"stable-set enumeration is capped at {SET_ENUMERATION_LIMIT} "
-                f"alternatives; larger sizes skipped"
-            )
-            break
+    for r, (i, p) in itertools.product(range(trials), enumerate(profiles)):
         if budget_seconds is not None and time.perf_counter() - started > budget_seconds:
-            partial = True
-            note = f"budget exceeded after {i} of {len(m_values)} grid points"
+            note = f"budget exceeded in round {r + 1} of {trials}, after {i} of {len(grid)} grid points"
             break
-        p = generate_profile(m, n, seed + i)
-        seconds = measure_call(lambda: proc.choose(p), trials=trials)
-        points.append(BenchPoint(m, n, seconds))
+        best[i] = min(best[i], measure_call(lambda: proc.choose(p), trials=1))
+    points = [BenchPoint(m, n, seconds) for m, seconds in zip(grid, best) if seconds < math.inf]
+    partial = bool(note)
     exponent, residual = _fit_power_law(points)
     if exponent is None and not partial:
         partial = len(points) < 5

@@ -21,6 +21,7 @@ fixture case or the family argument it rests on), ``unverified`` otherwise.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass
 from typing import Iterable, TextIO
@@ -523,14 +524,9 @@ def classify(two_stage_id: int) -> CatalogEntry:
     )
 
 
-_CATALOG_CACHE: tuple[CatalogEntry, ...] | None = None
-
-
+@functools.cache
 def full_catalog() -> tuple[CatalogEntry, ...]:
-    global _CATALOG_CACHE
-    if _CATALOG_CACHE is None:
-        _CATALOG_CACHE = tuple(classify(ts) for ts in range(1, 785))
-    return _CATALOG_CACHE
+    return tuple(classify(ts) for ts in range(1, 785))
 
 
 def catalog_counts() -> dict[str, int]:

@@ -388,6 +388,28 @@ def _data_lines(text: str) -> Iterator[tuple[int, str]]:
             yield no, stripped
 
 
+def _read_universe(
+    text: str, noun: str, rows: str = "criterion lines"
+) -> tuple[list[str], list[tuple[int, str]], np.ndarray]:
+    """The labels named on the universe line of ``text``, the data lines
+    after it (1-based line number, content), and the positions that realign
+    columns from the named order to sorted order.  Raises
+    :class:`ProfileFormatError` on an empty input, a duplicate label (with
+    its line number) or no lines after the universe line."""
+    lines = list(_data_lines(text))
+    if not lines:
+        raise ProfileFormatError(f"empty {noun}: no universe line")
+    head_no, head = lines[0]
+    labels = head.split()
+    try:
+        _check_labels(labels)
+    except ValueError as exc:
+        raise ProfileFormatError(str(exc), line=head_no) from None
+    if len(lines) == 1:
+        raise ProfileFormatError(f"{noun} has no {rows}", line=head_no)
+    return labels, lines[1:], np.argsort(np.array(labels))
+
+
 def parse_profile(text: str) -> Profile:
     """Parse the plain-text profile format.
 
@@ -396,21 +418,10 @@ def parse_profile(text: str) -> Profile:
     ``#`` starts a comment.  Raises :class:`ProfileFormatError` with a line
     number on duplicate labels, non-permutation rows, or an empty file.
     """
-    lines = list(_data_lines(text))
-    if not lines:
-        raise ProfileFormatError("empty profile: no universe line")
-    head_no, head = lines[0]
-    labels = head.split()
-    seen: set[str] = set()
-    for lab in labels:
-        if lab in seen:
-            raise ProfileFormatError(f"duplicate alternative label {lab!r}", line=head_no)
-        seen.add(lab)
-    if len(lines) == 1:
-        raise ProfileFormatError("profile has no criterion lines", line=head_no)
+    labels, body, _ = _read_universe(text, "profile")
     universe = set(labels)
     orders = []
-    for no, content in lines[1:]:
+    for no, content in body:
         row = tuple(content.split())
         if len(row) != len(labels) or set(row) != universe or len(set(row)) != len(row):
             raise ProfileFormatError(
@@ -430,17 +441,9 @@ def format_profile(p: Profile) -> str:
 def parse_grade_table(text: str) -> GradeTable:
     """Parse a grade table: universe line, then one integer row per criterion
     aligned with the universe line's label order."""
-    lines = list(_data_lines(text))
-    if not lines:
-        raise ProfileFormatError("empty grade table: no universe line")
-    head_no, head = lines[0]
-    labels = head.split()
-    if len(set(labels)) != len(labels):
-        raise ProfileFormatError("duplicate alternative label", line=head_no)
-    if len(lines) == 1:
-        raise ProfileFormatError("grade table has no criterion lines", line=head_no)
+    labels, body, order = _read_universe(text, "grade table")
     rows = []
-    for no, content in lines[1:]:
+    for no, content in body:
         parts = content.split()
         if len(parts) != len(labels):
             raise ProfileFormatError(
@@ -452,10 +455,7 @@ def parse_grade_table(text: str) -> GradeTable:
             raise ProfileFormatError("grades must be integers", line=no) from None
         except OverflowError:
             raise ProfileFormatError("grades must lie within signed 64-bit range", line=no) from None
-    # columns follow the order labels were named on line 1; realign to sorted
-    order = np.argsort(np.array(labels))
-    grades = np.array(rows)[:, order]
-    return GradeTable(sorted(labels), grades)
+    return GradeTable(sorted(labels), np.array(rows)[:, order])
 
 
 def format_grade_table(g: GradeTable) -> str:
@@ -474,20 +474,12 @@ def parse_majority_matrix(text: str) -> MajorityRelation:
     on the diagonal or in both directions of a pair raises
     :class:`ProfileFormatError` with its line number.
     """
-    lines = list(_data_lines(text))
-    if not lines:
-        raise ProfileFormatError("empty majority matrix: no universe line")
-    head_no, head = lines[0]
-    labels = head.split()
-    if len(set(labels)) != len(labels):
-        raise ProfileFormatError("duplicate alternative label", line=head_no)
+    labels, body, order = _read_universe(text, "majority matrix", "matrix rows")
     m = len(labels)
-    if len(lines) != m + 1:
-        raise ProfileFormatError(
-            f"expected {m} matrix rows after the universe line, got {len(lines) - 1}"
-        )
+    if len(body) != m:
+        raise ProfileFormatError(f"expected {m} matrix rows after the universe line, got {len(body)}")
     mat = np.zeros((m, m), dtype=bool)
-    for r, (no, content) in enumerate(lines[1:]):
+    for r, (no, content) in enumerate(body):
         parts = content.split()
         if len(parts) != m:
             raise ProfileFormatError(f"expected {m} entries, got {len(parts)}", line=no)
@@ -506,10 +498,7 @@ def parse_majority_matrix(text: str) -> MajorityRelation:
                         f"{labels[r]} and {labels[c]} cannot beat each other", line=no
                     )
                 mat[r, c] = True
-    # realign rows/cols from the order labels were named in to sorted order
-    order = np.argsort(np.array(labels))
-    mat = mat[np.ix_(order, order)]
-    return MajorityRelation(sorted(labels), mat)
+    return MajorityRelation(sorted(labels), mat[np.ix_(order, order)])
 
 
 def format_majority_matrix(mu: MajorityRelation) -> str:

@@ -703,6 +703,20 @@ def test_refuted_cells_count_the_witness_position_among_neutral_orbits():
     assert _outcome(outcome) == _outcome(verify_bounded(PlainRule(compose(2, 1)), "C", 3, 3))
 
 
+@pytest.mark.parametrize(
+    "spec, axiom, status, covered, evaluated",
+    [
+        ((2, 1), "O", "refuted", 7, 6),
+        ((7, 7), "H", "refuted", 17, 14),
+        ((2, 1), "C", "verified", 576, 17),
+    ],
+)
+def test_neutral_orbit_scan_at_m4_matches_the_full_scan(spec, axiom, status, covered, evaluated):
+    outcome = verify_bounded(compose(*spec), axiom, 4, 2)
+    assert (outcome.status, outcome.checked, outcome.evaluated) == (status, covered, evaluated)
+    assert _outcome(outcome) == _outcome(verify_bounded(PlainRule(compose(*spec)), axiom, 4, 2))
+
+
 def test_a_budget_past_the_last_orbit_is_still_exceeded():
     # (2, 4) has 16 profiles and its orbits under both groups start at 0, 1
     # and 3, so a budget of 5 ends the orbits but not the cell
@@ -770,7 +784,7 @@ def _least_in_orbit(orders):
     )
 
 
-@pytest.mark.parametrize("m, n", [(1, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2)])
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2), (3, 4), (4, 3)])
 def test_neutral_orbit_enumeration_keeps_the_least_of_each_orbit(m, n):
     every = [p.orders for p in all_profiles(m, n)]
     least = [p.orders for p in all_profiles(m, n, orbits="criteria+alternatives")]

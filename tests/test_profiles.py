@@ -67,6 +67,8 @@ def test_parse_profile_rejects_bad_input():
         parse_profile("a b c\n")  # no criteria at all
     with pytest.raises(ProfileFormatError):
         parse_profile("")
+    with pytest.raises(ProfileFormatError, match="^line 2: duplicate alternative label 'b'$"):
+        parse_profile("# universe\na b b\na b b\n")
 
 
 def test_profile_labels_sorted_and_order_free():
@@ -164,6 +166,8 @@ def test_parse_grade_table_rejects_bad_rows():
         parse_grade_table("a b\n1 x\n")
     with pytest.raises(ProfileFormatError):
         parse_grade_table("a b\n")
+    with pytest.raises(ProfileFormatError, match="^line 2: duplicate alternative label 'a'$"):
+        parse_grade_table("# universe\na b a\n1 2 3\n")
     for grade in ("99999999999999999999999", "-9223372036854775809"):
         with pytest.raises(ProfileFormatError, match="^line 3: grades must lie within signed 64-bit"):
             parse_grade_table(f"a b\n1 2\n{grade} 1\n")
@@ -186,6 +190,8 @@ def test_parse_majority_matrix_rejects_symmetric_pair():
     with pytest.raises(ProfileFormatError) as exc:
         parse_majority_matrix("a b\n1 1\n0 -\n")  # a beats itself
     assert exc.value.line == 2
+    with pytest.raises(ProfileFormatError, match="^line 2: duplicate alternative label 'a'$"):
+        parse_majority_matrix("# universe\na a\n- 0\n0 -\n")
 
 
 def test_restrict_matrix_and_grades():

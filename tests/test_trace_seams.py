@@ -21,6 +21,8 @@ def test_traced_layers_see_verify_and_compose_calls(monkeypatch):
     finally:
         tracer.uninstall()
     assert outcome.status == "verified"
+    # every checked profile came from the one traced enumeration pass
+    assert tracer.counters["enumerated"] == outcome.evaluated
     totals = tracer.layer_totals()
     for layer in (SUPPORT, CONTRACT, KERNEL, CHECK, ENUMERATE):
         assert totals.get(layer, (0, 0.0))[0] > 0, layer
