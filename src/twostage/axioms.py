@@ -23,9 +23,10 @@ input: a profile, a majority relation or a grade table.
            of the worst-grade-count (threshold) order of the full grade
            table.
 
-Each condition has one checker.  The subset conditions (H, C, O, ACA) scan
-a family of proper subsets given as a parameter: every one, by size, or
-(for search) the deletions of one or two alternatives.  MON1 and SM take a
+The subset conditions (H, C, O, ACA) scan a family of proper subsets given
+as a parameter: every one, by size, or (for search) the deletions of one or
+two alternatives.  H, O and ACA test one subset at a time and share one
+checker, which reads a row per condition; C tests pairs.  MON1 and SM take a
 probe generator chosen by the input: rank improvements on a profile, edge
 flips on a relation; a grade table has no improvement move, so they do not
 apply to one.  ``NC`` reads the grade table (derived from a profile, or
@@ -39,6 +40,7 @@ import functools
 import itertools
 import math
 import random
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
@@ -49,7 +51,6 @@ from .profiles import (
     MajorityRelation,
     Profile,
     RankImprovement,
-    _check_labels,
     _fmt_set,
     default_labels,
     improve,
@@ -246,25 +247,41 @@ def _probes(rule: ChoiceRule, data, axiom: str) -> _Probes:
 
 
 # ---------------------------------------------------------------------------
-# one checker per condition
+# checkers: one for H, O and ACA, one for each other condition
 # ---------------------------------------------------------------------------
 
-def _check_h(choose: _Memo, family: Iterable[frozenset[str]]) -> Counterexample | None:
+# The conditions that test one subset X' at a time against C(X).  Each row
+# gives which subsets the condition constrains, from C(X) and the part of it
+# kept in X'; whether C(X') then stands as it must; and the failure sentence.
+_SINGLE_SUBSET = {
+    # H: C(X) ∩ X' ⊆ C(X')
+    "H": (lambda full, kept: bool(kept), lambda full, kept, there: kept <= there,
+          "choice {full} meets {sub} in {kept}, but the subset's choice is {there}"),
+    # O: C(X) ⊆ X' ⊆ X implies C(X') = C(X)
+    "O": (lambda full, kept: kept == full, lambda full, kept, there: there == full,
+          "{sub} keeps every chosen alternative of {full} yet chooses {there}"),
+    # ACA: C(X) ∩ X' ≠ ∅ implies C(X') = C(X) ∩ X'
+    "ACA": (lambda full, kept: bool(kept), lambda full, kept, there: there == kept,
+            "{sub} meets the choice {full} in {kept} but chooses {there}"),
+}
+
+
+def _check_subsets(axiom: str, choose: _Memo, family: Iterable[frozenset[str]]) -> Counterexample | None:
+    constrains, holds, sentence = _SINGLE_SUBSET[axiom]
     full = choose()
     for sub in family:
         kept = full & sub
-        if not kept:
+        if not constrains(full, kept):
             continue
         there = choose(sub)
-        if not kept <= there:
+        if not holds(full, kept, there):
             return Counterexample(
-                axiom="H",
+                axiom=axiom,
                 kind="subset",
                 subsets=(sub,),
                 observed=(("choice_full", full), ("choice_subset", there)),
-                description=(
-                    f"choice {_fmt_set(full)} meets {_fmt_set(sub)} in {_fmt_set(kept)}, "
-                    f"but the subset's choice is {_fmt_set(there)}"
+                description=sentence.format(
+                    full=_fmt_set(full), sub=_fmt_set(sub), kept=_fmt_set(kept), there=_fmt_set(there)
                 ),
             )
     return None
@@ -291,47 +308,6 @@ def _check_c(choose: _Memo, family: Iterable[frozenset[str]]) -> Counterexample 
                 description=(
                     f"{_fmt_set(left)} and {_fmt_set(right)} cover the universe and both "
                     f"choose {_fmt_set(common)}, which is not inside {_fmt_set(full)}"
-                ),
-            )
-    return None
-
-
-def _check_o(choose: _Memo, family: Iterable[frozenset[str]]) -> Counterexample | None:
-    full = choose()
-    for sub in family:
-        if not full <= sub:
-            continue
-        there = choose(sub)
-        if there != full:
-            return Counterexample(
-                axiom="O",
-                kind="subset",
-                subsets=(sub,),
-                observed=(("choice_full", full), ("choice_subset", there)),
-                description=(
-                    f"{_fmt_set(sub)} keeps every chosen alternative of {_fmt_set(full)} "
-                    f"yet chooses {_fmt_set(there)}"
-                ),
-            )
-    return None
-
-
-def _check_aca(choose: _Memo, family: Iterable[frozenset[str]]) -> Counterexample | None:
-    full = choose()
-    for sub in family:
-        kept = full & sub
-        if not kept:
-            continue
-        there = choose(sub)
-        if there != kept:
-            return Counterexample(
-                axiom="ACA",
-                kind="subset",
-                subsets=(sub,),
-                observed=(("choice_full", full), ("choice_subset", there)),
-                description=(
-                    f"{_fmt_set(sub)} meets the choice {_fmt_set(full)} in {_fmt_set(kept)} "
-                    f"but chooses {_fmt_set(there)}"
                 ),
             )
     return None
@@ -416,7 +392,6 @@ def _check_nc(choose: _Memo, g: GradeTable) -> Counterexample | None:
     return None
 
 
-_SUBSET_CHECKS = {"H": _check_h, "C": _check_c, "O": _check_o, "ACA": _check_aca}
 _PROBE_CHECKS = {"MON1": _check_mon1, "SM": _check_sm}
 
 
@@ -424,8 +399,10 @@ def _check(
     rule: ChoiceRule, data, axiom: str, family: _Family, mon2_strict: bool
 ) -> Verdict:
     choose = _Memo(lambda subset: rule.choose(data, subset), data.labels)
-    if axiom in _SUBSET_CHECKS:
-        witness = _SUBSET_CHECKS[axiom](choose, family(choose.labels))
+    if axiom in _SINGLE_SUBSET:
+        witness = _check_subsets(axiom, choose, family(choose.labels))
+    elif axiom == "C":
+        witness = _check_c(choose, family(choose.labels))
     elif axiom in _PROBE_CHECKS:
         witness = _PROBE_CHECKS[axiom](choose, _probes(rule, data, axiom))
     elif axiom == "MON2":
@@ -487,17 +464,36 @@ def _group(orbits: bool | str) -> bool | str:
     )
 
 
-@functools.cache
-def _permutations(m: int) -> tuple[np.ndarray, np.ndarray, dict[bytes, int]]:
-    """The m! permutations of ``range(m)`` in lexicographic order, read-only:
-    ``orders[k]`` lists the alternatives best first, ``rows[k]`` is its rank
-    row (``rows[k, j]`` is alternative ``j``'s place), and ``index`` maps
-    the bytes of a rank row back to ``k``."""
-    orders = np.array(list(itertools.permutations(range(m))), dtype=np.int16).reshape(-1, m)
-    rows = np.argsort(orders, axis=1).astype(np.int32)
-    orders.setflags(write=False)
-    rows.setflags(write=False)
-    return orders, rows, {row.tobytes(): k for k, row in enumerate(rows)}
+class _Permutations:
+    """The m! permutations of ``range(m)`` in lexicographic order as read-only
+    rank rows, built only as far as they are read: ``rows[k, j]`` is
+    alternative ``j``'s place in permutation ``k``, and ``index`` maps the
+    bytes of a row back to ``k``.  A profile holding permutation ``k`` sits at
+    position ``k`` or later, so a scan cut at a budget builds about as many
+    rows as the budget, however large m! is."""
+
+    def __init__(self, m: int):
+        self.count = math.factorial(m)
+        self._rest = itertools.permutations(range(m))
+        self._lock = threading.Lock()  # the table is cached and shared by every caller
+        self.rows = np.empty((0, m), dtype=np.int32)
+        self.index: dict[bytes, int] = {}
+
+    def reach(self, k: int) -> _Permutations:
+        """Build through row ``k``, at least doubling what is built."""
+        if len(self.rows) <= k < self.count:
+            with self._lock:
+                built = len(self.rows)
+                if built <= k:
+                    more = list(itertools.islice(self._rest, max(k + 1, 2 * built, 64) - built))
+                    rows = np.argsort(more, axis=1).astype(np.int32)
+                    self.index.update((row.tobytes(), built + i) for i, row in enumerate(rows))
+                    self.rows = np.concatenate((self.rows, rows))
+                    self.rows.setflags(write=False)
+        return self
+
+
+_permutations = functools.cache(_Permutations)
 
 
 @functools.cache
@@ -506,7 +502,8 @@ def _relabellings(m: int) -> np.ndarray:
     ``j`` is renamed ``orders[s][j]``.  Row 0 is the identity."""
     if m > _RELABEL_MAX_M:
         raise ValueError(f"orbits under relabelling need m <= {_RELABEL_MAX_M}, got {m}")
-    orders, _, _ = _permutations(m)
+    table = _permutations(m)
+    orders = table.reach(table.count - 1).rows.argsort(axis=1)
     radix = m ** np.arange(m - 1, -1, -1, dtype=np.int32)
     codes = orders @ radix  # increasing, as the permutations are lexicographic
     return np.searchsorted(codes, orders[:, orders] @ radix).astype(np.int16)
@@ -538,11 +535,23 @@ def _least_tuples(m: int, n: int) -> Iterator[tuple[int, ...]]:
         size = min(2 * size, cap)
 
 
+def _index_tuples(count: int, n: int, *, sort: bool, low: int = 0) -> Iterator[tuple[int, ...]]:
+    """The n-tuples over ``range(low, count)``, or only the sorted ones, in
+    lexicographic order.  They are drawn lazily, where ``itertools`` would
+    first copy the whole range, all m! entries of it, into a tuple."""
+    if n == 1:
+        return zip(range(low, count))
+    return (
+        (k, *rest)
+        for k in range(low, count)
+        for rest in _index_tuples(count, n - 1, sort=sort, low=k if sort else 0)
+    )
+
+
 @functools.cache
 def _order_index(m: int) -> dict[tuple[str, ...], int]:
     """Each linear order of ``default_labels(m)`` by its lexicographic index."""
-    orders = np.array(default_labels(m))[_permutations(m)[0]].tolist()
-    return {tuple(order): k for k, order in enumerate(orders)}
+    return {order: k for k, order in enumerate(itertools.permutations(default_labels(m)))}
 
 
 def _least_form(orders: Sequence[tuple[str, ...]], group: str) -> tuple:
@@ -557,11 +566,10 @@ def _least_form(orders: Sequence[tuple[str, ...]], group: str) -> tuple:
     return (m, min(map(tuple, images.tolist())))
 
 
-def all_profiles(
-    m: int, n: int, labels: Sequence[str] | None = None, *, orbits: bool | str = False
-) -> Iterator[Profile]:
-    """Every profile of n linear orders over m alternatives, lexicographically
-    by the tuple of orders.  There are (m!)^n of them — keep m and n small.
+def all_profiles(m: int, n: int, *, orbits: bool | str = False) -> Iterator[Profile]:
+    """Every profile of n linear orders over ``default_labels(m)``,
+    lexicographically by the tuple of orders.  There are (m!)^n of them —
+    keep m and n small.
 
     ``orbits`` yields, in the same order, only the profiles least in their
     orbit under a group: ``True`` or ``"criteria"`` permutes the criteria
@@ -569,26 +577,23 @@ def all_profiles(
     ``"criteria+alternatives"`` also relabels the alternatives (m <= 6).
     """
     group = _group(orbits)
-    labels = _check_labels(default_labels(m) if labels is None else labels)
-    if n < 1:
-        raise ValueError("profile needs at least one criterion")
-    _, rows, _ = _permutations(len(labels))
-    if not group:
-        tuples = itertools.product(range(len(rows)), repeat=n)
-    elif group == _CRITERIA:
-        tuples = itertools.combinations_with_replacement(range(len(rows)), n)
+    if m < 1 or n < 1:
+        raise ValueError("a profile needs at least one alternative and one criterion")
+    labels = default_labels(m)
+    table = _permutations(m)
+    if group == _BOTH:
+        tuples = _least_tuples(m, n)
     else:
-        tuples = _least_tuples(len(labels), n)
+        tuples = _index_tuples(table.count, n, sort=bool(group))
     for tup in tuples:
-        yield Profile.from_ranks(labels, rows[list(tup)])
+        yield Profile.from_ranks(labels, table.reach(max(tup)).rows[list(tup)])
 
 
-def enumerate_majority_relations(
-    m: int, labels: Sequence[str] | None = None
-) -> Iterator[MajorityRelation]:
-    """Every asymmetric relation over m alternatives (each pair independently
-    tied, won, or lost): 3^(m(m-1)/2) relations, deterministic order."""
-    labels = tuple(sorted(default_labels(m) if labels is None else labels))
+def enumerate_majority_relations(m: int) -> Iterator[MajorityRelation]:
+    """Every asymmetric relation over ``default_labels(m)`` (each pair
+    independently tied, won, or lost): 3^(m(m-1)/2) relations, deterministic
+    order."""
+    labels = default_labels(m)
     pairs = list(itertools.combinations(range(m), 2))
     for states in itertools.product((0, 1, 2), repeat=len(pairs)):
         beats = np.zeros((m, m), dtype=bool)
@@ -722,7 +727,7 @@ def _scan_cell(
     counts profiles checked.
     """
     count = math.factorial(m)
-    _, _, index = _permutations(m)
+    index = _permutations(m).index  # filled in as far as all_profiles reads
     evaluated = 0
     # called by its module name, so a traced run sees the enumeration
     for p in all_profiles(m, n, orbits=_orbits(rule, m)):

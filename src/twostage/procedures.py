@@ -231,14 +231,12 @@ def core(mu: MajorityRelation) -> frozenset[str]:
 def copeland(mu: MajorityRelation, variant: int) -> frozenset[str]:
     """Copeland winners.  Variant 1 scores wins minus losses, variant 2
     wins alone, variant 3 (negated) losses alone."""
-    wins = mu.matrix.sum(axis=1).astype(np.int64)
-    losses = mu.matrix.sum(axis=0).astype(np.int64)
     if variant == 1:
-        scores = wins - losses
+        scores = mu.matrix.sum(axis=1, dtype=np.int32) - mu.matrix.sum(axis=0, dtype=np.int32)
     elif variant == 2:
-        scores = wins
+        scores = mu.matrix.sum(axis=1, dtype=np.int32)
     elif variant == 3:
-        scores = -losses
+        scores = -mu.matrix.sum(axis=0, dtype=np.int32)
     else:
         raise ValueError(f"no Copeland variant {variant}")
     best = scores.max()

@@ -529,14 +529,8 @@ def contract(p: Profile, subset: Iterable[str]) -> Profile:
     idx = p._positions(subset)
     if len(idx) == p.m:
         return p
-    sub_ranks = p.ranks[:, idx]
-    # re-rank each row: double argsort turns arbitrary scores into dense ranks
-    order = np.argsort(sub_ranks, axis=1, kind="stable")
-    new_ranks = np.empty_like(sub_ranks)
-    n, m = sub_ranks.shape
-    rows = np.arange(n)[:, None]
-    new_ranks[rows, order] = np.arange(m)[None, :]
-    return Profile.from_ranks([p.labels[j] for j in idx], new_ranks)
+    # the kept ranks in a row are distinct, so a double argsort re-ranks them densely
+    return Profile.from_ranks([p.labels[j] for j in idx], p.ranks[:, idx].argsort(axis=1).argsort(axis=1))
 
 
 def first_places(p: Profile) -> np.ndarray:

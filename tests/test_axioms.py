@@ -9,6 +9,9 @@ rule that produced it.
 
 import itertools
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -37,7 +40,7 @@ from twostage import (
     threshold_order,
     verify_bounded,
 )
-from twostage.axioms import AXIOMS
+from twostage.axioms import AXIOMS, _Permutations, _permutations
 from twostage.procedures import Procedure
 
 
@@ -372,6 +375,43 @@ def test_search_respects_its_budget():
     assert result.examined <= 10
 
 
+def test_a_search_cut_by_its_budget_builds_few_permutations():
+    # 11! = 39,916,800 orders; a profile holding the k-th sits at position k
+    # or later, so a scan cut at 50 profiles needs only the first 50 or so.
+    # The deletions family keeps the checks cheap: 66 subsets a profile,
+    # where every proper subset would be 2,046.
+    cfg = SearchConfig(m_values=(11,), n_values=(2,), budget=50, subset_strategy="deletions")
+    start = time.perf_counter()
+    result = search_counterexample(compose(2, 1), "H", cfg)
+    elapsed = time.perf_counter() - start
+    assert (result.status, result.examined, result.evaluated) == ("budget-exceeded", 50, 50)
+    assert len(_permutations(11).rows) <= 128
+    assert elapsed < 2.0
+
+
+def test_the_permutation_table_grows_consistently_across_threads():
+    table = _Permutations(8)
+
+    def grow():
+        for k in range(0, 5000, 7):
+            table.reach(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    orders = itertools.islice(itertools.permutations(range(8)), len(table.rows))
+    assert table.rows.tolist() == [np.argsort(order).tolist() for order in orders]
+    assert table.index == {row.tobytes(): k for k, row in enumerate(table.rows)}
+
+
 def test_search_random_mode_is_seeded():
     cfg = SearchConfig(
         m_values=(3, 4), n_values=(3, 5), mode="random", samples=60, seed=11
@@ -564,6 +604,61 @@ def test_mu_level_verdicts_are_pinned_on_every_three_alternative_relation(index,
         else:
             tokens.append("|".join("".join(sorted(s)) for s in w.subsets))
     assert " ".join(tokens) == MU_VERDICTS[index, axiom]
+
+
+# -- H, O and ACA against their definitions ----------------------------------
+
+# Whether C(X') stands as each condition demands, given C(X), written out
+# from the definitions.
+DEFINITIONS = {
+    "H": lambda full, sub, there: full & sub <= there,  # C(X) ∩ X' ⊆ C(X')
+    # C(X) ⊆ X' implies C(X') = C(X)
+    "O": lambda full, sub, there: not full <= sub or there == full,
+    # C(X) ∩ X' ≠ ∅ implies C(X') = C(X) ∩ X'
+    "ACA": lambda full, sub, there: not full & sub or there == full & sub,
+}
+
+
+@pytest.mark.parametrize("spec", [(2, 1), (7, 7), (20, 20), (16, 7)])
+def test_single_subset_conditions_match_their_definitions(spec):
+    rule = SharedChoices(compose(*spec), {}, declares=())
+    for m, n in ((3, 3), (4, 2)):
+        for p in all_profiles(m, n):
+            full = rule.choose(p)
+            subsets = [
+                frozenset(combo)
+                for size in range(1, m)
+                for combo in itertools.combinations(p.labels, size)
+            ]
+            for axiom, holds in DEFINITIONS.items():
+                first = next(
+                    (sub for sub in subsets if not holds(full, sub, rule.choose(p, sub))), None
+                )
+                w = check_axiom(rule, p, axiom).witness
+                if first is None:
+                    assert w is None, (axiom, p.orders)
+                    continue
+                assert (w.kind, w.subsets) == ("subset", (first,)), (axiom, p.orders)
+                assert w.observed == (("choice_full", full), ("choice_subset", rule.choose(p, first)))
+
+
+# recorded before H, O and ACA shared one checker
+VERIFIED_SENTENCES = [
+    ((2, 1), "O", 17, 9, ("abc", "bac", "cab"),
+     "{a} keeps every chosen alternative of {} yet chooses {a}"),
+    ((7, 7), "H", 23, 10, ("abc", "bca", "cab"),
+     "choice {a, b, c} meets {a, b} in {a, b}, but the subset's choice is {a}"),
+    ((7, 7), "ACA", 23, 10, ("abc", "bca", "cab"),
+     "{a, b} meets the choice {a, b, c} in {a, b} but chooses {a}"),
+]
+
+
+@pytest.mark.parametrize("spec, axiom, checked, evaluated, orders, sentence", VERIFIED_SENTENCES)
+def test_single_subset_refutations_are_pinned(spec, axiom, checked, evaluated, orders, sentence):
+    outcome = verify_bounded(compose(*spec), axiom, 3, 3)
+    assert (outcome.status, outcome.checked, outcome.evaluated) == ("refuted", checked, evaluated)
+    assert tuple("".join(order) for order in outcome.profile.orders) == orders
+    assert outcome.witness.description == sentence
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 drawn profiles and subsets with m <= 6, and every rule that reads a majority
 relation or a support matrix: its choice from a profile equals its choice
 from that profile's relation or matrix.  Every rule's declared anonymity and
-neutrality hold on drawn criteria orders and relabellings."""
+neutrality hold on drawn criteria orders and relabellings.  Contraction keeps
+each order filtered to the subset, for m up to 40."""
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -13,6 +15,7 @@ import oracles  # noqa: E402
 from twostage.procedures import PROCEDURE_NAMES, QParetoRule, make_procedure  # noqa: E402
 from twostage.profiles import (  # noqa: E402
     Profile,
+    contract,
     default_labels,
     majority_relation,
     tournament_matrix,
@@ -152,3 +155,25 @@ def test_declared_anonymity_and_neutrality_hold(case):
         chosen = rule.choose(p)
         assert rule.choose(permuted) == chosen, rule.label()
         assert rule.choose(relabelled) == frozenset(rename[x] for x in chosen), rule.label()
+
+
+@st.composite
+def profiles_and_kept(draw):
+    m = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 6))
+    labels = default_labels(m)
+    orders = [draw(st.permutations(labels)) for _ in range(n)]
+    kept = draw(st.sets(st.sampled_from(labels), min_size=1))
+    return Profile(orders, labels), kept
+
+
+@hypothesis.example(case=(Profile([("a",)]), {"a"}))
+@hypothesis.example(case=(Profile([("c", "a", "b"), ("b", "c", "a")]), {"b"}))
+@hypothesis.settings(max_examples=200)
+@hypothesis.given(case=profiles_and_kept())
+def test_contraction_keeps_each_order_filtered_to_the_subset(case):
+    p, kept = case
+    filtered = tuple(tuple(x for x in order if x in kept) for order in p.orders)
+    got = contract(p, kept)
+    assert got.orders == filtered
+    assert got == Profile(filtered) and got.ranks.dtype == np.int32
