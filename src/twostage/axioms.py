@@ -247,7 +247,7 @@ def _probes(rule: ChoiceRule, data, axiom: str) -> _Probes:
 
 
 # ---------------------------------------------------------------------------
-# checkers: one for H, O and ACA, one for each other condition
+# checkers: one for H, O and ACA, one for MON1 and SM, one each for C, MON2, NC
 # ---------------------------------------------------------------------------
 
 # The conditions that test one subset X' at a time against C(X).  Each row
@@ -287,6 +287,35 @@ def _check_subsets(axiom: str, choose: _Memo, family: Iterable[frozenset[str]]) 
     return None
 
 
+# The conditions that strengthen one target alternative at a time.  Each row
+# gives which targets the condition moves, from C(X) and the labels; whether
+# the choice after a move then stands as it must; and the failure sentence.
+_PROBED = {
+    # MON1: strengthening a chosen alternative keeps it chosen
+    "MON1": (lambda full, labels: sorted(full), lambda full, a, after: a in after,
+             "{a} is chosen, but {move} drops it: choice becomes {after}"),
+    # SM: strengthening a turns C(X) into C(X), {a} or C(X) ∪ {a}
+    "SM": (lambda full, labels: labels, lambda full, a, after: after in (full, {a}, full | {a}),
+           "{move} turns the choice from {full} into {after}, which is neither the old choice, "
+           "{{{a}}}, nor their union"),
+}
+
+
+def _check_probes(axiom: str, choose: _Memo, probes: _Probes) -> Counterexample | None:
+    targets, stands, sentence = _PROBED[axiom]
+    full = choose()
+    for a in targets(full, choose.labels):
+        for fields, move, after in probes(a):
+            if not stands(full, a, after):
+                return Counterexample(
+                    axiom=axiom,
+                    **fields,
+                    observed=(("choice_before", full), ("choice_after", after)),
+                    description=sentence.format(a=a, move=move, full=_fmt_set(full), after=_fmt_set(after)),
+                )
+    return None
+
+
 def _check_c(choose: _Memo, family: Iterable[frozenset[str]]) -> Counterexample | None:
     """Pairs of the family that cover the universe, in family order.  Pairs
     that contain the universe itself can never violate C."""
@@ -310,23 +339,6 @@ def _check_c(choose: _Memo, family: Iterable[frozenset[str]]) -> Counterexample 
                     f"choose {_fmt_set(common)}, which is not inside {_fmt_set(full)}"
                 ),
             )
-    return None
-
-
-def _check_mon1(choose: _Memo, probes: _Probes) -> Counterexample | None:
-    full = choose()
-    for a in sorted(full):
-        for fields, move, after in probes(a):
-            if a not in after:
-                return Counterexample(
-                    axiom="MON1",
-                    **fields,
-                    observed=(("choice_before", full), ("choice_after", after)),
-                    description=(
-                        f"{a} is chosen, but {move} drops it: choice "
-                        f"becomes {_fmt_set(after)}"
-                    ),
-                )
     return None
 
 
@@ -357,25 +369,6 @@ def _check_mon2(choose: _Memo, *, strict: bool) -> Counterexample | None:
     return None
 
 
-def _check_sm(choose: _Memo, probes: _Probes) -> Counterexample | None:
-    full = choose()
-    for c in choose.labels:
-        allowed = (full, frozenset({c}), full | {c})
-        for fields, move, after in probes(c):
-            if after not in allowed:
-                return Counterexample(
-                    axiom="SM",
-                    **fields,
-                    observed=(("choice_before", full), ("choice_after", after)),
-                    description=(
-                        f"{move} turns the choice from {_fmt_set(full)} "
-                        f"into {_fmt_set(after)}, which is neither the old choice, "
-                        f"{{{c}}}, nor their union"
-                    ),
-                )
-    return None
-
-
 def _check_nc(choose: _Memo, g: GradeTable) -> Counterexample | None:
     full = choose()
     best = threshold_order(g)[0]
@@ -392,9 +385,6 @@ def _check_nc(choose: _Memo, g: GradeTable) -> Counterexample | None:
     return None
 
 
-_PROBE_CHECKS = {"MON1": _check_mon1, "SM": _check_sm}
-
-
 def _check(
     rule: ChoiceRule, data, axiom: str, family: _Family, mon2_strict: bool
 ) -> Verdict:
@@ -403,8 +393,8 @@ def _check(
         witness = _check_subsets(axiom, choose, family(choose.labels))
     elif axiom == "C":
         witness = _check_c(choose, family(choose.labels))
-    elif axiom in _PROBE_CHECKS:
-        witness = _PROBE_CHECKS[axiom](choose, _probes(rule, data, axiom))
+    elif axiom in _PROBED:
+        witness = _check_probes(axiom, choose, _probes(rule, data, axiom))
     elif axiom == "MON2":
         witness = _check_mon2(choose, strict=mon2_strict)
     elif isinstance(data, (Profile, GradeTable)):
@@ -666,6 +656,9 @@ class SearchConfig:
             raise ValueError("m and n ranges must be non-empty")
         if any(m < 1 for m in self.m_values) or any(n < 1 for n in self.n_values):
             raise ValueError("m and n must be positive")
+        for name, values in (("m", self.m_values), ("n", self.n_values)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"each {name} value may be given once, not {list(values)}")
 
 
 @dataclass(frozen=True)
@@ -830,6 +823,8 @@ def verify_bounded(
     axiom = normalize_axiom(axiom)
     if budget < 1:
         raise ValueError("budget must be positive")
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be positive")
     total = math.factorial(m) ** n
     if total > budget:
         return VerificationOutcome("budget-exceeded", 0)

@@ -21,10 +21,11 @@ re-ranked within the subset; any other input is restricted to the subset
 and keeps its values.
 
 ``_REGISTRY`` is the one place to add a procedure: its row gives the
-procedure's name, the input kind its kernel reads, the :class:`Procedure`
-field passed to the kernel (if any), whether it picks at most one
-alternative, and the kernel itself.  Names, dispatch and labels all derive
-from that row.
+procedure's name, the input kind its kernel reads, the rule's field passed
+to the kernel (if any), whether it picks at most one alternative, and the
+kernel itself.  :class:`Procedure` reads its row from ``_REGISTRY`` and
+:class:`QParetoRule` holds one of its own; names, dispatch and labels all
+derive from the row.  Every such rule is anonymous and neutral.
 
 Empty choices: only the simple majority rule, the Condorcet winner, and the
 run-off procedure can return an empty set; everything else always chooses at
@@ -525,13 +526,11 @@ def threshold_rule(g: GradeTable) -> frozenset[str]:
     return threshold_order(g)[0]
 
 
-def super_threshold(
-    g: GradeTable, threshold: Callable[[GradeTable], float] | None = None
-) -> frozenset[str]:
-    """Alternatives whose grade sum meets a threshold; by default the mean
-    grade sum of the presented alternatives."""
+def super_threshold(g: GradeTable) -> frozenset[str]:
+    """Alternatives whose grade sum meets the mean grade sum of the presented
+    alternatives."""
     sums = g.grades.sum(axis=0)
-    t = float(sums.mean()) if threshold is None else float(threshold(g))
+    t = float(sums.mean())
     return frozenset(lab for lab, s in zip(g.labels, sums) if float(s) >= t)
 
 
@@ -585,7 +584,7 @@ def simpson(t: TournamentMatrix) -> frozenset[str]:
 class _Row(NamedTuple):
     name: str
     kind: str  # the input the kernel reads: 'profile' | 'mu' | 'grades' | 'support'
-    param: str | None  # Procedure field passed to the kernel after its input
+    param: str | None  # the rule's field passed to the kernel after its input
     single_winner: bool
     kernel: Callable[..., frozenset[str]]
 
@@ -616,7 +615,7 @@ _REGISTRY: dict[int, _Row] = {
     23: _Row("copeland_1", "mu", None, False, partial(copeland, variant=1)),
     24: _Row("copeland_2", "mu", None, False, partial(copeland, variant=2)),
     25: _Row("copeland_3", "mu", None, False, partial(copeland, variant=3)),
-    26: _Row("super_threshold", "grades", "threshold", False, super_threshold),
+    26: _Row("super_threshold", "grades", None, False, super_threshold),
     27: _Row("minimax", "support", None, False, minimax),
     28: _Row("simpson", "support", None, False, simpson),
 }
@@ -654,19 +653,67 @@ def _kernel_input(kind: str, data, subset: Iterable[str] | None, name: str):
     return data if subset is None else data.restrict(subset)
 
 
-@dataclass(frozen=True)
-class Procedure:
-    """One of the 28 indexed procedures, with its parameter if it takes one.
+class _RowRule:
+    """The calling surface of a fixed rule, read from its registry row
+    ``_row``: its name, the input kind its kernel reads, its parameter, its
+    labels and its one entry point ``choose``.
 
+    Every kernel is blind to the order of the criteria (``anonymous``), and
+    relabelling the alternatives relabels its choice (``neutral``), so search
+    and verify may check one profile per orbit of both.
+    """
+
+    _row: _Row
+    anonymous = neutral = True
+
+    @property
+    def name(self) -> str:
+        return self._row.name
+
+    @property
+    def kind(self) -> str:
+        return self._row.kind
+
+    @property
+    def param(self) -> str | None:
+        return self._row.param
+
+    @property
+    def single_winner(self) -> bool:
+        return self._row.single_winner
+
+    @property
+    def mu_capable(self) -> bool:
+        return self._row.kind == "mu"
+
+    def label(self) -> str:
+        row = self._row
+        if row.param is None:
+            return row.name
+        return f"{row.name}({row.param}={getattr(self, row.param)})"
+
+    def choose(self, data, subset: Iterable[str] | None = None) -> frozenset[str]:
+        """The choice from ``subset`` (default: every alternative) of
+        ``data``, which is a profile or the input this rule's kernel reads
+        (its ``kind``)."""
+        row = self._row
+        data = _kernel_input(row.kind, data, subset, row.name)
+        if row.param is None:
+            return row.kernel(data)
+        return row.kernel(data, getattr(self, row.param))
+
+
+@dataclass(frozen=True)
+class Procedure(_RowRule):
+    """One of the 28 indexed procedures, with its parameter if it takes one:
     ``q`` belongs to the q-approval rule (default 2 in the two-stage
-    catalog), ``k`` to the k-stable rule (default 2), and ``threshold`` is
-    an optional replacement cutoff function for the super-threshold rule.
+    catalog) and ``k`` to the k-stable rule (default 2).  Its row is
+    ``_REGISTRY[index]``.
     """
 
     index: int
     q: int | None = None
     k: int | None = None
-    threshold: Callable[[GradeTable], float] | None = None
 
     def __post_init__(self):
         if self.index not in _REGISTRY:
@@ -676,77 +723,30 @@ class Procedure:
             raise ValueError(f"{name} takes no q parameter")
         if self.k is not None and param != "k":
             raise ValueError(f"{name} takes no k parameter")
-        if self.threshold is not None and param != "threshold":
-            raise ValueError(f"{name} takes no threshold parameter")
         if param == "q" and (self.q is None or self.q < 1):
             raise ValueError("q-approval needs q >= 1")
         if param == "k" and (self.k is None or self.k <= 1):
             raise ValueError("k-stable needs k > 1")
 
     @property
-    def name(self) -> str:
-        return _REGISTRY[self.index].name
+    def _row(self) -> _Row:
+        return _REGISTRY[self.index]
 
-    @property
-    def kind(self) -> str:
-        return _REGISTRY[self.index].kind
-
-    @property
-    def param(self) -> str | None:
-        return _REGISTRY[self.index].param
-
-    @property
-    def single_winner(self) -> bool:
-        return _REGISTRY[self.index].single_winner
-
-    @property
-    def mu_capable(self) -> bool:
-        return self.kind == "mu"
-
-    @property
-    def anonymous(self) -> bool:
-        """Blind to the order of the criteria, so search and verify may check
-        one profile per orbit.  Every kernel is; a user cutoff callable may
-        read one criterion, so a rule that carries one is not."""
-        return self.threshold is None
-
-    @property
-    def neutral(self) -> bool:
-        """Relabelling the alternatives relabels the choice, so search and
-        verify may also check one profile per relabelling orbit.  Every
-        kernel is; a user cutoff callable may read labels, so a rule that
-        carries one is not."""
-        return self.threshold is None
-
-    def label(self) -> str:
-        if self.param in ("q", "k"):
-            return f"{self.name}({self.param}={getattr(self, self.param)})"
-        return self.name
-
-    def choose(self, data, subset: Iterable[str] | None = None) -> frozenset[str]:
-        """The choice from ``subset`` (default: every alternative) of
-        ``data``, which is a profile or the input this procedure's kernel
-        reads (its ``kind``)."""
-        row = _REGISTRY[self.index]
-        data = _kernel_input(row.kind, data, subset, row.name)
-        if row.param is None:
-            return row.kernel(data)
-        return row.kernel(data, getattr(self, row.param))
-
-    # aliases of choose, kept only because perfbench/tracing.py wraps them by name
-    choose_mu = choose
-    choose_grades = choose
-    choose_support = choose
+    # perfbench/tracing.py wraps choose and its aliases through this class's
+    # own namespace; the aliases stay only for that
+    choose = choose_mu = choose_grades = choose_support = _RowRule.choose
 
 
 @dataclass(frozen=True)
-class QParetoRule:
+class QParetoRule(_RowRule):
     """The q-Pareto rule as a standalone choice rule.
 
-    Not one of the 28 indexed procedures, but it shares their calling
-    surface so the axiom checkers and the command line can drive it.
+    Not one of the 28 indexed procedures, but it reads the same row-driven
+    surface, so the axiom checkers and the command line can drive it.
     Keeps every alternative weakly dominated by at most ``q`` others.
     """
+
+    _row = _Row("qpareto", "grades", "q", False, q_pareto)
 
     q: int
 
@@ -754,56 +754,22 @@ class QParetoRule:
         if self.q < 0:
             raise ValueError("q-Pareto needs q >= 0")
 
-    @property
-    def name(self) -> str:
-        return "qpareto"
-
-    @property
-    def kind(self) -> str:
-        return "grades"
-
-    @property
-    def single_winner(self) -> bool:
-        return False
-
-    @property
-    def mu_capable(self) -> bool:
-        return False
-
-    @property
-    def anonymous(self) -> bool:
-        return True
-
-    @property
-    def neutral(self) -> bool:
-        return True
-
-    def label(self) -> str:
-        return f"qpareto(q={self.q})"
-
-    def choose(self, data, subset: Iterable[str] | None = None) -> frozenset[str]:
-        """The choice from ``subset`` of a profile or a grade table."""
-        return q_pareto(_kernel_input("grades", data, subset, self.name), self.q)
-
 
 def make_procedure(
-    spec: int | str | Procedure,
-    q: int | None = None,
-    k: int | None = None,
-    threshold: Callable[[GradeTable], float] | None = None,
+    spec: int | str | Procedure, q: int | None = None, k: int | None = None
 ) -> "Procedure | QParetoRule":
     """Build a :class:`Procedure` from an index, a mnemonic name, or pass an
     existing one through (parameters must then be omitted).  The name
     ``"qpareto"`` (or ``"q_pareto"``) builds the standalone q-Pareto rule,
     with ``q`` defaulting to 2 like the other parameterized rules."""
-    if isinstance(spec, (Procedure, QParetoRule)):
-        if q is not None or k is not None or threshold is not None:
+    if isinstance(spec, _RowRule):
+        if q is not None or k is not None:
             raise ValueError("cannot re-parameterize an existing Procedure")
         return spec
     if isinstance(spec, str):
         key = spec.strip().lower()
         if key in ("qpareto", "q_pareto"):
-            if k is not None or threshold is not None:
+            if k is not None:
                 raise ValueError("q-Pareto takes only the q parameter")
             return QParetoRule(2 if q is None else q)
         if key.isdigit():
@@ -822,7 +788,7 @@ def make_procedure(
         q = 2
     if param == "k" and k is None:
         k = 2
-    return Procedure(index, q=q, k=k, threshold=threshold)
+    return Procedure(index, q=q, k=k)
 
 
 def apply_procedure(
@@ -832,8 +798,7 @@ def apply_procedure(
     *,
     q: int | None = None,
     k: int | None = None,
-    threshold: Callable[[GradeTable], float] | None = None,
 ) -> frozenset[str]:
     """Evaluate one procedure on the contraction of ``p`` to ``subset``.
     Parameters given with an existing rule raise, as in :func:`make_procedure`."""
-    return make_procedure(spec, q=q, k=k, threshold=threshold).choose(p, subset)
+    return make_procedure(spec, q=q, k=k).choose(p, subset)

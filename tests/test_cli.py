@@ -246,6 +246,20 @@ def test_a_flag_the_command_does_not_take_is_a_usage_error(capsys, files, comman
     assert f"error: unrecognized arguments: {' '.join(flag)}" in captured.err
 
 
+@pytest.mark.parametrize("m, n", [("-1", "2"), ("3", "-1")])
+def test_verify_size_below_one_is_a_usage_error(capsys, m, n):
+    code, out, err = run(capsys, "verify", "--proc", "7", "--axiom", "Mon1", "--m", m, "--n", n)
+    assert (code, out) == (2, "")
+    assert err == "error: m and n must be positive\n"
+
+
+@pytest.mark.parametrize("flag", ["--m", "--n"])
+def test_search_rejects_a_repeated_size(capsys, flag):
+    code, out, err = run(capsys, "search", "--proc", "7", "--axiom", "H", flag, "3", flag, "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: each {flag[2:]} value may be given once, not [3, 3]\n"
+
+
 def test_verify_budget_below_one_is_a_usage_error(capsys):
     code, out, err = run(
         capsys, "verify", "--proc", "7", "--axiom", "Mon1", "--m", "3", "--n", "2",

@@ -389,10 +389,6 @@ def test_threshold_hand_case():
 def test_super_threshold_hand_case():
     # Grade sums a=7, b=5, c=6 against the mean cutoff 6.
     assert super_threshold(THRESHOLD_TABLE) == frozenset({"a", "c"})
-    assert super_threshold(THRESHOLD_TABLE, threshold=lambda g: 5.0) == frozenset(
-        {"a", "b", "c"}
-    )
-    assert super_threshold(THRESHOLD_TABLE, threshold=lambda g: 7.5) == frozenset()
 
 
 def random_grade_tables(count, max_m, low, high, seed):
@@ -497,6 +493,11 @@ def test_registry_surface_is_pinned_for_every_index():
         proc = make_procedure(index)
         assert (proc.label(), proc.kind, proc.single_winner) == (label, kind, single_winner)
         assert proc.mu_capable == (kind == "mu")
+        assert proc.param == {4: "q", 21: "k"}.get(index)
+    for q in (0, 1, 2):
+        rule = QParetoRule(q)
+        assert (rule.label(), rule.kind, rule.param) == (f"qpareto(q={q})", "grades", "q")
+        assert not rule.single_winner and not rule.mu_capable
 
 
 def test_make_procedure_rejects_bad_requests():
@@ -530,7 +531,6 @@ def test_apply_procedure_rejects_parameters_for_an_existing_rule():
     for rule, params in (
         (Procedure(4, q=1), {"q": 3}),
         (Procedure(21, k=2), {"k": 3}),
-        (Procedure(26), {"threshold": lambda g: 0.0}),
         (QParetoRule(1), {"k": 2}),
     ):
         with pytest.raises(ValueError, match="cannot re-parameterize"):
@@ -570,14 +570,8 @@ def test_declared_symmetries_hold_on_random_profiles_and_subsets(rule):
 
 
 def test_anonymity_is_declared_by_every_built_in_rule():
-    for index in range(1, 29):
-        assert make_procedure(index).anonymous
-    assert QParetoRule(0).anonymous
-    assert compose(27, 28).anonymous
-    # a cutoff callable may read one criterion or one label
-    cutoff = Procedure(26, threshold=lambda g: 0.0)
-    for rule in (cutoff, compose(cutoff, 1), compose(1, cutoff)):
-        assert not rule.anonymous and not rule.neutral
+    for rule in [make_procedure(i) for i in range(1, 29)] + [QParetoRule(0), compose(27, 28)]:
+        assert rule.anonymous and rule.neutral, rule.label()
 
 
 def test_choose_contracts_to_subset():
