@@ -51,6 +51,7 @@ from .profiles import (
     MajorityRelation,
     Profile,
     RankImprovement,
+    ScopedProfile,
     _fmt_set,
     default_labels,
     improve,
@@ -388,6 +389,8 @@ def _check_nc(choose: _Memo, g: GradeTable) -> Counterexample | None:
 def _check(
     rule: ChoiceRule, data, axiom: str, family: _Family, mon2_strict: bool
 ) -> Verdict:
+    if type(data) is Profile:
+        data = ScopedProfile(data)  # μ and S derived at most once, restricted per subset
     choose = _Memo(lambda subset: rule.choose(data, subset), data.labels)
     if axiom in _SINGLE_SUBSET:
         witness = _check_subsets(axiom, choose, family(choose.labels))
@@ -699,6 +702,18 @@ def _orbits(rule: ChoiceRule, m: int) -> bool | str:
     return _CRITERIA
 
 
+def _cell_size(m: int, n: int, cap: int) -> int:
+    """The (m!)^n profiles of an (m, n) cell, or, once the product passes
+    ``cap``, the first partial product above it.  The exact count can be
+    huge: at m = 5000, n = 300 it has nearly five million digits."""
+    size = 1
+    for factor in itertools.chain.from_iterable(itertools.repeat(range(2, m + 1), n)):
+        size *= factor
+        if size > cap:
+            break
+    return size
+
+
 def _scan_cell(
     rule: ChoiceRule,
     m: int,
@@ -732,9 +747,10 @@ def _scan_cell(
         if witness is not None:
             return SearchResult("found", position + 1, witness, p, evaluated)
     # the last orbit can end below a budget that the cell exceeds
-    if count**n > budget:
+    size = _cell_size(m, n, budget)
+    if size > budget:
         return SearchResult("budget-exceeded", budget, evaluated=evaluated)
-    return SearchResult("exhausted", count**n, evaluated=evaluated)
+    return SearchResult("exhausted", size, evaluated=evaluated)
 
 
 def search_counterexample(
@@ -825,7 +841,7 @@ def verify_bounded(
         raise ValueError("budget must be positive")
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    total = math.factorial(m) ** n
+    total = _cell_size(m, n, budget)
     if total > budget:
         return VerificationOutcome("budget-exceeded", 0)
     cell = _scan_cell(rule, m, n, _checker(rule, axiom, "all", mon2_strict), total)

@@ -28,6 +28,7 @@ from typing import Iterable, TextIO
 
 from .axioms import AXIOMS as AXIOM_KEYS
 from .procedures import PROCEDURE_NAMES, Procedure, make_procedure
+from .profiles import Profile, ScopedProfile
 
 __all__ = [
     "AXIOM_KEYS",
@@ -84,7 +85,12 @@ class TwoStage:
     ) -> tuple[frozenset[str], frozenset[str]]:
         """Both stages' choices from ``subset`` of ``data``: a profile, or an
         input both stages read (a majority relation when both are
-        relation-driven)."""
+        relation-driven).  A plain profile is seen through one
+        :class:`ScopedProfile` for the call, so a second stage that reads
+        the relation or the support matrix the first derived restricts it
+        to the survivors instead of deriving its own."""
+        if type(data) is Profile:
+            data = ScopedProfile(data)
         survivors = self.first.choose(data, subset)
         if not survivors:
             return survivors, frozenset()

@@ -18,7 +18,9 @@ profile or the input the rule's kernel reads (a :class:`MajorityRelation`,
 mu or on grades also work on a bare relation or grade table.  A profile is
 contracted to the subset before conversion, so grades derived from it are
 re-ranked within the subset; any other input is restricted to the subset
-and keeps its values.
+and keeps its values.  Within one condition check or two-stage call, a
+profile's relation and support matrix are derived once and restricted per
+subset (see ``_kernel_input``).
 
 ``_REGISTRY`` is the one place to add a procedure: its row gives the
 procedure's name, the input kind its kernel reads, the rule's field passed
@@ -46,6 +48,7 @@ from .profiles import (
     GradeTable,
     MajorityRelation,
     Profile,
+    ScopedProfile,
     TournamentMatrix,
     _Universe,
     borda_scores,
@@ -632,19 +635,36 @@ def _kernel_input(kind: str, data, subset: Iterable[str] | None, name: str):
     read their inputs through it, and a wrong kind raises ``TypeError``
     naming the operation ``name``.
 
+    A condition check or a two-stage call hands the rule a
+    :class:`ScopedProfile`, which derives the majority relation or the
+    support matrix once, for the first choice from its whole universe, and
+    keeps it.  A choice from a subset then restricts that input instead of
+    contracting and deriving again: S(x, y) counts the same criteria in a
+    contracted profile as in the full one.  A subset choice never derives
+    the full input itself, which at large m costs far more than the
+    subset's; and grades and profile kernels always contract, since they
+    re-rank within the subset.
+
     The converters are looked up as module globals on each call, so a
     caller that replaces one (the benchmark's tracer does) sees every use.
     """
     if isinstance(data, Profile):
+        derived = data.derived if isinstance(data, ScopedProfile) else None
+        if derived is not None and kind in derived:
+            return derived[kind] if subset is None else derived[kind].restrict(subset)
         if subset is not None:
             data = contract(data, subset)
         if kind == "mu":
-            return majority_relation(data)
-        if kind == "grades":
+            out = majority_relation(data)
+        elif kind == "support":
+            out = tournament_matrix(data)
+        elif kind == "grades":
             return grade_table(data)
-        if kind == "support":
-            return tournament_matrix(data)
-        return data
+        else:
+            return data
+        if derived is not None and subset is None:
+            derived[kind] = out
+        return out
     if not (isinstance(data, _Universe) and data.kind == kind):
         noun = _KINDS[kind].noun
         wanted = noun if kind == "profile" else f"a full profile or {noun}"

@@ -148,7 +148,7 @@ class _Universe:
 
     def _state(self) -> tuple:
         """What ``__eq__`` compares besides the array's values."""
-        return (type(self), self.labels, *[getattr(self, name) for name in self._extra])
+        return (self.kind, self.labels, *[getattr(self, name) for name in self._extra])
 
     def _values(self) -> bytes:
         """The array's values as bytes, whatever integer dtype holds them."""
@@ -167,7 +167,11 @@ class _Universe:
             raise TypeError("a profile is contracted, not restricted: use contract()")
         idx = self._positions(subset)
         array = self._array()
-        array = array[np.ix_(idx, idx)] if self._square else array[:, idx]
+        if self._square:
+            rows = np.array(idx)
+            array = array[rows[:, None], rows]  # one broadcast index, cheaper than np.ix_
+        else:
+            array = array[:, idx]
         extra = (getattr(self, name) for name in self._extra)
         return self._trusted([self.labels[j] for j in idx], array, *extra)
 
@@ -249,6 +253,25 @@ class Profile(_Universe):
     def rank_of(self, label: str, criterion: int) -> int:
         """0-based position of ``label`` under 0-based ``criterion``."""
         return int(self.ranks[criterion, self.index(label)])
+
+
+class ScopedProfile(Profile):
+    """A profile seen for the length of one condition check or one two-stage
+    call: the viewed profile's labels and read-only ranks, plus ``derived``,
+    the majority relation and the support matrix over the whole universe,
+    keyed by kind, once a choice from the whole universe has derived them.
+
+    A choice from a subset then restricts the derived input, since S(x, y)
+    counts the same criteria in a contracted profile as in the full one (see
+    ``procedures._kernel_input``).  The view compares equal to the profile it
+    views, and nothing is kept on that profile: every view starts empty.
+    """
+
+    __slots__ = ("derived",)
+
+    def __init__(self, p: Profile):
+        self.labels, self._pos, self.ranks = p.labels, p._pos, p.ranks
+        self.derived: dict[str, _Universe] = {}
 
 
 @dataclass(frozen=True)
@@ -579,7 +602,8 @@ def borda_counts(p: Profile) -> dict[str, int]:
 def _pairwise_support(p: Profile) -> np.ndarray:
     """(m, m) matrix of S(x, y) = how many criteria rank x above y.
 
-    One loop at every size, with a flat cost per element and criterion:
+    One loop at every size but the smallest, with a flat cost per element
+    and criterion:
 
     * Rows come in panels sized to stay cache-resident across the passes
       over the criteria; one streaming pass over the whole accumulator per
@@ -594,6 +618,15 @@ def _pairwise_support(p: Profile) -> np.ndarray:
       criterion would pay NumPy's per-call dispatch n times.  A large
       profile gets one criterion per pass, and that slab is added as it
       is: a reduce over a length-1 axis would cost a second, buffered pass.
+    * A profile whose whole compare spans at most ``1 << 12`` elements, as
+      every small profile's does, takes one int32 compare and returns its
+      sum: at that size the narrowing cast, the zeroed accumulator and the
+      panel buffer cost more than the compare, which is not yet slower in
+      int32.  Above it the narrow compare wins (1.7x at m = 100, n = 6).
+
+    A condition check or a two-stage call derives this matrix (and the
+    majority relation from it) at most once over the whole universe, through
+    a :class:`ScopedProfile`, and restricts it for each subset.
     """
     m, n = p.m, p.n
     if n < 255:
@@ -602,6 +635,8 @@ def _pairwise_support(p: Profile) -> np.ndarray:
         acc_dtype = np.uint16
     else:
         acc_dtype = np.int64
+    if n * m * m <= 1 << 12:
+        return np.less(p.ranks[:, :, None], p.ranks[:, None, :]).sum(0, dtype=acc_dtype)
     ranks = p.ranks.astype(np.min_scalar_type(-m))
     counts = np.zeros((m, m), dtype=acc_dtype)
     width = max(8, min(m, (1 << 20) // (2 * m)))
@@ -623,9 +658,12 @@ def tournament_matrix(p: Profile) -> TournamentMatrix:
 
 def majority_relation(p: Profile) -> MajorityRelation:
     # For linear orders S(x,y) + S(y,x) = n, so the strict-majority test
-    # reduces to a scalar threshold: no transpose traversal needed.
+    # reduces to a scalar threshold: no transpose traversal needed.  Below
+    # 255 criteria the test is written over the fresh uint8 counts it reads,
+    # which spares a second m x m allocation.
     counts = _pairwise_support(p)
-    return MajorityRelation._trusted(p.labels, counts > (p.n // 2))
+    out = counts.view(bool) if counts.dtype == np.uint8 else None
+    return MajorityRelation._trusted(p.labels, np.greater(counts, p.n // 2, out=out))
 
 
 def grade_table(p: Profile) -> GradeTable:

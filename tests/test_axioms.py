@@ -476,6 +476,21 @@ def test_verify_bounded_refuses_oversized_spaces():
     assert outcome.checked == 0
 
 
+def test_verify_bounded_refuses_a_huge_cell_at_once():
+    # (5000!)^300 has nearly five million digits; counting stops at the budget
+    start = time.perf_counter()
+    outcome = verify_bounded(make_procedure(7), "H", 5000, 300)
+    assert time.perf_counter() - start < 0.5
+    assert (outcome.status, outcome.checked, outcome.evaluated) == ("budget-exceeded", 0, 0)
+
+
+def test_verify_bounded_counts_a_cell_up_to_its_budget_exactly():
+    # (3!)^2 = 36 profiles: a budget of 36 covers the cell, 35 does not
+    assert verify_bounded(make_procedure(7), "H", 3, 2, budget=36).checked == 36
+    assert verify_bounded(make_procedure(7), "H", 3, 2, budget=35).status == "budget-exceeded"
+    assert verify_bounded(make_procedure(7), "H", 1, 50, budget=1).status == "verified"
+
+
 def test_verify_bounded_rejects_a_budget_below_one():
     for budget in (0, -1):
         with pytest.raises(ValueError, match="budget must be positive"):

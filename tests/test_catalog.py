@@ -12,6 +12,7 @@ from twostage import (
     Procedure,
     TwoStage,
     catalog_counts,
+    check_axiom,
     classify,
     classify_group,
     compose,
@@ -23,6 +24,7 @@ from twostage import (
     majority_relation,
     two_stage_from_id,
 )
+from twostage import procedures
 from twostage.catalog import DEGENERATE_IDS, EQUIVALENT_TO
 from twostage.procedures import (
     QParetoRule,
@@ -345,3 +347,40 @@ def test_export_catalog_shape():
     assert row309[0] == "309"
     assert row309[5] == "equivalent" and row309[6] == "condorcet_winner"
     assert all(len(line.split("\t")) == 15 for line in lines[1:])
+
+
+def _record_m(monkeypatch, name):
+    """Replace the converter ``procedures.<name>`` with one that records the
+    size of each profile it converts."""
+    seen, original = [], getattr(procedures, name)
+    monkeypatch.setattr(procedures, name, lambda p: seen.append(p.m) or original(p))
+    return seen
+
+
+def test_a_second_stage_derives_the_relation_only_over_the_survivors(monkeypatch):
+    # plurality reads the profile, so nothing is derived over all 200
+    # alternatives: uncovered_1 derives the relation of the survivors alone
+    seen = _record_m(monkeypatch, "majority_relation")
+    survivors, _ = compose(2, 16).choose_detailed(generate_profile(200, 5, seed=1))
+    assert len(survivors) > 1 and seen == [len(survivors)]
+
+
+def test_a_two_stage_call_derives_the_support_once_and_keeps_nothing(monkeypatch):
+    # minimax derives S over the whole profile and simpson restricts it to
+    # the survivors; the next call on the same profile derives it again, as
+    # nothing is cached on the profile itself
+    seen = _record_m(monkeypatch, "tournament_matrix")
+    rule, p = compose(27, 28), generate_profile(6, 5, seed=2)
+    first = rule.choose(p)
+    assert seen == [6]
+    assert rule.choose(p) == first and seen == [6, 6]
+
+
+def test_a_condition_check_derives_the_relation_once_per_profile(monkeypatch):
+    seen = _record_m(monkeypatch, "majority_relation")
+    contracted = _record_m(monkeypatch, "contract")
+    p = generate_profile(5, 4, seed=3)
+    for axiom in ("H", "C", "O", "ACA", "MON2"):
+        check_axiom(compose(20, 16), p, axiom)
+    # one derivation per check, every subset restricted from it
+    assert seen == [5] * 5 and contracted == []

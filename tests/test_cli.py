@@ -1,5 +1,7 @@
 """End-to-end runs of the command-line surface via ``main(argv)``."""
 
+import time
+
 import pytest
 
 from twostage.cli import main
@@ -287,6 +289,17 @@ def test_verify_refutes_with_witness(capsys):
     lines = out.splitlines()
     assert lines[0] == "status refuted"
     assert lines[2].startswith("witness: ")
+
+
+def test_verify_answers_a_huge_cell_at_once(capsys):
+    # a budget-exceeded verification exits 1; the sizes stay usage errors
+    # below 1 and a small cell still verifies
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "--proc", "7", "--axiom", "H", "--m", "5000", "--n", "300")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "status budget-exceeded\nchecked 0\n")
+    assert run(capsys, "verify", "--proc", "7", "--axiom", "H", "--m", "0", "--n", "300")[0] == 2
+    assert run(capsys, "verify", "--proc", "7", "--axiom", "H", "--m", "3", "--n", "2")[0] == 0
 
 
 def test_budget_env_var_feeds_verify(capsys, monkeypatch):

@@ -3,7 +3,11 @@ drawn profiles and subsets with m <= 6, and every rule that reads a majority
 relation or a support matrix: its choice from a profile equals its choice
 from that profile's relation or matrix.  Every rule's declared anonymity and
 neutrality hold on drawn criteria orders and relabellings.  Contraction keeps
-each order filtered to the subset, for m up to 40."""
+each order filtered to the subset, for m up to 40.  A scoped profile's
+relation and support matrix, restricted to a subset, equal those derived
+from the contracted profile."""
+
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,9 +16,11 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 import oracles  # noqa: E402
-from twostage.procedures import PROCEDURE_NAMES, QParetoRule, make_procedure  # noqa: E402
+from twostage.bench import generate_profile  # noqa: E402
+from twostage.procedures import PROCEDURE_NAMES, QParetoRule, _kernel_input, make_procedure  # noqa: E402
 from twostage.profiles import (  # noqa: E402
     Profile,
+    ScopedProfile,
     contract,
     default_labels,
     majority_relation,
@@ -177,3 +183,44 @@ def test_contraction_keeps_each_order_filtered_to_the_subset(case):
     got = contract(p, kept)
     assert got.orders == filtered
     assert got == Profile(filtered) and got.ranks.dtype == np.int32
+
+
+def _assert_restriction_matches_contraction(p):
+    """Once a scope has derived its full relation and support matrix, its
+    input for every non-empty subset is the one the contracted profile
+    derives: the same labels, values, dtype and ``voters``."""
+    scope = ScopedProfile(p)
+    for kind, derive in (("mu", majority_relation), ("support", tournament_matrix)):
+        full = _kernel_input(kind, scope, None, "test")
+        assert scope.derived[kind] is full and full == derive(p)
+        for size in range(1, p.m + 1):
+            for subset in combinations(p.labels, size):
+                got = _kernel_input(kind, scope, subset, "test")
+                want = derive(contract(p, subset))
+                assert got == want and got.labels == want.labels
+                assert got._array().dtype == want._array().dtype
+                assert getattr(got, "voters", None) == getattr(want, "voters", None)
+
+
+@st.composite
+def small_profiles(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    labels = default_labels(m)
+    return Profile([draw(st.permutations(labels)) for _ in range(n)], labels)
+
+
+@hypothesis.example(p=Profile([("a",)]))
+@hypothesis.example(p=Profile([("a", "b", "c"), ("c", "b", "a"), ("b", "a", "c"), ("b", "c", "a")]))
+@hypothesis.settings(max_examples=100)
+@hypothesis.given(p=small_profiles())
+def test_a_scoped_profile_restricts_what_contraction_derives(p):
+    _assert_restriction_matches_contraction(p)
+
+
+@pytest.mark.parametrize("m, n", [(4, 256), (5, 300)])
+def test_a_scoped_profile_restricts_uint16_counts(m, n):
+    # n >= 255 sums the support in uint16, on both sides of the single-compare size
+    p = generate_profile(m, n, seed=m + n)
+    assert tournament_matrix(p).counts.dtype == np.uint16
+    _assert_restriction_matches_contraction(p)

@@ -397,13 +397,15 @@ def test_inputs_of_different_kinds_never_compare_equal():
 
 # (m, n) at each switch point of the support kernel: the rank dtype
 # (int8 up to m = 128), a row panel narrower than m (m = 1100), the
-# accumulator dtype (uint8 below n = 255), and n * panel width * m on
-# either side of the 1 << 16 elements one compare may span (at m = 64 a
-# compare holds 16 criteria, at m = 181 two, from m = 256 one).
+# accumulator dtype (uint8 below n = 255), n * panel width * m on either
+# side of the 1 << 16 elements one compare may span (at m = 64 a compare
+# holds 16 criteria, at m = 181 two, from m = 256 one), and n * m * m on
+# either side of the 1 << 12 elements of the single int32 compare.
 SUPPORT_KERNEL_SIZES = [
     *((m, 3) for m in (1, 2, 127, 128, 129, 1100)),
     *((5, n) for n in (1, 2, 254, 255, 256)),
     (64, 15), (64, 16), (64, 17), (64, 33), (181, 2), (181, 3), (255, 2), (256, 2),
+    (16, 16), (16, 17), (64, 1), (65, 1), (4, 256), (4, 257),
 ]
 
 
@@ -413,7 +415,8 @@ def test_support_kernel_matches_a_brute_count(m, n):
     ranks = p.ranks.copy()
     support = oracles.brute_support(p.orders)
     want = np.array([[support[x].get(y, 0) for y in p.labels] for x in p.labels])
-    assert (_pairwise_support(p) == want).all()
+    got = _pairwise_support(p)
+    assert (got == want).all() and got.dtype == (np.uint8 if n < 255 else np.uint16)
     t = tournament_matrix(p)
     assert t.voters == n and (t.counts == want).all()
     assert (majority_relation(p).matrix == (2 * want > n)).all()

@@ -26,3 +26,21 @@ def test_traced_layers_see_verify_and_compose_calls(monkeypatch):
     totals = tracer.layer_totals()
     for layer in (SUPPORT, CONTRACT, KERNEL, CHECK, ENUMERATE):
         assert totals.get(layer, (0, 0.0))[0] > 0, layer
+
+
+def test_a_traced_check_derives_the_relation_once_per_profile(monkeypatch):
+    # core -> core reads only the majority relation: each checked profile
+    # derives it once, and every subset restricts it rather than contracting
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import CONTRACT, SUPPORT, Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        outcome = verify_bounded(compose(20, 20), "H", 3, 3)
+    finally:
+        tracer.uninstall()
+    assert outcome.status == "verified" and outcome.evaluated == 10
+    totals = tracer.layer_totals()
+    assert totals[SUPPORT][0] == outcome.evaluated
+    assert totals.get(CONTRACT, (0, 0.0))[0] == 0
