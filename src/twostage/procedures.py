@@ -191,8 +191,10 @@ def borda(p: Profile) -> frozenset[str]:
 
 
 def black(p: Profile) -> frozenset[str]:
-    """The Condorcet winner when one exists, the Borda winners otherwise."""
-    winner = condorcet_winner(majority_relation(p))
+    """The Condorcet winner when one exists, the Borda winners otherwise.
+    The relation comes through ``_kernel_input``, so inside a check or a
+    two-stage call it is the scope's, restricted to ``p``'s labels."""
+    winner = condorcet_winner(_kernel_input("mu", p, None, "black"))
     return winner if winner else borda(p)
 
 
@@ -304,17 +306,26 @@ def _row_masks(matrix: np.ndarray) -> list[int]:
     """Per row of a boolean matrix, the bitmask of the columns it marks, as
     a Python int (bit j for column j), so it has no width limit.
 
-    Rows of a C-contiguous matrix (or of any layout but a transposed view)
-    pack along the row with ``np.packbits``.  A transposed view holds the
-    columns of a C-contiguous base, and packing along its strided axis
-    costs about 20 times more at m = 2000; so the base is packed eight rows
-    at a time instead.  Read as bytes, each slab of
-    eight base rows weighted 1, 2, ..., 128 gives byte i of every column's
-    mask, and only that packed array, eight times smaller, is transposed.
-    The base gets zero rows up to a multiple of eight first.  Either way
-    each mask is ``int.from_bytes`` of one little-endian slice of a single
-    ``tobytes()`` buffer.
+    The matrix's width picks the path:
+
+    * Up to eight columns (every small-m relation) each mask is one byte.
+      One ``np.packbits`` along the row axis and one ``tolist()`` give them
+      all, for a C-contiguous matrix and a transposed view alike, at half
+      the byte-slicing path's cost on rows and a quarter on a transposed
+      view (m = 6).
+    * Wider rows of a C-contiguous matrix (or of any layout but a
+      transposed view) pack along the row with ``np.packbits`` too.  A
+      transposed view holds the columns of a C-contiguous base, and packing
+      along its strided axis costs about 20 times more at m = 2000; so the
+      base is packed eight rows at a time instead.  Read as bytes, each slab
+      of eight base rows weighted 1, 2, ..., 128 gives byte i of every
+      column's mask, and only that packed array, eight times smaller, is
+      transposed.  The base gets zero rows up to a multiple of eight first.
+      Either way each mask is ``int.from_bytes`` of one little-endian slice
+      of a single ``tobytes()`` buffer.
     """
+    if matrix.shape[1] <= 8:
+        return np.packbits(matrix, axis=1, bitorder="little")[:, 0].tolist()
     if matrix.flags.c_contiguous or not matrix.T.flags.c_contiguous:
         packed = np.packbits(matrix, axis=1, bitorder="little")
     else:
@@ -486,8 +497,12 @@ def k_stable_sets(mu: MajorityRelation, k: int) -> list[frozenset[str]]:
     adj = mu.matrix
     reach = adj.copy()
     power = adj
-    for _ in range(k - 1):
+    # a shortest path has at most m - 1 edges, and once the paths one edge
+    # longer reach nothing new, no longer ones will: stop there, whatever k
+    for _ in range(min(k, m - 1) - 1):
         power = power @ adj  # a bool product: it counts no paths, so nothing wraps
+        if not (power & ~reach).any():
+            break
         reach |= power
     reach_masks = _row_masks(reach)
     full = (1 << m) - 1
@@ -643,17 +658,25 @@ def _kernel_input(kind: str, data, subset: Iterable[str] | None, name: str):
     contracted profile as in the full one.  A subset choice never derives
     the full input itself, which at large m costs far more than the
     subset's; and grades and profile kernels always contract, since they
-    re-rank within the subset.
+    re-rank within the subset.  The contraction a profile kernel gets names
+    the scope as its ``_scope``, so what that kernel reads of the relation
+    (``black`` does) is the scope's, restricted; the other profile kernels
+    pay one attribute write for it.
 
     The converters are looked up as module globals on each call, so a
     caller that replaces one (the benchmark's tracer does) sees every use.
     """
     if isinstance(data, Profile):
-        derived = data.derived if isinstance(data, ScopedProfile) else None
-        if derived is not None and kind in derived:
-            return derived[kind] if subset is None else derived[kind].restrict(subset)
+        scope = data if isinstance(data, ScopedProfile) else None
+        if scope is not None and kind in scope.derived:
+            held = scope.derived[kind]
+            return held if subset is None else held.restrict(subset)
         if subset is not None:
             data = contract(data, subset)
+            if scope is not None and kind == "profile" and data is not scope:
+                data._scope = scope
+        elif kind != "profile" and hasattr(data, "_scope") and kind in data._scope.derived:
+            return data._scope.derived[kind].restrict(frozenset(data.labels))
         if kind == "mu":
             out = majority_relation(data)
         elif kind == "support":
@@ -662,8 +685,8 @@ def _kernel_input(kind: str, data, subset: Iterable[str] | None, name: str):
             return grade_table(data)
         else:
             return data
-        if derived is not None and subset is None:
-            derived[kind] = out
+        if scope is not None and subset is None:
+            scope.derived[kind] = out
         return out
     if not (isinstance(data, _Universe) and data.kind == kind):
         noun = _KINDS[kind].noun

@@ -91,11 +91,17 @@ def _check_labels(labels: Iterable[str]) -> tuple[str, ...]:
 
 
 class _Universe:
-    """One input value: the sorted alternative ``labels``, their positions,
-    and one read-only array aligned with the labels, named by ``_field``.
-    Each subclass adds only a validating constructor and its accessors, and
-    declares its ``kind`` (as the procedure registry names it) and the
-    ``noun`` error messages use."""
+    """One input value: the sorted alternative ``labels`` and one read-only
+    array aligned with the labels, named by ``_field``.  Each subclass adds
+    only a validating constructor and its accessors, and declares its
+    ``kind`` (as the procedure registry names it) and the ``noun`` error
+    messages use.
+
+    The label -> position map ``_pos`` is built by the first :meth:`index`
+    call, not with the value: most relations, support matrices and
+    contracted profiles are derived, read by a kernel and dropped without
+    one label lookup.  A set of labels finds its positions in one pass over
+    ``labels`` instead (see :meth:`_positions`)."""
 
     __slots__ = ("labels", "_pos")
 
@@ -110,8 +116,7 @@ class _Universe:
 
     def _set(self, labels: Sequence[str], array: np.ndarray, *extra) -> None:
         array.setflags(write=False)
-        self.labels = labels = tuple(labels)
-        self._pos = {lab: j for j, lab in enumerate(labels)}
+        self.labels = tuple(labels)
         setattr(self, self._field, array)
         if extra:  # skipping the loop keeps Profile.from_ranks, the hot path, cheap
             for name, value in zip(self._extra, extra):
@@ -132,12 +137,24 @@ class _Universe:
 
     def index(self, label: str) -> int:
         try:
-            return self._pos[label]
+            pos = self._pos
+        except AttributeError:
+            pos = self._pos = {lab: j for j, lab in enumerate(self.labels)}
+        try:
+            return pos[label]
         except KeyError:
             raise ValueError(f"unknown alternative {label!r}") from None
 
     def _positions(self, subset: Iterable[str]) -> list[int]:
-        """The positions of a non-empty subset's labels, ascending."""
+        """The positions of a non-empty subset's labels, ascending.  A set
+        or frozenset is read in one pass over ``labels``, which yields them
+        in order and needs no label map; when that pass finds fewer labels
+        than the set holds, the label-by-label lookup below names the
+        unknown one, as it does for any other iterable."""
+        if isinstance(subset, (set, frozenset)):
+            idx = [j for j, lab in enumerate(self.labels) if lab in subset]
+            if len(idx) == len(subset) and idx:
+                return idx
         idx = sorted({self.index(lab) for lab in subset})
         if not idx:
             raise ValueError("subset of alternatives must be non-empty")
@@ -200,7 +217,9 @@ class Profile(_Universe):
     from the ranks on each access.
     """
 
-    __slots__ = ("ranks",)
+    # ``_scope``: the ScopedProfile this profile was contracted from for a
+    # profile kernel, if any (see ScopedProfile); unset otherwise
+    __slots__ = ("ranks", "_scope")
     kind = "profile"
     noun = "a full profile"
     _field = "ranks"
@@ -263,14 +282,19 @@ class ScopedProfile(Profile):
 
     A choice from a subset then restricts the derived input, since S(x, y)
     counts the same criteria in a contracted profile as in the full one (see
-    ``procedures._kernel_input``).  The view compares equal to the profile it
-    views, and nothing is kept on that profile: every view starts empty.
+    ``procedures._kernel_input``).  The contraction a profile kernel gets
+    names the view as its ``_scope``, so a kernel that reads the relation
+    (``black``) restricts the view's.  The view compares equal to the
+    profile it views, and nothing is kept on that profile: every view
+    starts empty.
     """
 
     __slots__ = ("derived",)
 
     def __init__(self, p: Profile):
-        self.labels, self._pos, self.ranks = p.labels, p._pos, p.ranks
+        self.labels, self.ranks = p.labels, p.ranks
+        if hasattr(p, "_pos"):
+            self._pos = p._pos
         self.derived: dict[str, _Universe] = {}
 
 

@@ -16,6 +16,7 @@ from twostage import (
     classify,
     classify_group,
     compose,
+    contract,
     decode_two_stage,
     encode_two_stage,
     export_catalog,
@@ -28,6 +29,7 @@ from twostage import procedures
 from twostage.catalog import DEGENERATE_IDS, EQUIVALENT_TO
 from twostage.procedures import (
     QParetoRule,
+    black,
     condorcet_winner,
     copeland,
     core,
@@ -374,6 +376,24 @@ def test_a_two_stage_call_derives_the_support_once_and_keeps_nothing(monkeypatch
     first = rule.choose(p)
     assert seen == [6]
     assert rule.choose(p) == first and seen == [6, 6]
+
+
+def test_black_reads_the_relation_its_scope_derived(monkeypatch):
+    p = generate_profile(6, 2, seed=1)
+    want = black(contract(p, core(majority_relation(p))))
+    # core derives the relation over all six alternatives, and black, on the
+    # contraction to core's three, restricts it instead of deriving its own
+    seen = _record_m(monkeypatch, "majority_relation")
+    survivors, final = compose(20, 8).choose_detailed(p)
+    assert len(survivors) == 3 and final == want and seen == [6]
+    # black first: core restricts the relation black derived
+    seen.clear()
+    compose(8, 20).choose_detailed(p)
+    assert seen == [6]
+    # a check derives it once, however many subsets black and core see
+    seen.clear()
+    check_axiom(compose(20, 8), p, "H")
+    assert seen == [6]
 
 
 def test_a_condition_check_derives_the_relation_once_per_profile(monkeypatch):

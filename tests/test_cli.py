@@ -53,6 +53,14 @@ def test_choose_with_subset(capsys, files):
     assert (code, out) == (0, "{b}\n")
 
 
+def test_choose_k_stable_with_a_huge_k_answers_at_once(capsys, files):
+    # paths longer than m - 1 reach nothing new, so k = 10**9 stops early
+    _, want, _ = run(capsys, "choose", "--proc", "21", "--k", "2", "--profile", files["split"])
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "choose", "--proc", "21", "--k", "1000000000", "--profile", files["split"])
+    assert (code, out) == (0, want) and time.perf_counter() - start < 5
+
+
 def test_choose_qpareto_on_grades(capsys, files):
     code, out, _ = run(
         capsys, "choose", "--proc", "qpareto", "--q", "0", "--grades", files["pareto"]

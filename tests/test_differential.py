@@ -5,7 +5,9 @@ from that profile's relation or matrix.  Every rule's declared anonymity and
 neutrality hold on drawn criteria orders and relabellings.  Contraction keeps
 each order filtered to the subset, for m up to 40.  A scoped profile's
 relation and support matrix, restricted to a subset, equal those derived
-from the contracted profile."""
+from the contracted profile.  Restriction and contraction read a subset the
+same way whether it comes as a frozenset, a list with repeats or a tuple in
+any order."""
 
 from itertools import combinations
 
@@ -23,6 +25,7 @@ from twostage.profiles import (  # noqa: E402
     ScopedProfile,
     contract,
     default_labels,
+    grade_table,
     majority_relation,
     tournament_matrix,
 )
@@ -224,3 +227,29 @@ def test_a_scoped_profile_restricts_uint16_counts(m, n):
     p = generate_profile(m, n, seed=m + n)
     assert tournament_matrix(p).counts.dtype == np.uint16
     _assert_restriction_matches_contraction(p)
+
+
+@st.composite
+def profiles_and_spellings(draw):
+    """A profile with m <= 9 and one non-empty subset of its labels spelt
+    three ways: a frozenset, a list with repeats, a tuple in drawn order."""
+    m = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 4))
+    labels = default_labels(m)
+    p = Profile([draw(st.permutations(labels)) for _ in range(n)], labels)
+    kept = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=m, unique=True))
+    repeats = draw(st.lists(st.sampled_from(kept), max_size=4))
+    spellings = (frozenset(kept), [*kept, *repeats], tuple(draw(st.permutations(kept))))
+    return p, spellings
+
+
+@hypothesis.settings(max_examples=150)
+@hypothesis.given(case=profiles_and_spellings())
+def test_every_spelling_of_a_subset_restricts_and_contracts_alike(case):
+    p, spellings = case
+    for value in (majority_relation(p), tournament_matrix(p), grade_table(p)):
+        first, *rest = [value.restrict(subset) for subset in spellings]
+        assert all(got == first and got.labels == first.labels for got in rest)
+    first, *rest = [contract(p, subset) for subset in spellings]
+    assert all(got == first and got.labels == first.labels for got in rest)
+    assert first.labels == tuple(sorted(spellings[0]))

@@ -186,17 +186,38 @@ def test_stable_set_rules_match_oracles_m8_m9():
                 assert sorted(k_stable_sets(mu, k), key=sorted) == oracles.brute_k_stable_sets(labels, edges, k)
 
 
-@pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65, 257])
+@pytest.mark.parametrize("m", [*range(1, 18), 63, 64, 65, 257])
 def test_row_masks_match_one_bit_per_marked_column(m):
-    """A C-contiguous matrix and a strided slice pack their rows directly;
-    a transposed view, whose rows are its base's columns, packs eight base
+    """Up to eight columns every layout packs in one call; wider, a
+    C-contiguous matrix and a strided slice pack their rows directly, and a
+    transposed view, whose rows are its base's columns, packs eight base
     rows at a time after padding.  All give bit j for column j at every
     width."""
-    matrix = np.random.default_rng(m).random((m, m + 3)) < 0.5
+    rng = np.random.default_rng(m)
+    matrix = rng.random((m, m)) < 0.5
     matrix[:, -1] = matrix[-1] = True  # the top bit and the last byte are set
-    for view in (matrix, matrix.T, matrix[:, :m].T):
+    wide = rng.random((m + 1, 2 * m)) < 0.5
+    wide[:, -2] = True  # the top bit of the strided slice below
+    for view in (matrix, matrix.T, wide[1:, ::2]):
+        assert view.shape == (m, m)
         brute = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in view]
         assert _row_masks(view) == brute
+
+
+def test_k_stable_power_loop_stops_once_nothing_new_is_reached():
+    """k beyond m - 1 adds no vertex a path can reach, so a huge k gives the
+    sets of k = m - 1 (at least 2) and costs no more."""
+    def relations(m):
+        yield from enumerate_majority_relations(m) if m <= 4 else sparse_relations(m, 40, seed=7000 + m)
+        chain = np.eye(m, k=1, dtype=bool)  # a -> b -> ... : the longest shortest path
+        yield MajorityRelation(default_labels(m), chain)
+
+    for m in range(1, 7):
+        k = max(2, m - 1)
+        for mu in relations(m):
+            want = oracles.brute_k_stable_sets(mu.labels, oracles.edge_set(mu), k)
+            assert sorted(k_stable_sets(mu, 10**9), key=sorted) == want
+            assert sorted(k_stable_sets(mu, k), key=sorted) == want
 
 
 def test_minimal_dominant_set_is_unique_and_nested_rules_nonempty():

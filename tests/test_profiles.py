@@ -13,6 +13,7 @@ from twostage.profiles import (
     Profile,
     ProfileFormatError,
     RankImprovement,
+    ScopedProfile,
     TournamentMatrix,
     _pairwise_support,
     borda_counts,
@@ -421,3 +422,41 @@ def test_support_kernel_matches_a_brute_count(m, n):
     assert t.voters == n and (t.counts == want).all()
     assert (majority_relation(p).matrix == (2 * want > n)).all()
     assert p.ranks.dtype == np.int32 and (p.ranks == ranks).all()
+
+
+@pytest.mark.parametrize(
+    "subset, message",
+    [
+        (["a", "zz"], "unknown alternative 'zz'"),
+        (frozenset({"a", "zz"}), "unknown alternative 'zz'"),
+        ({"b", 7}, "unknown alternative 7"),
+        (frozenset(), "subset of alternatives must be non-empty"),
+        ((), "subset of alternatives must be non-empty"),
+        (set(), "subset of alternatives must be non-empty"),
+    ],
+)
+def test_a_bad_subset_raises_the_same_message_for_every_kind(subset, message):
+    # a set is read in one pass over the labels, anything else label by
+    # label; a miss in either names the unknown label
+    p = generate_profile(4, 3, seed=5)
+    for value in [ScopedProfile(p), *_every_kind(p)]:
+        shrink = contract if value.kind == "profile" else type(value).restrict
+        with pytest.raises(ValueError) as err:
+            shrink(value, subset)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            value.index("zz")
+        assert str(err.value) == "unknown alternative 'zz'"
+
+
+def test_the_label_map_is_built_by_the_first_lookup():
+    p = generate_profile(5, 3, seed=6)
+    derived = [majority_relation(p), tournament_matrix(p), grade_table(p), contract(p, frozenset("bcd"))]
+    derived.append(derived[0].restrict(frozenset("abd")))
+    for value in [p, *derived]:
+        assert not hasattr(value, "_pos")
+        assert [value.index(lab) for lab in value.labels] == list(range(value.m))
+        assert value._pos == {lab: j for j, lab in enumerate(value.labels)}
+    # a view shares the map its profile holds, and holds none when it has none
+    assert ScopedProfile(p)._pos is p._pos
+    assert not hasattr(ScopedProfile(generate_profile(5, 3, seed=6)), "_pos")
