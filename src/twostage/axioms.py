@@ -595,7 +595,7 @@ def enumerate_majority_relations(m: int) -> Iterator[MajorityRelation]:
                 beats[i, j] = True
             elif s == 2:
                 beats[j, i] = True
-        yield MajorityRelation(labels, beats)
+        yield MajorityRelation._trusted(labels, beats)
 
 
 def realizing_profile(mu: MajorityRelation) -> Profile:

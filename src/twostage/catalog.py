@@ -164,7 +164,8 @@ _R_CORE_MAJORITY = (
 
 def _degenerate_table() -> dict[int, str]:
     out: dict[int, str] = {}
-    for first in (1, 5, 6, 11, 19):  # single-winner first stages
+    single_winner_firsts = [i for i in PROCEDURE_NAMES if make_procedure(i).single_winner]
+    for first in single_winner_firsts:
         for second in range(1, 29):
             out[encode_two_stage(first, second)] = _R_SINGLE
     for first in (9, 10):  # Borda-elimination first stages

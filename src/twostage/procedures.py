@@ -9,16 +9,17 @@ derived data:
 * positional scores (first places, last places, top-q, Borda) -- need the
   full profile;
 * the strict-majority relation mu -- tournament-style solutions;
-* the pairwise support matrix -- minimax / Simpson;
+* the pairwise support matrix S -- Black (the Condorcet winner read from S,
+  else the row-sum Borda winners), minimax and Simpson;
 * a grade table -- threshold and super-threshold rules.
 
 Every rule has one entry point, ``choose(data, subset)``: ``data`` is a
 profile or the input the rule's kernel reads (a :class:`MajorityRelation`,
 :class:`GradeTable` or :class:`TournamentMatrix`), so procedures defined on
-mu or on grades also work on a bare relation or grade table.  A profile is
-contracted to the subset before conversion, so grades derived from it are
-re-ranked within the subset; any other input is restricted to the subset
-and keeps its values.  Within one condition check or two-stage call, a
+mu, on grades or on S also work on a bare relation, grade table or support
+matrix.  A profile is contracted to the subset before conversion, so grades
+derived from it are re-ranked within the subset; any other input is
+restricted to the subset and keeps its values.  Within one condition check or two-stage call, a
 profile's relation and support matrix are derived once and restricted per
 subset (see ``_kernel_input``).
 
@@ -106,7 +107,7 @@ __all__ = [
 # positional-score rules (need the profile)
 # ---------------------------------------------------------------------------
 
-def _argmax_set(p: Profile, scores: np.ndarray) -> frozenset[str]:
+def _argmax_set(p: _Universe, scores: np.ndarray) -> frozenset[str]:
     best = scores.max()
     return frozenset(lab for lab, s in zip(p.labels, scores) if s == best)
 
@@ -188,14 +189,6 @@ def coombs(p: Profile) -> frozenset[str]:
 
 def borda(p: Profile) -> frozenset[str]:
     return _argmax_set(p, borda_scores(p))
-
-
-def black(p: Profile) -> frozenset[str]:
-    """The Condorcet winner when one exists, the Borda winners otherwise.
-    The relation comes through ``_kernel_input``, so inside a check or a
-    two-stage call it is the scope's, restricted to ``p``'s labels."""
-    winner = condorcet_winner(_kernel_input("mu", p, None, "black"))
-    return winner if winner else borda(p)
 
 
 def inverse_borda(p: Profile) -> frozenset[str]:
@@ -595,6 +588,16 @@ def simpson(t: TournamentMatrix) -> frozenset[str]:
     return frozenset(lab for lab, w in zip(t.labels, weakest) if w == best)
 
 
+def black(t: TournamentMatrix) -> frozenset[str]:
+    """The Condorcet winner when one exists, the Borda winners otherwise.
+    Both read S alone: x beats y when S(x, y) > voters // 2, as in
+    :func:`majority_relation`, and x's Borda score, the sum over criteria of
+    the alternatives ranked below x, is its row sum of S."""
+    wins = (t.counts > t.voters // 2).sum(axis=1)
+    winner = frozenset(lab for lab, w in zip(t.labels, wins) if w == t.m - 1)
+    return winner if winner else _argmax_set(t, t.counts.sum(axis=1, dtype=np.int64))
+
+
 # ---------------------------------------------------------------------------
 # the indexed registry
 # ---------------------------------------------------------------------------
@@ -615,7 +618,7 @@ _REGISTRY: dict[int, _Row] = {
     5: _Row("run_off", "profile", None, True, run_off),
     6: _Row("hare", "profile", None, True, hare),
     7: _Row("borda", "profile", None, False, borda),
-    8: _Row("black", "profile", None, False, black),
+    8: _Row("black", "support", None, False, black),
     9: _Row("inverse_borda", "profile", None, False, inverse_borda),
     10: _Row("nanson", "profile", None, False, nanson),
     11: _Row("coombs", "profile", None, True, coombs),
@@ -658,10 +661,8 @@ def _kernel_input(kind: str, data, subset: Iterable[str] | None, name: str):
     contracted profile as in the full one.  A subset choice never derives
     the full input itself, which at large m costs far more than the
     subset's; and grades and profile kernels always contract, since they
-    re-rank within the subset.  The contraction a profile kernel gets names
-    the scope as its ``_scope``, so what that kernel reads of the relation
-    (``black`` does) is the scope's, restricted; the other profile kernels
-    pay one attribute write for it.
+    re-rank within the subset.  No kernel calls this itself: each reads only
+    the input its row names.
 
     The converters are looked up as module globals on each call, so a
     caller that replaces one (the benchmark's tracer does) sees every use.
@@ -673,10 +674,6 @@ def _kernel_input(kind: str, data, subset: Iterable[str] | None, name: str):
             return held if subset is None else held.restrict(subset)
         if subset is not None:
             data = contract(data, subset)
-            if scope is not None and kind == "profile" and data is not scope:
-                data._scope = scope
-        elif kind != "profile" and hasattr(data, "_scope") and kind in data._scope.derived:
-            return data._scope.derived[kind].restrict(frozenset(data.labels))
         if kind == "mu":
             out = majority_relation(data)
         elif kind == "support":

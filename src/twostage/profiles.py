@@ -217,9 +217,7 @@ class Profile(_Universe):
     from the ranks on each access.
     """
 
-    # ``_scope``: the ScopedProfile this profile was contracted from for a
-    # profile kernel, if any (see ScopedProfile); unset otherwise
-    __slots__ = ("ranks", "_scope")
+    __slots__ = ("ranks",)
     kind = "profile"
     noun = "a full profile"
     _field = "ranks"
@@ -282,11 +280,10 @@ class ScopedProfile(Profile):
 
     A choice from a subset then restricts the derived input, since S(x, y)
     counts the same criteria in a contracted profile as in the full one (see
-    ``procedures._kernel_input``).  The contraction a profile kernel gets
-    names the view as its ``_scope``, so a kernel that reads the relation
-    (``black``) restricts the view's.  The view compares equal to the
-    profile it views, and nothing is kept on that profile: every view
-    starts empty.
+    ``procedures._kernel_input``); a profile kernel gets a plain
+    contraction, which carries nothing of the view.  The view compares
+    equal to the profile it views, and nothing is kept on that profile:
+    every view starts empty.
     """
 
     __slots__ = ("derived",)
@@ -692,7 +689,7 @@ def majority_relation(p: Profile) -> MajorityRelation:
 
 def grade_table(p: Profile) -> GradeTable:
     """Positional grades: best place -> grade m, worst place -> grade 1."""
-    return GradeTable(p.labels, p.m - p.ranks)
+    return GradeTable._trusted(p.labels, np.subtract(p.m, p.ranks, dtype=np.int64))
 
 
 def improve(p: Profile, change: RankImprovement) -> Profile:
@@ -726,4 +723,4 @@ def perturb_majority(mu: MajorityRelation, winner: str, loser: str) -> MajorityR
     mat = mu.matrix.copy()
     mat[i, j] = True
     mat[j, i] = False
-    return MajorityRelation(mu.labels, mat)
+    return MajorityRelation._trusted(mu.labels, mat)

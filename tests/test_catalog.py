@@ -10,23 +10,25 @@ from twostage import (
     AXIOM_KEYS,
     MajorityRelation,
     Procedure,
+    Profile,
     TwoStage,
     catalog_counts,
     check_axiom,
     classify,
     classify_group,
     compose,
-    contract,
     decode_two_stage,
     encode_two_stage,
     export_catalog,
     full_catalog,
     generate_profile,
     majority_relation,
+    make_procedure,
+    tournament_matrix,
     two_stage_from_id,
 )
 from twostage import procedures
-from twostage.catalog import DEGENERATE_IDS, EQUIVALENT_TO
+from twostage.catalog import _R_SINGLE, DEGENERATE_IDS, EQUIVALENT_TO
 from twostage.procedures import (
     QParetoRule,
     black,
@@ -37,6 +39,7 @@ from twostage.procedures import (
     minimal_undominated,
     minimal_weakly_stable,
     richelson,
+    simpson,
     uncovered_1,
     uncovered_2,
 )
@@ -191,8 +194,14 @@ def test_every_entry_is_classified_and_flagged():
 
 
 def test_degenerate_families():
-    # Single-winner first stages degenerate against every second stage.
-    for first in (1, 5, 6, 11, 19):
+    # Single-winner first stages degenerate against every second stage, and
+    # the registry's single_winner column is what names them.
+    single = [i for i in range(1, 29) if make_procedure(i).single_winner]
+    assert single == [1, 5, 6, 11, 19]
+    assert {ts for ts, why in DEGENERATE_IDS.items() if why == _R_SINGLE} == {
+        encode_two_stage(first, second) for first in single for second in range(1, 29)
+    }
+    for first in single:
         for second in range(1, 29):
             assert classify(encode_two_stage(first, second)).status == "degenerate"
     # Self-recomputing relation stages keep their output whole.
@@ -378,22 +387,48 @@ def test_a_two_stage_call_derives_the_support_once_and_keeps_nothing(monkeypatch
     assert rule.choose(p) == first and seen == [6, 6]
 
 
-def test_black_reads_the_relation_its_scope_derived(monkeypatch):
-    p = generate_profile(6, 2, seed=1)
-    want = black(contract(p, core(majority_relation(p))))
-    # core derives the relation over all six alternatives, and black, on the
-    # contraction to core's three, restricts it instead of deriving its own
-    seen = _record_m(monkeypatch, "majority_relation")
-    survivors, final = compose(20, 8).choose_detailed(p)
-    assert len(survivors) == 3 and final == want and seen == [6]
-    # black first: core restricts the relation black derived
-    seen.clear()
-    compose(8, 20).choose_detailed(p)
-    assert seen == [6]
-    # a check derives it once, however many subsets black and core see
-    seen.clear()
-    check_axiom(compose(20, 8), p, "H")
-    assert seen == [6]
+def test_black_restricts_the_support_its_scope_derived(monkeypatch):
+    # black reads S, as minimax and simpson do: within one two-stage call or
+    # one check, S is derived once over the universe and restricted for
+    # every subset, and nothing derives the majority relation
+    p = generate_profile(6, 5, seed=1)
+    t = tournament_matrix(p)
+    support = _record_m(monkeypatch, "tournament_matrix")
+    relation = _record_m(monkeypatch, "majority_relation")
+    survivors, final = compose(27, 8).choose_detailed(p)
+    assert 1 < len(survivors) < 6 and final == black(t.restrict(survivors))
+    assert support == [6]
+    support.clear()
+    survivors, final = compose(8, 28).choose_detailed(p)
+    assert 1 < len(survivors) < 6 and final == simpson(t.restrict(survivors))
+    assert support == [6]
+    support.clear()
+    check_axiom(compose(27, 8), p, "H")
+    assert support == [6] and relation == []
+
+
+def test_a_profile_kernel_gets_a_plain_contraction_inside_a_check(monkeypatch):
+    # a profile's state is its labels and its rank matrix: the contraction a
+    # profile kernel reads inside a check carries nothing of the check's view
+    assert Profile.__slots__ == ("ranks",)
+    seen, row = [], procedures._REGISTRY[7]
+    monkeypatch.setitem(
+        procedures._REGISTRY, 7, row._replace(kernel=lambda p: seen.append(p) or row.kernel(p))
+    )
+    check_axiom(Procedure(7), generate_profile(5, 3, seed=4), "H")
+    contracted = [p for p in seen if type(p) is Profile]
+    assert contracted
+    for p in contracted:
+        held = {name for cls in Profile.__mro__ for name in getattr(cls, "__slots__", ()) if hasattr(p, name)}
+        assert held <= {"labels", "ranks", "_pos"} and not hasattr(p, "__dict__")
+
+
+def test_a_support_two_stage_rule_takes_a_support_matrix():
+    p = generate_profile(6, 5, seed=1)
+    t, rule = tournament_matrix(p), compose(27, 8)
+    for subset in (None, frozenset("abcf"), frozenset("de")):
+        assert rule.choose(t, subset) == rule.choose(p, subset)
+    assert compose(8, 28).choose_detailed(t) == compose(8, 28).choose_detailed(p)
 
 
 def test_a_condition_check_derives_the_relation_once_per_profile(monkeypatch):

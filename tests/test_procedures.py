@@ -298,9 +298,19 @@ def test_elimination_rules_match_oracles():
 
 
 def test_black_is_condorcet_else_borda():
-    for p in random_profiles(PROFILE_CASES, base_seed=700):
+    # black reads S alone; n = 256 and 300 give uint16 counts, and an even n
+    # leaves tied pairs, which beat neither way
+    large = [(m, n) for m in (3, 4, 5, 6) for n in (256, 300) for _ in range(4)]
+    branches = set()
+    for p in random_profiles([*PROFILE_CASES, *large], base_seed=700):
         cw = condorcet_winner(majority_relation(p))
-        assert black(p) == (cw if cw else borda(p))
+        want = cw if cw else borda(p)
+        assert black(tournament_matrix(p)) == want
+        assert Procedure(8).choose(p) == want
+        if p.n >= 256:
+            assert tournament_matrix(p).counts.dtype == np.uint16
+            branches.add(bool(cw))
+    assert branches == {True, False}
 
 
 def test_cyclic_hand_case():
@@ -358,7 +368,7 @@ def test_transitive_hand_case():
     assert coombs(p) == a
     assert nanson(p) == a
     assert inverse_borda(p) == a
-    assert black(p) == a
+    assert black(tournament_matrix(p)) == a
     assert condorcet_winner(mu) == a
     assert core(mu) == a
     assert minimal_dominant_sets(mu) == [a]
@@ -475,7 +485,8 @@ def test_make_procedure_accepts_index_name_and_instance():
 
 
 # label(), kind and single_winner of every index, recorded before the
-# procedure table and its dispatch chains became one registry.
+# procedure table and its dispatch chains became one registry; black (8)
+# has since moved to the support kind, as it reads S alone.
 REGISTRY_SURFACE = {
     1: ('simple_majority', 'profile', True),
     2: ('plurality', 'profile', False),
@@ -484,7 +495,7 @@ REGISTRY_SURFACE = {
     5: ('run_off', 'profile', True),
     6: ('hare', 'profile', True),
     7: ('borda', 'profile', False),
-    8: ('black', 'profile', False),
+    8: ('black', 'support', False),
     9: ('inverse_borda', 'profile', False),
     10: ('nanson', 'profile', False),
     11: ('coombs', 'profile', True),
@@ -608,7 +619,7 @@ KIND_RULES = {
     "profile": [Procedure(7)],
     "mu": [Procedure(12)],
     "grades": [Procedure(22), QParetoRule(1)],
-    "support": [Procedure(27)],
+    "support": [Procedure(8), Procedure(27)],
 }
 
 

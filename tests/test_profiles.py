@@ -1,9 +1,12 @@
 """Data model: parsing, formatting, contraction, counts, perturbations."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import oracles
+from twostage.axioms import enumerate_majority_relations
 from twostage.bench import generate_profile
 from twostage.procedures import minimax, simpson
 
@@ -283,6 +286,34 @@ def test_trusted_paths_match_validated_constructors():
         assert validated.counts.dtype == np.int32
         assert minimax(t) == simpson(t) == minimax(validated) == simpson(validated)
         assert (t.restrict(p.labels[:3]).counts == naive[:3, :3]).all()
+
+
+def test_derived_grades_and_relations_match_the_validating_constructors():
+    # grade_table, perturb_majority and enumerate_majority_relations wrap
+    # arrays that are valid by construction without validating them again
+    def same(got, want):
+        assert type(got) is type(want) and got == want and got.labels == want.labels
+        assert got._array().dtype == want._array().dtype
+        assert not got._array().flags.writeable
+
+    for m in range(1, 6):
+        for n in (1, 4, 7):
+            p = generate_profile(m, n, seed=10 * m + n)
+            same(grade_table(p), GradeTable(p.labels, p.m - p.ranks))
+            mu = majority_relation(p)
+            for i, j in itertools.permutations(range(m), 2):
+                mat = mu.matrix.copy()
+                mat[i, j], mat[j, i] = True, False
+                flipped = perturb_majority(mu, mu.labels[i], mu.labels[j])
+                same(flipped, MajorityRelation(mu.labels, mat))
+    for m in (1, 2, 3):
+        for mu in enumerate_majority_relations(m):
+            same(mu, MajorityRelation(mu.labels, mu.matrix))
+    mu = majority_relation(generate_profile(3, 3, seed=1))
+    with pytest.raises(ValueError, match="unknown alternative 'zz'"):
+        perturb_majority(mu, "a", "zz")
+    with pytest.raises(ValueError, match="against itself"):
+        perturb_majority(mu, "a", "a")
 
 
 def test_validated_constructors_reject_inconsistent_input():
