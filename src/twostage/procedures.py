@@ -242,39 +242,45 @@ def copeland(mu: MajorityRelation, variant: int) -> frozenset[str]:
     return frozenset(lab for lab, s in zip(mu.labels, scores) if s == best)
 
 
-def _subset_rows(A: np.ndarray) -> np.ndarray:
-    """B[x, y] = True iff row-set x is contained in row-set y.
+def _contained(A: np.ndarray) -> np.ndarray:
+    """B[x, y] = True iff row set x is contained in row set y, where ``A``
+    is a 0/1 float32 matrix whose rows are the sets' indicator vectors.
 
-    Rows of ``A`` are indicator vectors.  The containment test counts, via a
-    float32 matrix product, the elements of x's set missing from y's set;
-    exact for universes far beyond any size used here.
+    Row x of the Gram matrix G = A Aᵀ counts what set x shares with every
+    set, and G[x, x] is the size of set x, so x ⊆ y exactly when
+    G[x, y] >= G[x, x].  The product is symmetric, so BLAS forms it with
+    one syrk, half the work of a general product, and column sets pass the
+    transposed view ``A.T`` with no copy: NumPy hands that view to the same
+    syrk as Aᵀ A.  Every partial sum is a count of at most m, so float32
+    keeps it exact while m < 2^24.  A caller converts the relation to
+    float32 once and may read both orientations from it.
     """
-    Af = A.astype(np.float32)
-    missing = Af @ (1.0 - Af).T
-    return missing < 0.5
+    gram = A @ A.T
+    return gram >= gram.diagonal()[:, None]
 
 
 def fishburn(mu: MajorityRelation) -> frozenset[str]:
     """Alternatives whose upper contour set is not a strict superset of any
     other's (undominated in the Fishburn auxiliary relation)."""
-    upper = mu.matrix.T  # row x = indicator of D(x)
-    sizes = upper.sum(axis=1)
-    return _unbeaten(mu, _subset_rows(upper) & (sizes[:, None] < sizes[None, :]))
+    upper = mu.matrix.astype(np.float32).T  # row x = indicator of D(x)
+    sizes = mu.matrix.sum(axis=0)
+    return _unbeaten(mu, _contained(upper) & (sizes[:, None] < sizes[None, :]))
 
 
 def uncovered_1(mu: MajorityRelation) -> frozenset[str]:
     """Covering = beating plus upper-contour containment (D(x) within D(y))."""
-    return _unbeaten(mu, mu.matrix & _subset_rows(mu.matrix.T))
+    return _unbeaten(mu, mu.matrix & _contained(mu.matrix.astype(np.float32).T))
 
 
 def uncovered_2(mu: MajorityRelation) -> frozenset[str]:
     """Covering = beating plus lower-contour containment (L(y) within L(x))."""
-    return _unbeaten(mu, mu.matrix & _subset_rows(mu.matrix).T)
+    return _unbeaten(mu, mu.matrix & _contained(mu.matrix.astype(np.float32)).T)
 
 
 def richelson(mu: MajorityRelation) -> frozenset[str]:
     """Covering needs the beat and both contour containments at once."""
-    return _unbeaten(mu, mu.matrix & _subset_rows(mu.matrix.T) & _subset_rows(mu.matrix).T)
+    A = mu.matrix.astype(np.float32)
+    return _unbeaten(mu, mu.matrix & _contained(A.T) & _contained(A).T)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -654,37 +660,42 @@ def _kernel_input(kind: str, data, subset: Iterable[str] | None, name: str):
     naming the operation ``name``.
 
     A condition check or a two-stage call hands the rule a
-    :class:`ScopedProfile`, which derives the majority relation or the
-    support matrix once, for the first choice from its whole universe, and
-    keeps it.  A choice from a subset then restricts that input instead of
-    contracting and deriving again: S(x, y) counts the same criteria in a
-    contracted profile as in the full one.  A subset choice never derives
-    the full input itself, which at large m costs far more than the
-    subset's; and grades and profile kernels always contract, since they
-    re-rank within the subset.  No kernel calls this itself: each reads only
-    the input its row names.
+    :class:`ScopedProfile`.  The first choice from its whole universe that
+    reads μ or S derives the support matrix S once and keeps it; μ is read
+    from that S, not from a second pass over the ranks, and kept beside it.
+    A choice from a subset then restricts what the scope holds instead of
+    contracting and deriving again, since S(x, y) counts the same criteria
+    in a contracted profile as in the full one; μ over a subset, when the
+    scope holds S alone, is read from the restricted S.  A subset choice
+    never derives the full input itself, which at large m costs far more
+    than the subset's; and grades and profile kernels always contract,
+    since they re-rank within the subset.  No kernel calls this itself:
+    each reads only the input its row names.
 
     The converters are looked up as module globals on each call, so a
     caller that replaces one (the benchmark's tracer does) sees every use.
     """
     if isinstance(data, Profile):
-        scope = data if isinstance(data, ScopedProfile) else None
-        if scope is not None and kind in scope.derived:
-            held = scope.derived[kind]
-            return held if subset is None else held.restrict(subset)
+        if isinstance(data, ScopedProfile) and kind in ("mu", "support"):
+            held = data.derived
+            if subset is None and "support" not in held:
+                held["support"] = tournament_matrix(data)
+            if kind in held:
+                return held[kind] if subset is None else held[kind].restrict(subset)
+            if "support" in held:  # μ, read from the scope's S
+                if subset is None:
+                    mu = held["mu"] = held["support"].majority()
+                    return mu
+                return held["support"].restrict(subset).majority()
         if subset is not None:
             data = contract(data, subset)
         if kind == "mu":
-            out = majority_relation(data)
-        elif kind == "support":
-            out = tournament_matrix(data)
-        elif kind == "grades":
+            return majority_relation(data)
+        if kind == "support":
+            return tournament_matrix(data)
+        if kind == "grades":
             return grade_table(data)
-        else:
-            return data
-        if scope is not None and subset is None:
-            scope.derived[kind] = out
-        return out
+        return data
     if not (isinstance(data, _Universe) and data.kind == kind):
         noun = _KINDS[kind].noun
         wanted = noun if kind == "profile" else f"a full profile or {noun}"

@@ -432,10 +432,27 @@ def test_a_support_two_stage_rule_takes_a_support_matrix():
 
 
 def test_a_condition_check_derives_the_relation_once_per_profile(monkeypatch):
-    seen = _record_m(monkeypatch, "majority_relation")
+    # a scope reads μ from the support matrix it derives, so a check of a
+    # relation rule derives S once and never runs the profile's own μ path
+    support = _record_m(monkeypatch, "tournament_matrix")
+    relation = _record_m(monkeypatch, "majority_relation")
     contracted = _record_m(monkeypatch, "contract")
     p = generate_profile(5, 4, seed=3)
     for axiom in ("H", "C", "O", "ACA", "MON2"):
         check_axiom(compose(20, 16), p, axiom)
     # one derivation per check, every subset restricted from it
-    assert seen == [5] * 5 and contracted == []
+    assert support == [5] * 5 and relation == [] and contracted == []
+
+
+@pytest.mark.parametrize("first, second", [(20, 8), (12, 27), (27, 20)])
+def test_a_relation_stage_and_a_support_stage_share_one_derivation(monkeypatch, first, second):
+    # μ and S come from one support derivation over the whole universe,
+    # whichever stage reads which; the other stage restricts what it keeps
+    p = generate_profile(6, 4, seed=6)
+    want = compose(first, second).choose_detailed(p)
+    support = _record_m(monkeypatch, "tournament_matrix")
+    relation = _record_m(monkeypatch, "majority_relation")
+    contracted = _record_m(monkeypatch, "contract")
+    got = compose(first, second).choose_detailed(p)
+    assert got == want and 1 < len(got[0]) < 6
+    assert support == [6] and relation == [] and contracted == []

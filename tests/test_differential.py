@@ -7,7 +7,9 @@ each order filtered to the subset, for m up to 40.  A scoped profile's
 relation and support matrix, restricted to a subset, equal those derived
 from the contracted profile.  Restriction and contraction read a subset the
 same way whether it comes as a frozenset, a list with repeats or a tuple in
-any order."""
+any order.  The Gram-product containment behind the covering rules matches
+set inclusion on drawn 0/1 matrices up to 70 x 70, and the covering rules
+match their oracles on profiles with m = 60-80."""
 
 from itertools import combinations
 
@@ -19,7 +21,13 @@ st = hypothesis.strategies
 
 import oracles  # noqa: E402
 from twostage.bench import generate_profile  # noqa: E402
-from twostage.procedures import PROCEDURE_NAMES, QParetoRule, _kernel_input, make_procedure  # noqa: E402
+from twostage.procedures import (  # noqa: E402
+    PROCEDURE_NAMES,
+    QParetoRule,
+    _contained,
+    _kernel_input,
+    make_procedure,
+)
 from twostage.profiles import (  # noqa: E402
     Profile,
     ScopedProfile,
@@ -129,6 +137,48 @@ def test_a_relation_or_support_rule_chooses_alike_from_a_profile_and_its_matrix(
     for rule in RULES.values():
         if rule.kind in derived:
             assert rule.choose(p, subset) == rule.choose(derived[rule.kind], subset), rule.name
+
+
+@st.composite
+def indicator_matrices(draw):
+    """A 0/1 matrix of up to 70 rows and columns drawn at one of a few
+    densities, with some rows and columns overwritten to be empty or full
+    and some rows copied, so equal, empty and full sets all occur."""
+    rows, cols = draw(st.integers(1, 70)), draw(st.integers(1, 70))
+    density = draw(st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.random((rows, cols)) < density
+    for line, size in ((A, rows), (A.T, cols)):
+        for j in draw(st.lists(st.integers(0, size - 1), max_size=4)):
+            line[j] = draw(st.booleans())
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, rows - 1)), max_size=3)):
+        A[dst] = A[src]
+    return A
+
+
+@hypothesis.example(A=np.zeros((3, 2), dtype=bool))
+@hypothesis.example(A=np.ones((2, 3), dtype=bool))
+@hypothesis.example(A=np.eye(4, dtype=bool))
+@hypothesis.settings(max_examples=150)
+@hypothesis.given(A=indicator_matrices())
+def test_the_gram_containment_matches_set_inclusion(A):
+    # the covering rules read row containment from A and column containment
+    # from the view A.T: every pair of each against plain set inclusion
+    Af = A.astype(np.float32)
+    for sets, given in ((A, Af), (A.T, Af.T)):
+        members = [set(np.flatnonzero(row)) for row in sets]
+        want = np.array([[x <= y for y in members] for x in members])
+        got = _contained(given)
+        assert got.dtype == bool and (got == want).all()
+
+
+# m = 60-80, beyond the m <= 6 of the suite above, with even n for ties
+@pytest.mark.parametrize("m, n, seed", [(60, 4, 1), (67, 3, 2), (73, 2, 3), (80, 6, 4), (80, 1, 5)])
+def test_the_covering_rules_match_their_oracles_on_larger_profiles(m, n, seed):
+    p = generate_profile(m, n, seed=seed)
+    case = _Case(p.orders)
+    for index in (15, 16, 17, 18):
+        assert RULES[index].choose(p) == ORACLES[index](case), RULES[index].name
 
 
 # every indexed procedure at its catalog default, and the q-Pareto rule

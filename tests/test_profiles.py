@@ -388,6 +388,23 @@ def test_a_grade_table_is_a_set_member_and_a_dict_key():
     assert seen[GradeTable(("a", "b", "c"), [[3, 2, 1], [1, 1, 1]])] == "raw"
 
 
+def _assert_restrict_matches_the_constructor(p, picked):
+    subset = [p.labels[j] for j in picked]
+    square = np.ix_(picked, picked)
+    mu, g, t = majority_relation(p), grade_table(p), tournament_matrix(p)
+    cases = [
+        (mu, "matrix", MajorityRelation(subset, mu.matrix[square])),
+        (g, "grades", GradeTable(subset, g.grades[:, picked])),
+        (t, "counts", TournamentMatrix(subset, t.counts[square], p.n)),
+    ]
+    for data, field, built in cases:
+        restricted = data.restrict(subset)
+        assert restricted == built and hash(restricted) == hash(built)
+        assert restricted.labels == tuple(subset)
+        # restriction keeps the dtype (uint8 or uint16 counts); validation widens counts
+        assert getattr(restricted, field).dtype == getattr(data, field).dtype
+
+
 def test_restrict_equals_the_validating_constructor_on_the_sub_array():
     rng = np.random.default_rng(37)
     for _ in range(40):
@@ -395,22 +412,26 @@ def test_restrict_equals_the_validating_constructor_on_the_sub_array():
         ranks = np.stack([rng.permutation(m) for _ in range(n)])
         p = Profile.from_ranks(default_labels(m), ranks)
         picked = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
-        subset = [p.labels[j] for j in picked]
-        square = np.ix_(picked, picked)
-        mu, g, t = majority_relation(p), grade_table(p), tournament_matrix(p)
-        cases = [
-            (mu, "matrix", MajorityRelation(subset, mu.matrix[square])),
-            (g, "grades", GradeTable(subset, g.grades[:, picked])),
-            (t, "counts", TournamentMatrix(subset, t.counts[square], n)),
-        ]
-        for data, field, built in cases:
-            restricted = data.restrict(subset)
-            assert restricted == built and hash(restricted) == hash(built)
-            assert restricted.labels == tuple(subset)
-            # restriction keeps the dtype (uint8 counts); validation widens counts
-            assert getattr(restricted, field).dtype == getattr(data, field).dtype
+        _assert_restrict_matches_the_constructor(p, picked)
     with pytest.raises(TypeError, match="contracted, not restricted"):
         p.restrict(p.labels)
+
+
+@pytest.mark.parametrize("m, n", [(5, 300), (40, 3), (40, 256)])
+def test_a_partial_restriction_takes_rows_then_columns(m, n):
+    # proper subsets only, at a larger m and with uint16 counts (n >= 255)
+    p = generate_profile(m, n, seed=m * n)
+    assert (tournament_matrix(p).counts.dtype == np.uint16) == (n >= 255)
+    rng = np.random.default_rng(m + n)
+    for size in (1, 2, m // 2, m - 1):
+        _assert_restrict_matches_the_constructor(p, sorted(rng.choice(m, size=size, replace=False)))
+
+
+def test_restricting_to_the_whole_universe_returns_the_value_itself():
+    p = generate_profile(5, 300, seed=2)
+    for value in (majority_relation(p), grade_table(p), tournament_matrix(p)):
+        for spelling in (value.labels, frozenset(value.labels), [*reversed(value.labels), "a"]):
+            assert value.restrict(spelling) is value
 
 
 def test_inputs_of_different_kinds_never_compare_equal():
@@ -428,13 +449,15 @@ def test_inputs_of_different_kinds_never_compare_equal():
 
 
 # (m, n) at each switch point of the support kernel: the rank dtype
-# (int8 up to m = 128), a row panel narrower than m (m = 1100), the
+# (int8 up to m = 128), a row panel narrower than m (at m = 1100 panels of
+# 476 rows leave a last one of 148), the
 # accumulator dtype (uint8 below n = 255), n * panel width * m on either
 # side of the 1 << 16 elements one compare may span (at m = 64 a compare
 # holds 16 criteria, at m = 181 two, from m = 256 one), and n * m * m on
 # either side of the 1 << 12 elements of the single int32 compare.
 SUPPORT_KERNEL_SIZES = [
     *((m, 3) for m in (1, 2, 127, 128, 129, 1100)),
+    (1100, 2),
     *((5, n) for n in (1, 2, 254, 255, 256)),
     (64, 15), (64, 16), (64, 17), (64, 33), (181, 2), (181, 3), (255, 2), (256, 2),
     (16, 16), (16, 17), (64, 1), (65, 1), (4, 256), (4, 257),
