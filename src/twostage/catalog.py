@@ -266,10 +266,19 @@ _BLOCKS: list[tuple[tuple[int, ...], tuple[int, ...], str, str]] = [
     ((9, 10, 14, 15, 16, 17, 18, 21, 26, 27, 28),
      (2, 4, 8, 14, 15, 17, 21, 22, 23, 24, 25, 26, 27, 28),
      "- - - - - - - ?", "block:all-minus"),
+    # the self-composition diagonal carries its own row in the source table
+    *[((i,), (i,), "- - - - + - - ?", "block:diagonal")
+      for i in (2, 3, 4, 7, 8, 12, 13, 14, 15, 16, 17, 18, 20, 22, 23, 24, 25, 26, 27, 28)],
 ]
 
-# the self-composition diagonal carries its own row in the source table
-_DIAGONAL = (2, 3, 4, 7, 8, 12, 13, 14, 15, 16, 17, 18, 20, 22, 23, 24, 25, 26, 27, 28)
+# families that repeat an earlier one's flags: (source first stage, target
+# first stage, second stages, values kept, source tag).  q-approval-first
+# takes plurality-first's flags, and k-stable-first takes weakly-stable-first's
+# violations (same arguments, larger examples).
+_INHERITED = [
+    (2, 4, range(2, 19), ("satisfies", "violates"), "family:q-approval-first"),
+    (14, 21, range(1, 29), ("violates",), "family:k-stable-first"),
+]
 
 # (ids, axiom, value, source); ranges inclusive
 _IdRule = tuple[Iterable[int], str, str, str]
@@ -422,9 +431,7 @@ _ID_RULES: list[_IdRule] = [
 
 def _compile_flags() -> dict[int, dict[str, tuple[str, str]]]:
     value_of = {"+": "satisfies", "-": "violates"}
-    flags: dict[int, dict[str, tuple[str, str]]] = {
-        ts: {} for ts in range(1, 785)
-    }
+    flags: dict[int, dict[str, tuple[str, str]]] = {ts: {} for ts in range(1, 785)}
 
     def put(ts: int, axiom: str, value: str, source: str):
         cell = flags[ts]
@@ -433,51 +440,36 @@ def _compile_flags() -> dict[int, dict[str, tuple[str, str]]]:
         else:
             cell[axiom] = (value, source)
 
-    # pass 1: block rules (conflicts between blocks demote to unverified)
+    # pass 1: block rules, the diagonal last (conflicting blocks demote to unverified)
     for firsts, seconds, pattern, source in _BLOCKS:
         values = pattern.split()
         for fi in firsts:
             for se in seconds:
                 ts = encode_two_stage(fi, se)
                 for axiom, sym in zip(AXIOM_KEYS, values):
-                    if sym == "?":
-                        continue
-                    put(ts, axiom, value_of[sym], source)
-    for i in _DIAGONAL:
-        ts = encode_two_stage(i, i)
-        for axiom, sym in zip(AXIOM_KEYS, "- - - - + - - ?".split()):
-            if sym == "?":
-                continue
-            put(ts, axiom, value_of[sym], "block:diagonal")
+                    if sym != "?":
+                        put(ts, axiom, value_of[sym], source)
 
     # pass 2: id rules override blocks (more specific evidence wins)
     for ids, axiom, sym, source in _ID_RULES:
         for ts in ids:
             flags[ts][axiom] = (value_of[sym], source)
 
-    # pass 3: the q-approval-first ids inherit the plurality-first flags
-    for offset in range(2, 19):  # second stages 2..18 of both families
-        src = flags[28 + offset]
-        dst = 84 + offset
-        for axiom, (value, source) in src.items():
-            if value != "unverified":
-                flags[dst][axiom] = (value, "family:q-approval-first")
+    # pass 3: inherited families copy the flags they keep
+    for src_first, dst_first, seconds, kept, tag in _INHERITED:
+        for second in seconds:
+            src = flags[encode_two_stage(src_first, second)]
+            dst = flags[encode_two_stage(dst_first, second)]
+            for axiom, (value, _) in src.items():
+                if value in kept:
+                    dst[axiom] = (value, tag)
 
-    # pass 4: the k-stable-first ids inherit the weakly-stable-first
-    # violation flags (same arguments, larger examples)
-    for second in range(1, 29):
-        src = flags[encode_two_stage(14, second)]
-        dst = encode_two_stage(21, second)
-        for axiom, (value, source) in src.items():
-            if value == "violates":
-                flags[dst][axiom] = (value, "family:k-stable-first")
-
-    # degenerate and equivalent ids are not studied as two-stage rules;
-    # whatever the sweeping block rows said about them is not evidence
+    # pass 4: degenerate and equivalent ids are not studied as two-stage
+    # rules; whatever the sweeping block rows said about them is not evidence
     for ts in list(DEGENERATE_IDS) + list(EQUIVALENT_TO):
         flags[ts] = {}
 
-    # fill the gaps
+    # pass 5: fill the gaps
     for ts in range(1, 785):
         cell = flags[ts]
         for axiom in AXIOM_KEYS:

@@ -10,7 +10,9 @@ derived data:
   full profile;
 * the strict-majority relation mu -- tournament-style solutions;
 * the pairwise support matrix S -- Black (the Condorcet winner read from S,
-  else the row-sum Borda winners), minimax and Simpson;
+  else the row-sum Borda winners), minimax and Simpson.  Minimax and Simpson
+  choose the same set on every input, so procedures 27 and 28 share one
+  kernel; the catalog keeps both ids, as the paper does;
 * a grade table -- threshold and super-threshold rules.
 
 Every rule has one entry point, ``choose(data, subset)``: ``data`` is a
@@ -112,11 +114,6 @@ def _argmax_set(p: _Universe, scores: np.ndarray) -> frozenset[str]:
     return frozenset(lab for lab, s in zip(p.labels, scores) if s == best)
 
 
-def _argmin_set(p: Profile, scores: np.ndarray) -> frozenset[str]:
-    worst = scores.min()
-    return frozenset(lab for lab, s in zip(p.labels, scores) if s == worst)
-
-
 def simple_majority(p: Profile) -> frozenset[str]:
     """Alternatives ranked first by a strict majority of criteria (0 or 1 of them)."""
     counts = first_places(p)
@@ -131,7 +128,7 @@ def plurality(p: Profile) -> frozenset[str]:
 
 def inverse_plurality(p: Profile) -> frozenset[str]:
     """Alternatives named worst by the fewest criteria."""
-    return _argmin_set(p, last_places(p))
+    return _argmax_set(p, -last_places(p))
 
 
 def q_approval(p: Profile, q: int) -> frozenset[str]:
@@ -143,19 +140,10 @@ def q_approval(p: Profile, q: int) -> frozenset[str]:
 def run_off(p: Profile) -> frozenset[str]:
     """Top-two (or tied-top) runoff decided by simple majority; an exactly
     tied final gives the empty choice."""
-    if p.m == 1:
-        return frozenset(p.labels)
     counts = first_places(p)
-    top_score = counts.max()
-    top = [lab for lab, c in zip(p.labels, counts) if c == top_score]
-    if len(top) >= 2:
-        finalists = top
-    else:
-        rest = counts[counts != top_score]
-        second = rest.max()
-        finalists = top + [
-            lab for lab, c in zip(p.labels, counts) if c == second
-        ]
+    finalists = _argmax_set(p, counts)
+    if len(finalists) == 1:  # the runners-up join a lone leader
+        finalists |= _argmax_set(p, np.where(counts == counts.max(), -1, counts))
     return simple_majority(contract(p, finalists))
 
 
@@ -238,8 +226,7 @@ def copeland(mu: MajorityRelation, variant: int) -> frozenset[str]:
         scores = -mu.matrix.sum(axis=0, dtype=np.int32)
     else:
         raise ValueError(f"no Copeland variant {variant}")
-    best = scores.max()
-    return frozenset(lab for lab, s in zip(mu.labels, scores) if s == best)
+    return _argmax_set(mu, scores)
 
 
 def _contained(A: np.ndarray) -> np.ndarray:
@@ -575,23 +562,14 @@ def q_pareto(g: GradeTable, q: int) -> frozenset[str]:
 # support-matrix rules
 # ---------------------------------------------------------------------------
 
-def minimax(t: TournamentMatrix) -> frozenset[str]:
-    """Minimise the strongest support any rival musters against you."""
-    # the diagonal is 0 and no count is negative, so it never raises a column max
-    worst_against = t.counts.max(axis=0)
-    best = worst_against.min()
-    return frozenset(
-        lab for lab, w in zip(t.labels, worst_against) if w == best
-    )
-
-
 def simpson(t: TournamentMatrix) -> frozenset[str]:
-    """Maximise your weakest pairwise support (maximin)."""
-    # S(x, y) = voters - S(y, x) off the diagonal, so the row min is voters
-    # minus minimax's column max
-    weakest = t.voters - t.counts.max(axis=0)
-    best = weakest.max()
-    return frozenset(lab for lab, w in zip(t.labels, weakest) if w == best)
+    """Maximise your weakest pairwise support (maximin), which is also
+    minimax: S(x, y) = voters - S(y, x) off the diagonal and 0 on it, so a
+    row's min is voters minus its column's max, the strongest rival."""
+    return _argmax_set(t, t.voters - t.counts.max(axis=0))
+
+
+minimax = simpson
 
 
 def black(t: TournamentMatrix) -> frozenset[str]:
@@ -643,7 +621,7 @@ _REGISTRY: dict[int, _Row] = {
     24: _Row("copeland_2", "mu", None, False, partial(copeland, variant=2)),
     25: _Row("copeland_3", "mu", None, False, partial(copeland, variant=3)),
     26: _Row("super_threshold", "grades", None, False, super_threshold),
-    27: _Row("minimax", "support", None, False, minimax),
+    27: _Row("minimax", "support", None, False, simpson),
     28: _Row("simpson", "support", None, False, simpson),
 }
 

@@ -1,6 +1,7 @@
 """The two-stage catalog: addressing, classification, flags, and the
 provable equivalences (checked over every tie-free relation up to m=5)."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -358,6 +359,15 @@ def test_export_catalog_shape():
     assert row309[0] == "309"
     assert row309[5] == "equivalent" and row309[6] == "condorcet_winner"
     assert all(len(line.split("\t")) == 15 for line in lines[1:])
+
+
+# the sha256 of the whole exported table; a deliberate change to any id's
+# status, detail or flags must update it
+CATALOG_SHA256 = "5032994cc5708f032fd5c134c0a7d8d3df40054cdaa0896ff279462e37b0bc6b"
+
+
+def test_export_catalog_is_pinned_whole():
+    assert hashlib.sha256(export_catalog().encode()).hexdigest() == CATALOG_SHA256
 
 
 def _record_m(monkeypatch, name):

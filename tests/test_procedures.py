@@ -25,6 +25,7 @@ from twostage import (
     make_procedure,
     tournament_matrix,
 )
+from twostage import procedures
 from twostage.procedures import (
     Procedure,
     QParetoRule,
@@ -258,6 +259,13 @@ def test_support_rules_match_oracles():
         assert minimax(t) == oracles.brute_minimax(t.labels, support)
         assert simpson(t) == oracles.brute_simpson(t.labels, support)
         assert simpson(t) == minimax(t)
+
+
+def test_minimax_and_simpson_share_one_kernel():
+    # they choose the same set on every input, so the two registry rows and
+    # the two public names hold one function
+    assert procedures._REGISTRY[27].kernel is procedures._REGISTRY[28].kernel
+    assert minimax is simpson
 
 
 def test_support_rules_single_alternative():
