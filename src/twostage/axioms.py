@@ -390,7 +390,9 @@ def _check(
     rule: ChoiceRule, data, axiom: str, family: _Family, mon2_strict: bool
 ) -> Verdict:
     if type(data) is Profile:
-        data = ScopedProfile(data)  # μ and S derived at most once, restricted per subset
+        # μ and S derived at most once, restricted per subset; S only when
+        # the rule may read it (a rule that does not say may)
+        data = ScopedProfile(data, "support" in getattr(rule, "kinds", ("support",)))
     choose = _Memo(lambda subset: rule.choose(data, subset), data.labels)
     if axiom in _SINGLE_SUBSET:
         witness = _check_subsets(axiom, choose, family(choose.labels))

@@ -88,9 +88,10 @@ class TwoStage:
         relation-driven).  A plain profile is seen through one
         :class:`ScopedProfile` for the call, so a second stage that reads
         the relation or the support matrix the first derived restricts it
-        to the survivors instead of deriving its own."""
+        to the survivors instead of deriving its own; the scope derives S
+        only when a stage reads it."""
         if type(data) is Profile:
-            data = ScopedProfile(data)
+            data = ScopedProfile(data, "support" in self.kinds)
         survivors = self.first.choose(data, subset)
         if not survivors:
             return survivors, frozenset()
@@ -102,6 +103,11 @@ class TwoStage:
     @property
     def mu_capable(self) -> bool:
         return self.first.mu_capable and self.second.mu_capable
+
+    @functools.cached_property
+    def kinds(self) -> frozenset[str]:
+        """The input kinds the two stages read."""
+        return self.first.kinds | self.second.kinds
 
     @property
     def anonymous(self) -> bool:

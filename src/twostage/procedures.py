@@ -246,28 +246,187 @@ def _contained(A: np.ndarray) -> np.ndarray:
     return gram >= gram.diagonal()[:, None]
 
 
+def _overlaps(A: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """G[i, j] = how many members row set i of ``A``, a 0/1 float32
+    matrix, shares with row set j of ``sets``, a bool matrix over the same
+    universe (a transposed view reads column sets).  This is the general
+    product A Bᵀ, exact in float32 as in :func:`_contained`, but ``sets``
+    is converted to float32 about 2 MiB at a time into one product each:
+    a float copy of a whole m × m relation would outlast the call as free
+    heap, and at m = 2000 it raised the benchmark's peak memory by about
+    7 %."""
+    gram = np.empty((len(A), len(sets)), dtype=np.float32)
+    step = max(1, (1 << 19) // sets.shape[1])
+    for j in range(0, len(sets), step):
+        gram[:, j : j + step] = A @ sets[j : j + step].astype(np.float32).T
+    return gram
+
+
+# Past this many alternatives, the covering rules first test the ones with
+# the smallest keys as coverers of every alternative (see ``_uncovered``).
+_COVERERS = 128
+
+
+def _uncovered(
+    mu: MajorityRelation,
+    key: np.ndarray,
+    covered: Callable[[np.ndarray, np.ndarray | slice], np.ndarray],
+) -> frozenset[str]:
+    """The alternatives no alternative covers, for ``mu.m > _COVERERS``.
+    ``covered(X, Y)`` marks each Y[j] that some X[i] covers, where ``X``
+    is an index array and ``Y`` is either ``X`` itself (the square block)
+    or the slice ``:`` of every alternative.  A coverer's ``key`` is
+    always strictly smaller than what it covers: its in-degree for rules
+    15, 16 and 18, minus its out-degree for rule 17.
+
+    Each covering relation is then transitive and acyclic, so every covered
+    alternative is covered by an uncovered one (Miller 1980; Laslier
+    1997).  Two blocks decide it exactly:
+
+    1. The ``_COVERERS`` alternatives with the smallest keys (found with
+       ``argpartition``) are tested as coverers of every alternative.
+       Whatever covers one of them has a strictly smaller key, so it lies
+       among them too: their own fate is final after this block.
+    2. The survivors outside them are tested against each other, in one
+       square block over their rows alone.  A survivor covered at all is
+       covered by an uncovered alternative, and that one is not among the
+       first block's coverers (the survivor would not have survived), so
+       it is a survivor too.  A survivor whose key is both the smallest
+       and the largest among the survivors can neither cover nor be
+       covered by another, so it leaves the block: on the empty relation
+       block 2 computes nothing.
+
+    On the profiles the benchmark draws, the strongest alternatives cover
+    most of the rest, and tens to hundreds of 2000 survive block 1.  The
+    worst case is a relation in which nothing is covered, such as a random
+    tournament: block 2 then holds all but ``_COVERERS`` alternatives, and
+    the call costs block 1, a ``_COVERERS`` × m general product, plus the
+    gather of the survivors' sets and a square product over them, which
+    is a little smaller than the one square product an all-pairs test
+    takes.
+    """
+    top = np.argpartition(key, _COVERERS - 1)[:_COVERERS]
+    alive = ~covered(top, np.s_[:])
+    rest = alive.copy()
+    rest[top] = False
+    rest = np.flatnonzero(rest)
+    if rest.size:
+        kept = key[rest]
+        rest = rest[(kept > kept.min()) | (kept < kept.max())]
+    if rest.size:
+        alive[rest] = ~covered(rest, rest)
+    return frozenset(lab for lab, a in zip(mu.labels, alive) if a)
+
+
+def _upper_within(beats: np.ndarray, X: np.ndarray, Y) -> np.ndarray:
+    """The bool block "D(X[i]) lies within D(Y[j])" for ``X`` and ``Y`` as
+    ``_uncovered`` passes them; column x of ``beats`` is the indicator of
+    D(x).  The columns ``X`` are gathered with ``take`` and read as rows
+    through the transposed view: at m = 2000 that costs a quarter of
+    indexing the rows of ``beats.T``, which reads across rows."""
+    upper = beats.take(X, axis=1).astype(np.float32).T
+    if Y is X:
+        return _contained(upper)
+    return _overlaps(upper, beats.T) >= upper.sum(axis=1)[:, None]
+
+
+def _upper_covers(beats: np.ndarray, X: np.ndarray, Y) -> np.ndarray:
+    """The uncovered_1 covering block: X[i] beats Y[j] and D(X[i]) lies
+    within D(Y[j])."""
+    return beats[X][:, Y] & _upper_within(beats, X, Y)
+
+
 def fishburn(mu: MajorityRelation) -> frozenset[str]:
     """Alternatives whose upper contour set is not a strict superset of any
-    other's (undominated in the Fishburn auxiliary relation)."""
-    upper = mu.matrix.astype(np.float32).T  # row x = indicator of D(x)
-    sizes = mu.matrix.sum(axis=0)
-    return _unbeaten(mu, _contained(upper) & (sizes[:, None] < sizes[None, :]))
+    other's (undominated in the Fishburn auxiliary relation).  Past
+    ``_COVERERS`` alternatives, in two blocks (see :func:`_uncovered`)."""
+    beats = mu.matrix
+    if len(beats) <= _COVERERS:
+        within = _contained(beats.astype(np.float32).T)
+        return _unbeaten(mu, within & ~within.T)
+    sizes = beats.sum(axis=0, dtype=np.int32)
+
+    def covered(X, Y):
+        return (_upper_within(beats, X, Y) & (sizes[X][:, None] < sizes[None, Y])).any(axis=0)
+
+    return _uncovered(mu, sizes, covered)
 
 
 def uncovered_1(mu: MajorityRelation) -> frozenset[str]:
-    """Covering = beating plus upper-contour containment (D(x) within D(y))."""
-    return _unbeaten(mu, mu.matrix & _contained(mu.matrix.astype(np.float32).T))
+    """Covering = beating plus upper-contour containment (D(x) within D(y)).
+    Past ``_COVERERS`` alternatives, in two blocks (see :func:`_uncovered`)."""
+    beats = mu.matrix
+    if len(beats) <= _COVERERS:
+        return _unbeaten(mu, beats & _contained(beats.astype(np.float32).T))
+    return _uncovered(
+        mu,
+        beats.sum(axis=0, dtype=np.int32),
+        lambda X, Y: _upper_covers(beats, X, Y).any(axis=0),
+    )
 
 
 def uncovered_2(mu: MajorityRelation) -> frozenset[str]:
-    """Covering = beating plus lower-contour containment (L(y) within L(x))."""
-    return _unbeaten(mu, mu.matrix & _contained(mu.matrix.astype(np.float32)).T)
+    """Covering = beating plus lower-contour containment (L(y) within L(x)).
+    Past ``_COVERERS`` alternatives, in two blocks (see :func:`_uncovered`):
+    a coverer has more alternatives below it than what it covers."""
+    beats = mu.matrix  # row x = indicator of L(x)
+    if len(beats) <= _COVERERS:
+        return _unbeaten(mu, beats & _contained(beats.astype(np.float32)).T)
+    lows = beats.sum(axis=1, dtype=np.int32)
+
+    def covered(X, Y):
+        lower = beats[X].astype(np.float32)
+        if Y is X:
+            within = _contained(lower).T
+        else:  # L(y) lies within L(x) when they share all |L(y)| members
+            within = _overlaps(lower, beats) >= lows
+        return (beats[X][:, Y] & within).any(axis=0)
+
+    return _uncovered(mu, -lows, covered)
+
+
+def _no_tie_beaten(beats: np.ndarray, X, Y, pairs: np.ndarray) -> np.ndarray:
+    """Marks each Y[j] for which some pair (i, j) of the bool block
+    ``pairs``, where X[i] beats Y[j], has Y[j] beating nothing tied with
+    X[i] (beating neither way).  X[i] counts as tied with itself here, but
+    Y[j] does not beat it.
+
+    Each tie set and each lower contour set is packed into bytes once.  The
+    pairs are tested in rounds, one pair per column and round, byte against
+    byte: a column leaves at its first pair that passes, or once its pairs
+    run out.  So an alternative that passes for many columns settles them
+    all in the first round.  ``pairs`` is cleared on the way."""
+    tied = ~(beats[X] | beats.take(X, axis=1).T)
+    tied, lower = np.packbits(tied, axis=1), np.packbits(beats[Y], axis=1)
+    marked = np.zeros(pairs.shape[1], dtype=bool)
+    while (cols := np.flatnonzero(pairs.any(axis=0))).size:
+        rows = pairs[:, cols].argmax(axis=0)
+        passes = ~(tied[rows] & lower[cols]).any(axis=1)
+        marked[cols[passes]] = True
+        pairs[:, cols[passes]] = False
+        pairs[rows, cols] = False
+    return marked
 
 
 def richelson(mu: MajorityRelation) -> frozenset[str]:
-    """Covering needs the beat and both contour containments at once."""
-    A = mu.matrix.astype(np.float32)
-    return _unbeaten(mu, mu.matrix & _contained(A.T) & _contained(A).T)
+    """Covering needs the beat and both contour containments at once.
+
+    Past ``_COVERERS`` alternatives, in two blocks (see :func:`_uncovered`)
+    with uncovered_1's key, and L(y) within L(x) is tested only on the
+    pairs that pass the beat test and D(x) within D(y), where it reads more
+    simply.  Each z that y beats is then beaten by x: z cannot beat x (it
+    would lie in D(x), so beat y), and z is not x (y does not beat x).  So
+    L(y) lies in L(x) exactly when y beats nothing tied with x, and one
+    packed-bit test on those pairs replaces a second Gram product."""
+    beats = mu.matrix
+    if len(beats) <= _COVERERS:
+        A = beats.astype(np.float32)
+        return _unbeaten(mu, beats & _contained(A.T) & _contained(A).T)
+    return _uncovered(
+        mu,
+        beats.sum(axis=0, dtype=np.int32),
+        lambda X, Y: _no_tie_beaten(beats, X, Y, _upper_covers(beats, X, Y)),
+    )
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -565,8 +724,11 @@ def q_pareto(g: GradeTable, q: int) -> frozenset[str]:
 def simpson(t: TournamentMatrix) -> frozenset[str]:
     """Maximise your weakest pairwise support (maximin), which is also
     minimax: S(x, y) = voters - S(y, x) off the diagonal and 0 on it, so a
-    row's min is voters minus its column's max, the strongest rival."""
-    return _argmax_set(t, t.voters - t.counts.max(axis=0))
+    row's min is voters minus its column's max, the strongest rival.  The
+    winners minimise that max; bitwise NOT reverses the order of the uint8,
+    uint16, int32 and int64 counts alike, with no Python-int operand for
+    NumPy to promote."""
+    return _argmax_set(t, ~t.counts.max(axis=0))
 
 
 minimax = simpson
@@ -639,12 +801,14 @@ def _kernel_input(kind: str, data, subset: Iterable[str] | None, name: str):
 
     A condition check or a two-stage call hands the rule a
     :class:`ScopedProfile`.  The first choice from its whole universe that
-    reads μ or S derives the support matrix S once and keeps it; μ is read
-    from that S, not from a second pass over the ranks, and kept beside it.
-    A choice from a subset then restricts what the scope holds instead of
-    contracting and deriving again, since S(x, y) counts the same criteria
-    in a contracted profile as in the full one; μ over a subset, when the
-    scope holds S alone, is read from the restricted S.  A subset choice
+    reads μ or S derives once what the scope keeps.  When a rule of the
+    call reads S (the scope's ``support``), that is S, and μ is read from
+    it, not from a second pass over the ranks, and kept beside it; when
+    none does, it is μ alone, written over its own counts.  A choice from a
+    subset then restricts what the scope holds instead of contracting and
+    deriving again, since S(x, y) counts the same criteria in a contracted
+    profile as in the full one; μ over a subset, when the scope holds S
+    alone, is read from the restricted S.  A subset choice
     never derives the full input itself, which at large m costs far more
     than the subset's; and grades and profile kernels always contract,
     since they re-rank within the subset.  No kernel calls this itself:
@@ -656,8 +820,11 @@ def _kernel_input(kind: str, data, subset: Iterable[str] | None, name: str):
     if isinstance(data, Profile):
         if isinstance(data, ScopedProfile) and kind in ("mu", "support"):
             held = data.derived
-            if subset is None and "support" not in held:
-                held["support"] = tournament_matrix(data)
+            if subset is None and not held:
+                if data.support:
+                    held["support"] = tournament_matrix(data)
+                else:
+                    held["mu"] = majority_relation(data)
             if kind in held:
                 return held[kind] if subset is None else held[kind].restrict(subset)
             if "support" in held:  # μ, read from the scope's S
@@ -714,6 +881,11 @@ class _RowRule:
     @property
     def mu_capable(self) -> bool:
         return self._row.kind == "mu"
+
+    @property
+    def kinds(self) -> frozenset[str]:
+        """The input kinds the rule reads: its kernel's alone."""
+        return frozenset((self._row.kind,))
 
     def label(self) -> str:
         row = self._row

@@ -285,24 +285,28 @@ class ScopedProfile(Profile):
     the support matrix and the majority relation over the whole universe,
     keyed by kind, once a choice from the whole universe has derived them.
 
-    The support matrix S is derived first, and μ is read from it
+    ``support`` says whether a rule may read the support matrix S through
+    the scope.  If so, S is derived first and μ is read from it
     (:meth:`TournamentMatrix.majority`), so the scope keeps both: a rule
-    reading μ and one reading S share one derivation.  A choice from a
-    subset then restricts the derived input, since S(x, y) counts the same
-    criteria in a contracted profile as in the full one (see
+    reading μ and one reading S share one derivation.  If not, the scope
+    derives μ alone, written over its own counts (:func:`majority_relation`),
+    and holds one m × m array instead of two.  A choice from a subset then
+    restricts the derived input, since S(x, y) counts the same criteria in
+    a contracted profile as in the full one (see
     ``procedures._kernel_input``); a profile kernel gets a plain
     contraction, which carries nothing of the view.  The view compares
     equal to the profile it views, and nothing is kept on that profile:
     every view starts empty.
     """
 
-    __slots__ = ("derived",)
+    __slots__ = ("derived", "support")
 
-    def __init__(self, p: Profile):
+    def __init__(self, p: Profile, support: bool = True):
         self.labels, self.ranks = p.labels, p.ranks
         if hasattr(p, "_pos"):
             self._pos = p._pos
         self.derived: dict[str, _Universe] = {}
+        self.support = support
 
 
 @dataclass(frozen=True)
@@ -667,8 +671,9 @@ def _pairwise_support(p: Profile) -> np.ndarray:
       int32.  Above it the narrow compare wins (1.7x at m = 100, n = 6).
 
     A condition check or a two-stage call derives this matrix at most once
-    over the whole universe, through a :class:`ScopedProfile`, reads the
-    majority relation from it, and restricts both for each subset.
+    over the whole universe, through a :class:`ScopedProfile`, and
+    restricts it for each subset: as S, with the majority relation read
+    from it, when a rule of the call reads S, else as the relation alone.
     """
     m, n = p.m, p.n
     if n < 255:

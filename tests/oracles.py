@@ -154,43 +154,47 @@ def brute_k_stable_sets(labels, edges, k):
 
 
 # -- covering rules ----------------------------------------------------------
+#
+# Each covering relation as a set of pairs (x, y), "x covers y"; the rule
+# chooses the alternatives nothing covers.
+
+def fishburn_covering(labels, edges):
+    ds = {x: dominators(labels, edges, x) for x in labels}
+    return {(x, y) for x in labels for y in labels if ds[x] < ds[y]}
+
+
+def uncovered_1_covering(labels, edges):
+    ds = {x: dominators(labels, edges, x) for x in labels}
+    return {(x, y) for x, y in edges if ds[x] <= ds[y]}
+
+
+def uncovered_2_covering(labels, edges):
+    ls = {x: dominated(labels, edges, x) for x in labels}
+    return {(x, y) for x, y in edges if ls[y] <= ls[x]}
+
+
+def richelson_covering(labels, edges):
+    return uncovered_1_covering(labels, edges) & uncovered_2_covering(labels, edges)
+
+
+def _uncovered(labels, covering):
+    return frozenset(labels) - {y for _, y in covering}
+
 
 def brute_fishburn(labels, edges):
-    ds = {x: dominators(labels, edges, x) for x in labels}
-    return frozenset(
-        y for y in labels if not any(ds[x] < ds[y] for x in labels if x != y)
-    )
+    return _uncovered(labels, fishburn_covering(labels, edges))
 
 
 def brute_uncovered_1(labels, edges):
-    ds = {x: dominators(labels, edges, x) for x in labels}
-    return frozenset(
-        y
-        for y in labels
-        if not any((x, y) in edges and ds[x] <= ds[y] for x in labels)
-    )
+    return _uncovered(labels, uncovered_1_covering(labels, edges))
 
 
 def brute_uncovered_2(labels, edges):
-    ls = {x: dominated(labels, edges, x) for x in labels}
-    return frozenset(
-        y
-        for y in labels
-        if not any((x, y) in edges and ls[y] <= ls[x] for x in labels)
-    )
+    return _uncovered(labels, uncovered_2_covering(labels, edges))
 
 
 def brute_richelson(labels, edges):
-    ds = {x: dominators(labels, edges, x) for x in labels}
-    ls = {x: dominated(labels, edges, x) for x in labels}
-    return frozenset(
-        y
-        for y in labels
-        if not any(
-            (x, y) in edges and ds[x] <= ds[y] and ls[y] <= ls[x]
-            for x in labels
-        )
-    )
+    return _uncovered(labels, richelson_covering(labels, edges))
 
 
 # -- pairwise counts and grades of plain order lists -------------------------

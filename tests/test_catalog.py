@@ -442,8 +442,8 @@ def test_a_support_two_stage_rule_takes_a_support_matrix():
 
 
 def test_a_condition_check_derives_the_relation_once_per_profile(monkeypatch):
-    # a scope reads μ from the support matrix it derives, so a check of a
-    # relation rule derives S once and never runs the profile's own μ path
+    # no stage of core -> uncovered_1 reads S, so a check's scope derives μ
+    # alone, over its own counts, and never derives S
     support = _record_m(monkeypatch, "tournament_matrix")
     relation = _record_m(monkeypatch, "majority_relation")
     contracted = _record_m(monkeypatch, "contract")
@@ -451,7 +451,21 @@ def test_a_condition_check_derives_the_relation_once_per_profile(monkeypatch):
     for axiom in ("H", "C", "O", "ACA", "MON2"):
         check_axiom(compose(20, 16), p, axiom)
     # one derivation per check, every subset restricted from it
-    assert support == [5] * 5 and relation == [] and contracted == []
+    assert support == [] and relation == [5] * 5 and contracted == []
+
+
+def test_a_relation_call_derives_the_relation_alone(monkeypatch):
+    # neither stage of copeland_1 -> threshold or copeland_3 -> plurality
+    # reads S, so the call derives μ with the in-place majority_relation
+    support = _record_m(monkeypatch, "tournament_matrix")
+    relation = _record_m(monkeypatch, "majority_relation")
+    p = generate_profile(7, 4, seed=2)
+    for first, second in ((23, 22), (25, 2)):
+        assert compose(first, second).kinds == {"mu", "grades" if second == 22 else "profile"}
+        survivors, final = compose(first, second).choose_detailed(p)
+        want = make_procedure(first).choose(majority_relation(p))
+        assert survivors == want and final == make_procedure(second).choose(p, want)
+    assert support == [] and relation == [7, 7]
 
 
 @pytest.mark.parametrize("first, second", [(20, 8), (12, 27), (27, 20)])

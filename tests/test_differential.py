@@ -9,7 +9,10 @@ from the contracted profile.  Restriction and contraction read a subset the
 same way whether it comes as a frozenset, a list with repeats or a tuple in
 any order.  The Gram-product containment behind the covering rules matches
 set inclusion on drawn 0/1 matrices up to 70 x 70, and the covering rules
-match their oracles on profiles with m = 60-80."""
+match their oracles on profiles with m = 60-80.  Past 128 alternatives the
+covering rules run in two blocks: they match a dense reference at
+m = 150-400 on profiles and on shaped relations, and each covering relation
+of the oracles is transitive and lowers the key the blocks rank by."""
 
 from itertools import combinations
 
@@ -20,15 +23,18 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 import oracles  # noqa: E402
+from twostage import procedures  # noqa: E402
 from twostage.bench import generate_profile  # noqa: E402
 from twostage.procedures import (  # noqa: E402
     PROCEDURE_NAMES,
     QParetoRule,
     _contained,
     _kernel_input,
+    _overlaps,
     make_procedure,
 )
 from twostage.profiles import (  # noqa: E402
+    MajorityRelation,
     Profile,
     ScopedProfile,
     contract,
@@ -163,13 +169,30 @@ def indicator_matrices(draw):
 @hypothesis.given(A=indicator_matrices())
 def test_the_gram_containment_matches_set_inclusion(A):
     # the covering rules read row containment from A and column containment
-    # from the view A.T: every pair of each against plain set inclusion
+    # from the view A.T: every pair of each against plain set inclusion;
+    # and what a block of the sets shares with each of the others, given as
+    # bool, against plain set intersection
     Af = A.astype(np.float32)
     for sets, given in ((A, Af), (A.T, Af.T)):
         members = [set(np.flatnonzero(row)) for row in sets]
         want = np.array([[x <= y for y in members] for x in members])
         got = _contained(given)
         assert got.dtype == bool and (got == want).all()
+        k = len(members) // 3
+        shared = np.array([[len(x & y) for y in members[k:]] for x in members[:k]])
+        got = _overlaps(given[:k], sets[k:])
+        assert got.shape == (k, len(members) - k) and (got == shared.reshape(got.shape)).all()
+
+
+def test_the_overlaps_convert_the_sets_a_slab_at_a_time():
+    # 4000 sets over 200 members take two slabs of float32 rows, and the
+    # transposed view (200 sets over 4000 members) takes one per 131 sets
+    rng = np.random.default_rng(9)
+    sets = rng.random((4000, 200)) < 0.3
+    A = sets[:50].astype(np.float32)
+    assert (_overlaps(A, sets) == A @ sets.T.astype(np.float32)).all()
+    A = sets.T[:20].astype(np.float32)
+    assert (_overlaps(A, sets.T) == A @ sets.astype(np.float32)).all()
 
 
 # m = 60-80, beyond the m <= 6 of the suite above, with even n for ties
@@ -179,6 +202,138 @@ def test_the_covering_rules_match_their_oracles_on_larger_profiles(m, n, seed):
     case = _Case(p.orders)
     for index in (15, 16, 17, 18):
         assert RULES[index].choose(p) == ORACLES[index](case), RULES[index].name
+
+
+def _relation(kind: str, m: int, seed: int) -> np.ndarray:
+    """A majority matrix over m alternatives, of one of the shapes the
+    covering rules' blocks meet."""
+    rng = np.random.default_rng(seed)
+    if kind.startswith("n="):
+        return majority_relation(generate_profile(m, int(kind[2:]), seed=seed)).matrix
+    if kind == "tournament":
+        upper = np.triu(rng.random((m, m)) < 0.5, 1)
+        return upper | np.triu(~upper, 1).T
+    if kind == "empty":
+        return np.zeros((m, m), dtype=bool)
+    if kind == "linear order":
+        place = rng.permutation(m)
+        return place[:, None] < place[None, :]
+    if kind == "weak order":  # about m / 10 tie classes
+        tier = rng.integers(0, m // 10, m)
+        return tier[:, None] < tier[None, :]
+    # "condorcet winner": a random relation with ties, and one alternative
+    # that beats every other
+    draw = rng.random((m, m))
+    beats = np.triu(draw < 0.4, 1) | np.triu(draw > 0.7, 1).T
+    winner = rng.integers(m)
+    beats[winner], beats[:, winner] = True, False
+    beats[winner, winner] = False
+    return beats
+
+
+def _dense_uncovered(beats: np.ndarray) -> dict[int, np.ndarray]:
+    """Per covering rule, the alternatives nothing covers, from all-pairs
+    contour containment in float64 (exact at these sizes)."""
+    A = beats.astype(np.float64)
+    indegree, outdegree = beats.sum(axis=0), beats.sum(axis=1)
+    upper = A.T @ A >= indegree[:, None]  # |D(x) & D(y)| >= |D(x)|
+    lower = A @ A.T >= outdegree[None, :]  # |L(x) & L(y)| >= |L(y)|
+    covering = {
+        15: upper & (indegree[:, None] < indegree[None, :]),
+        16: beats & upper,
+        17: beats & lower,
+        18: beats & upper & lower,
+    }
+    return {index: ~pairs.any(axis=0) for index, pairs in covering.items()}
+
+
+RELATION_KINDS = [
+    "n=10", "n=11", "tournament", "empty", "linear order", "weak order", "condorcet winner"
+]
+
+
+# past _COVERERS = 128 alternatives the covering rules test the strongest
+# first and then only the survivors (procedures._uncovered); profiles get
+# four seeds each, since block 2 meets tens of survivors on some of them
+# and none on others
+@pytest.mark.parametrize("m", [150, 300, 400])
+@pytest.mark.parametrize("kind", RELATION_KINDS)
+def test_the_covering_blocks_match_a_dense_reference(kind, m, monkeypatch):
+    squares, contained = [], procedures._contained
+
+    def record(A):
+        squares.append(len(A))
+        return contained(A)
+
+    monkeypatch.setattr(procedures, "_contained", record)
+    for seed in range(4) if kind.startswith("n=") else [m]:
+        beats = _relation(kind, m, seed)
+        mu = MajorityRelation(default_labels(m), beats)
+        for index, alive in _dense_uncovered(beats).items():
+            want = frozenset(lab for lab, a in zip(mu.labels, alive) if a)
+            assert RULES[index].choose(mu) == want, (kind, seed, RULES[index].name)
+    if kind == "empty":  # every key ties, so block 2 computes nothing
+        assert squares == []
+    elif kind == "tournament" or (kind.startswith("n=") and m >= 300):
+        assert squares and max(squares) < m  # block 2 ran over the survivors
+
+
+def test_block_2_finds_a_survivor_covered_by_a_survivor():
+    # 128 alternatives in a random tournament take block 1; x is beaten by
+    # 100 of them and y by the same 100 and x, so x covers y under every
+    # covering rule.  Both keys exceed every key in the tournament, so x and
+    # y survive block 1 and meet in block 2, where x has the smallest key
+    rng = np.random.default_rng(3)
+    m = 130
+    beats = np.zeros((m, m), dtype=bool)
+    beats[:128, :128] = _relation("tournament", 128, seed=3)
+    x, y = 128, 129
+    above = rng.permutation(128) < 100
+    for z in (x, y):
+        beats[:128, z] = above
+        beats[z, :128] = ~above
+    beats[x, y] = True
+    mu = MajorityRelation(default_labels(m), beats)
+    x, y = mu.labels[x], mu.labels[y]
+    for index, alive in _dense_uncovered(beats).items():
+        chosen = RULES[index].choose(mu)
+        assert x in chosen and y not in chosen, RULES[index].name
+        assert chosen == frozenset(lab for lab, a in zip(mu.labels, alive) if a)
+
+
+@st.composite
+def relations(draw):
+    """Labels and beat pairs of an asymmetric relation on at most 8
+    alternatives: each pair beats one way, the other, or ties."""
+    labels = default_labels(draw(st.integers(1, 8)))
+    edges = set()
+    for x, y in combinations(labels, 2):
+        way = draw(st.sampled_from([(x, y), (y, x), None]))
+        if way:
+            edges.add(way)
+    return labels, edges
+
+
+@hypothesis.example(case=(("a", "b", "c"), {("a", "b"), ("b", "c"), ("c", "a")}))
+@hypothesis.example(case=(("a", "b", "c", "d"), {("a", "b"), ("b", "c"), ("a", "c")}))
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(case=relations())
+def test_each_covering_relation_is_transitive_and_lowers_the_key(case):
+    # what the two blocks of procedures._uncovered rely on: a coverer has a
+    # strictly smaller key (its in-degree, or minus its out-degree for
+    # uncovered_2), so each covering relation is acyclic too
+    labels, edges = case
+    indegree = {x: len(oracles.dominators(labels, edges, x)) for x in labels}
+    outdegree = {x: -len(oracles.dominated(labels, edges, x)) for x in labels}
+    for covering, key in (
+        (oracles.fishburn_covering, indegree),
+        (oracles.uncovered_1_covering, indegree),
+        (oracles.uncovered_2_covering, outdegree),
+        (oracles.richelson_covering, indegree),
+    ):
+        pairs, name = covering(labels, edges), covering.__name__
+        assert all(key[x] < key[y] for x, y in pairs), name
+        assert all((x, z) in pairs for x, y in pairs for w, z in pairs if w == y), name
 
 
 # every indexed procedure at its catalog default, and the q-Pareto rule
@@ -242,8 +397,13 @@ def _assert_restriction_matches_contraction(p):
     """Once a scope has derived its full relation and support matrix, its
     input for every non-empty subset is the one the contracted profile
     derives: the same labels, values, dtype and ``voters``."""
-    scope = ScopedProfile(p)
-    for kind, derive in (("mu", majority_relation), ("support", tournament_matrix)):
+    # and so for a scope that derives μ alone, as no rule of its call reads S
+    shared, mu_alone = ScopedProfile(p), ScopedProfile(p, support=False)
+    for scope, kind, derive in (
+        (shared, "mu", majority_relation),
+        (shared, "support", tournament_matrix),
+        (mu_alone, "mu", majority_relation),
+    ):
         full = _kernel_input(kind, scope, None, "test")
         assert scope.derived[kind] is full and full == derive(p)
         for size in range(1, p.m + 1):
@@ -253,6 +413,7 @@ def _assert_restriction_matches_contraction(p):
                 assert got == want and got.labels == want.labels
                 assert got._array().dtype == want._array().dtype
                 assert getattr(got, "voters", None) == getattr(want, "voters", None)
+    assert set(mu_alone.derived) == {"mu"}
 
 
 @st.composite

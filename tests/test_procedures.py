@@ -59,7 +59,7 @@ from twostage.procedures import (
     uncovered_2,
     weakly_stable_sets,
 )
-from twostage.profiles import default_labels
+from twostage.profiles import TournamentMatrix, default_labels
 
 
 def orders_of(p: Profile):
@@ -266,6 +266,16 @@ def test_minimax_and_simpson_share_one_kernel():
     # the two public names hold one function
     assert procedures._REGISTRY[27].kernel is procedures._REGISTRY[28].kernel
     assert minimax is simpson
+    # a and b tie with a strongest rival of 1; the kernel reverses the
+    # column maxima with bitwise NOT, so the tie must hold in every dtype
+    # the counts come in: uint8, uint16 and int64 from profiles, int32 from
+    # a given matrix
+    counts = np.array([[0, 1, 2, 1], [1, 0, 1, 2], [0, 1, 0, 1], [1, 0, 1, 0]])
+    for dtype in (np.uint8, np.uint16, np.int64):
+        t = TournamentMatrix._trusted(tuple("abcd"), counts.astype(dtype), 2)
+        assert simpson(t) == frozenset("ab"), dtype
+    t = TournamentMatrix("abcd", counts, 2)
+    assert t.counts.dtype == np.int32 and simpson(t) == frozenset("ab")
 
 
 def test_support_rules_single_alternative():
