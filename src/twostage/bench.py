@@ -177,6 +177,11 @@ def run_scaling(
     return BenchResult(proc.label(), tuple(points), exponent, residual, partial, note)
 
 
+# How long run_groups waits before each sample, for the BLAS worker threads
+# of the previous one to stop spinning: they spun for 0.10-0.12 s after a
+# product on a 2-vCPU VM.
+_BLAS_SPIN_SECONDS = 0.2
+
 GROUP_REPRESENTATIVES: dict[str, tuple[tuple[int, int], ...]] = {
     # Three pairs per group, chosen so the measured cost is carried by the
     # stage that puts the pair in its group: score screens that keep only a
@@ -223,10 +228,24 @@ def run_groups(
     representatives: dict[str, tuple[tuple[int, int], ...]] | None = None,
     trials: int = 3,
 ) -> GroupReport:
-    """Time each representative two-stage rule on one shared random profile."""
+    """Time each representative two-stage rule on one shared random profile.
+
+    As in :func:`run_scaling`, the rows are timed in ``trials`` rounds.
+    Each round times every row once with :func:`measure_call`, and each
+    row keeps its minimum.  So a slow phase of the machine slows one
+    sample of every row it covers, rather than every sample of one group's
+    rows, which would move the ratio between the groups.
+
+    Each sample starts after a pause of ``_BLAS_SPIN_SECONDS``.  After a
+    product it spreads over threads, OpenBLAS keeps its worker threads
+    spinning for about 0.1 s before they sleep, and work timed in that
+    window shares the CPU with them: on a 2-vCPU VM, a support derivation
+    (m = 2000, n = 10) took 1.6-1.8 times as long right after a call of
+    (16, 7) as after a pause.  Without the pause, a row timed after a
+    covering row would be charged for that row's spin."""
     reps = representatives or GROUP_REPRESENTATIVES
     p = generate_profile(m, n, seed)
-    rows: list[GroupRow] = []
+    cells = []
     for group, pairs in reps.items():
         for first, second in pairs:
             expected = classify_group(first, second)
@@ -235,9 +254,13 @@ def run_groups(
                     f"procedure pair ({first}, {second}) belongs to group "
                     f"{expected!r}, not {group!r}"
                 )
-            rule = compose(first, second)
-            seconds = measure_call(lambda: rule.choose(p), trials=trials)
-            rows.append(GroupRow(group, first, second, seconds))
+            cells.append((group, first, second, compose(first, second)))
+    best = [math.inf] * len(cells)
+    for _, (i, cell) in itertools.product(range(trials), enumerate(cells)):
+        rule = cell[3]
+        time.sleep(_BLAS_SPIN_SECONDS)
+        best[i] = min(best[i], measure_call(lambda: rule.choose(p), trials=1))
+    rows = (GroupRow(group, a, b, s) for (group, a, b, _), s in zip(cells, best))
     return GroupReport(m, n, tuple(rows))
 
 

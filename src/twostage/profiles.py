@@ -301,7 +301,7 @@ class ScopedProfile(Profile):
 
     __slots__ = ("derived", "support")
 
-    def __init__(self, p: Profile, support: bool = True):
+    def __init__(self, p: Profile, support: bool):
         self.labels, self.ranks = p.labels, p.ranks
         if hasattr(p, "_pos"):
             self._pos = p._pos

@@ -3,6 +3,7 @@ sweep lives in the acceptance suite)."""
 
 import pytest
 
+import twostage.bench as bench
 from twostage import BenchResult, classify_group, generate_profile, run_groups, run_scaling
 from twostage.bench import (
     GROUP_REPRESENTATIVES,
@@ -106,6 +107,35 @@ def test_run_groups_small():
     # the ordering property is only promised at desk scale, not at m=60;
     # just exercise the accessor
     assert report.ordered in (True, False)
+
+
+def test_run_groups_times_the_rows_in_rounds(monkeypatch):
+    # each round times every row once, each after a pause, and each row
+    # keeps its minimum
+    calls = []
+
+    class Rule:
+        def __init__(self, first, second):
+            self.pair = (first, second)
+
+        def choose(self, p):
+            calls.append(self.pair)
+
+    samples = iter([5.0, 4.0, 3.0, 2.0, 6.0, 1.0])
+
+    def once(fn, *, trials):
+        assert trials == 1
+        fn()
+        return next(samples)
+
+    monkeypatch.setattr(bench, "compose", Rule)
+    monkeypatch.setattr(bench, "measure_call", once)
+    monkeypatch.setattr(bench.time, "sleep", lambda s: calls.append(s))
+    reps = {"low": ((2, 16),), "average": ((27, 28),)}
+    report = run_groups(m=5, n=3, trials=3, representatives=reps)
+    pause = bench._BLAS_SPIN_SECONDS
+    assert calls == [pause, (2, 16), pause, (27, 28)] * 3
+    assert [(r.group, r.seconds) for r in report.rows] == [("low", 3.0), ("average", 1.0)]
 
 
 def test_run_groups_rejects_misfiled_representatives():

@@ -398,7 +398,7 @@ def _assert_restriction_matches_contraction(p):
     input for every non-empty subset is the one the contracted profile
     derives: the same labels, values, dtype and ``voters``."""
     # and so for a scope that derives μ alone, as no rule of its call reads S
-    shared, mu_alone = ScopedProfile(p), ScopedProfile(p, support=False)
+    shared, mu_alone = ScopedProfile(p, support=True), ScopedProfile(p, support=False)
     for scope, kind, derive in (
         (shared, "mu", majority_relation),
         (shared, "support", tournament_matrix),

@@ -493,7 +493,7 @@ def test_a_bad_subset_raises_the_same_message_for_every_kind(subset, message):
     # a set is read in one pass over the labels, anything else label by
     # label; a miss in either names the unknown label
     p = generate_profile(4, 3, seed=5)
-    for value in [ScopedProfile(p), *_every_kind(p)]:
+    for value in [ScopedProfile(p, support=True), *_every_kind(p)]:
         shrink = contract if value.kind == "profile" else type(value).restrict
         with pytest.raises(ValueError) as err:
             shrink(value, subset)
@@ -512,5 +512,5 @@ def test_the_label_map_is_built_by_the_first_lookup():
         assert [value.index(lab) for lab in value.labels] == list(range(value.m))
         assert value._pos == {lab: j for j, lab in enumerate(value.labels)}
     # a view shares the map its profile holds, and holds none when it has none
-    assert ScopedProfile(p)._pos is p._pos
-    assert not hasattr(ScopedProfile(generate_profile(5, 3, seed=6)), "_pos")
+    assert ScopedProfile(p, support=True)._pos is p._pos
+    assert not hasattr(ScopedProfile(generate_profile(5, 3, seed=6), support=True), "_pos")
