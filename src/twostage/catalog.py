@@ -100,10 +100,6 @@ class TwoStage:
     def choose(self, data, subset: Iterable[str] | None = None) -> frozenset[str]:
         return self.choose_detailed(data, subset)[1]
 
-    @property
-    def mu_capable(self) -> bool:
-        return self.first.mu_capable and self.second.mu_capable
-
     @functools.cached_property
     def kinds(self) -> frozenset[str]:
         """The input kinds the two stages read."""

@@ -281,31 +281,28 @@ class Profile(_Universe):
 
 class ScopedProfile(Profile):
     """A profile seen for the length of one condition check or one two-stage
-    call: the viewed profile's labels and read-only ranks, plus ``derived``,
-    the support matrix and the majority relation over the whole universe,
-    keyed by kind, once a choice from the whole universe has derived them.
+    call: the viewed profile's labels and read-only ranks, plus ``held``,
+    the one m × m array the scope derives over its whole universe (None
+    until a choice from the whole universe reads μ or S).
 
     ``support`` says whether a rule may read the support matrix S through
-    the scope.  If so, S is derived first and μ is read from it
-    (:meth:`TournamentMatrix.majority`), so the scope keeps both: a rule
-    reading μ and one reading S share one derivation.  If not, the scope
-    derives μ alone, written over its own counts (:func:`majority_relation`),
-    and holds one m × m array instead of two.  A choice from a subset then
-    restricts the derived input, since S(x, y) counts the same criteria in
-    a contracted profile as in the full one (see
-    ``procedures._kernel_input``); a profile kernel gets a plain
-    contraction, which carries nothing of the view.  The view compares
-    equal to the profile it views, and nothing is kept on that profile:
-    every view starts empty.
+    the scope.  If so, ``held`` is S; if not, it is μ, written over its own
+    counts (:func:`majority_relation`).  Once it is derived, every read of
+    μ or S through the scope is ``held`` restricted to the subset, with μ
+    read from an S by :meth:`TournamentMatrix.majority` (see
+    ``procedures._kernel_input``), since S(x, y) counts the same criteria
+    in a contracted profile as in the full one.  A profile kernel gets a plain contraction, which carries
+    nothing of the view.  The view compares equal to the profile it views,
+    and nothing is kept on that profile: every view starts empty.
     """
 
-    __slots__ = ("derived", "support")
+    __slots__ = ("held", "support")
 
     def __init__(self, p: Profile, support: bool):
         self.labels, self.ranks = p.labels, p.ranks
         if hasattr(p, "_pos"):
             self._pos = p._pos
-        self.derived: dict[str, _Universe] = {}
+        self.held: _Universe | None = None
         self.support = support
 
 

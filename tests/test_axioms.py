@@ -949,3 +949,30 @@ def test_neutral_orbit_enumeration_is_lazy_and_bounded():
         next(all_profiles(7, 2, orbits="criteria+alternatives"))
     with pytest.raises(ValueError, match="unknown orbits"):
         next(all_profiles(3, 2, orbits="alternatives"))
+
+
+class _ChooseOnly:
+    """A rule that offers ``choose`` alone and declares no input kinds, as a
+    wrapper that counts a rule's calls does."""
+
+    def __init__(self, rule):
+        self._rule = rule
+
+    def choose(self, data, subset=None):
+        return self._rule.choose(data, subset)
+
+
+def test_a_rule_declaring_no_kinds_gets_the_same_verdicts():
+    # the check's scope then derives S, as a rule may read it, and reads μ
+    # from S; the verdicts and witnesses are those of the declaring rule.
+    # An even number of criteria leaves majority ties, so each rule fails
+    # some condition on some of these profiles.
+    profiles = [generate_profile(m, n, seed=seed) for m, n in ((4, 4), (5, 6), (6, 4)) for seed in (0, 1)]
+    for first, second in ((20, 20), (27, 28), (12, 27), (2, 1)):
+        rule, violated = compose(first, second), 0
+        for p in profiles:
+            for axiom in ("H", "C", "O", "ACA", "MON2"):
+                want = check_axiom(rule, p, axiom)
+                assert check_axiom(_ChooseOnly(rule), p, axiom) == want, (first, second, axiom, p)
+                violated += not want.holds
+        assert violated, (first, second)

@@ -138,16 +138,15 @@ def test_choose_factors_through_majority_relation():
     ids = [321, 348, 355, 356, 433, 551, 324]
     for idx, ts in enumerate(ids):
         rule = two_stage_from_id(ts)
-        assert rule.mu_capable
+        assert rule.kinds == {"mu"}
         for j in range(20):
             p = generate_profile(4, 5, seed=2000 + 100 * idx + j)
             assert rule.choose(p) == rule.choose(majority_relation(p))
 
 
 def test_mu_capability_requires_both_stages():
-    assert not compose(2, 12).mu_capable
-    assert not compose(12, 2).mu_capable
-    assert compose(12, 13).mu_capable
+    assert compose(2, 12).kinds == compose(12, 2).kinds == {"profile", "mu"}
+    assert compose(12, 13).kinds == {"mu"}
     with pytest.raises(TypeError):
         compose(2, 12).choose(majority_relation(generate_profile(3, 3, 1)))
 
@@ -292,7 +291,7 @@ def test_equivalent_ids_match_their_targets_on_tournaments():
     rules = {
         ts: two_stage_from_id(ts)
         for ts in EQUIVALENT_TO
-        if two_stage_from_id(ts).mu_capable
+        if two_stage_from_id(ts).kinds == {"mu"}
     }
     assert len(rules) == 19
     for m in range(1, 6):
@@ -307,7 +306,7 @@ def test_majority_finish_ids_match_their_targets_on_profiles():
     # finish); with an odd criterion count the relation is tie-free and the
     # claimed target is fully determined by it.
     profile_ids = sorted(ts for ts in EQUIVALENT_TO
-                         if not two_stage_from_id(ts).mu_capable)
+                         if two_stage_from_id(ts).kinds != {"mu"})
     assert profile_ids == [309, 337, 393, 421, 449, 477]
     for idx, ts in enumerate(profile_ids):
         rule = two_stage_from_id(ts)
@@ -480,3 +479,31 @@ def test_a_relation_stage_and_a_support_stage_share_one_derivation(monkeypatch, 
     got = compose(first, second).choose_detailed(p)
     assert got == want and 1 < len(got[0]) < 6
     assert support == [6] and relation == [] and contracted == []
+
+
+def _choice_digest() -> str:
+    """The sha256 of both stages' choices of every two-stage id and the
+    choice of every procedure and of q-Pareto (q = 0, 1, 2) on 56 generated
+    profiles (m = 1-7), each set written with its labels sorted."""
+    rules = [(f"p{i}", make_procedure(i)) for i in range(1, 29)]
+    rules += [(f"qp{q}", QParetoRule(q)) for q in (0, 1, 2)]
+    two_stage = [(ts, two_stage_from_id(ts)) for ts in range(1, 785)]
+    digest = hashlib.sha256()
+    for m in range(1, 8):
+        for n in (1, 2, 3, 4, 5, 6, 10, 11):
+            p = generate_profile(m, n, 100 * m + n)
+            lines = [f"{m} {n} {key} {','.join(sorted(rule.choose(p)))}" for key, rule in rules]
+            for ts, rule in two_stage:
+                stage1, final = rule.choose_detailed(p)
+                lines.append(f"{m} {n} {ts} {','.join(sorted(stage1))} {','.join(sorted(final))}")
+            digest.update(("\n".join(lines) + "\n").encode())
+    return digest.hexdigest()
+
+
+# the sha256 of _choice_digest's 45,640 choices; a deliberate change to any
+# rule's choice on those profiles must update it
+CHOICES_SHA256 = "f1049396677360a72fca0cd367f28a755af1e6a57cc0a6cf6e41788a79e76f74"
+
+
+def test_every_choice_on_the_generated_profiles_is_pinned():
+    assert _choice_digest() == CHOICES_SHA256

@@ -394,10 +394,10 @@ def test_contraction_keeps_each_order_filtered_to_the_subset(case):
 
 
 def _assert_restriction_matches_contraction(p):
-    """Once a scope has derived its full relation and support matrix, its
-    input for every non-empty subset is the one the contracted profile
-    derives: the same labels, values, dtype and ``voters``."""
-    # and so for a scope that derives μ alone, as no rule of its call reads S
+    """A scope holds one array over its whole universe: S when a rule of
+    its call reads S, otherwise μ.  Its input for every non-empty subset is
+    the one the contracted profile derives: the same labels, values, dtype
+    and ``voters``, μ included when it is read from the held S."""
     shared, mu_alone = ScopedProfile(p, support=True), ScopedProfile(p, support=False)
     for scope, kind, derive in (
         (shared, "mu", majority_relation),
@@ -405,7 +405,7 @@ def _assert_restriction_matches_contraction(p):
         (mu_alone, "mu", majority_relation),
     ):
         full = _kernel_input(kind, scope, None, "test")
-        assert scope.derived[kind] is full and full == derive(p)
+        assert full == derive(p) and (full is scope.held) == (kind == scope.held.kind)
         for size in range(1, p.m + 1):
             for subset in combinations(p.labels, size):
                 got = _kernel_input(kind, scope, subset, "test")
@@ -413,7 +413,7 @@ def _assert_restriction_matches_contraction(p):
                 assert got == want and got.labels == want.labels
                 assert got._array().dtype == want._array().dtype
                 assert getattr(got, "voters", None) == getattr(want, "voters", None)
-    assert set(mu_alone.derived) == {"mu"}
+    assert shared.held == tournament_matrix(p) and mu_alone.held == majority_relation(p)
 
 
 @st.composite

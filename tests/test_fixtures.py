@@ -2,8 +2,9 @@
 transforms, and failure reporting behave."""
 
 import pytest
+import yaml
 
-from twostage import run_corpus, run_fixture
+from twostage import decode_two_stage, full_catalog, run_corpus, run_fixture
 from twostage.fixtures import corpus_dir, run_fixture_file
 
 EXPECTED_FIXTURES = {
@@ -39,6 +40,27 @@ def test_corpus_replays_clean():
     for report in reports:
         assert report.checks, report.name
         assert report.passed, report.summary()
+
+
+def test_a_flag_citing_its_own_fixture_rests_on_an_axiom_check_there():
+    # a flag whose source names a fixture for the same id is backed by an
+    # axiom check of that condition in that fixture, on that id's rule, with
+    # the flag's outcome; flags citing another id's fixture are not counted
+    docs = {path.stem: yaml.safe_load(path.read_text(encoding="utf-8"))
+            for path in corpus_dir().glob("*.yaml")}
+    outcome = {"violates": "violated", "satisfies": "holds"}
+    cited = 0
+    for entry in full_catalog():
+        for axiom, (value, source) in entry.flags.items():
+            if source not in docs or source.split("_")[0] != f"id{entry.two_stage_id:03d}":
+                continue
+            cited += 1
+            doc = docs[source]
+            assert doc["rule"]["two_stage"] == list(decode_two_stage(entry.two_stage_id))
+            expects = [check["expect"] for check in doc["checks"]
+                       if check["op"] == "axiom" and check["axiom"] == axiom and "rule" not in check]
+            assert expects == [outcome[value]], (entry.two_stage_id, axiom, source)
+    assert cited == 30
 
 
 def test_single_fixture_file_runs():

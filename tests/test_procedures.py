@@ -542,12 +542,12 @@ def test_registry_surface_is_pinned_for_every_index():
     for index, (label, kind, single_winner) in REGISTRY_SURFACE.items():
         proc = make_procedure(index)
         assert (proc.label(), proc.kind, proc.single_winner) == (label, kind, single_winner)
-        assert proc.mu_capable == (kind == "mu")
+        assert proc.kinds == {kind}
         assert proc.param == {4: "q", 21: "k"}.get(index)
     for q in (0, 1, 2):
         rule = QParetoRule(q)
         assert (rule.label(), rule.kind, rule.param) == (f"qpareto(q={q})", "grades", "q")
-        assert not rule.single_winner and not rule.mu_capable
+        assert not rule.single_winner and rule.kinds == {"grades"}
 
 
 def test_make_procedure_rejects_bad_requests():
