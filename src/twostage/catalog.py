@@ -418,11 +418,13 @@ _ID_RULES: list[_IdRule] = [
     ([701, 719, 720], "H", "-", "family:super-threshold-first"),
     ([712, 717, 719, 720], "C", "-", "family:super-threshold-first"),
     ([712, 717], "O", "-", "family:super-threshold-first"),
-    ([701, 712, 713, 719, 720], "MON1", "+", "family:super-threshold-first"),
+    ([701, 719, 720], "MON1", "+", "family:super-threshold-first"),
+    *[([ts], "MON1", "-", f"id{ts}") for ts in (712, 713)],
     (list(_rng(702, 711)) + list(_rng(714, 718)) + list(_rng(721, 728)), "MON1", "-", "family:super-threshold-first"),
     (list(_rng(701, 728)), "NC", "-", "family:super-threshold-first"),
     # --- minimax / Simpson-first families -----------------------------------
-    ([729, 740, 741, 747, 748, 757, 768, 769, 775, 776], "MON1", "+", "family:tournament-first"),
+    ([729, 747, 748, 757, 775, 776], "MON1", "+", "family:tournament-first"),
+    *[([ts], "MON1", "-", f"id{ts}") for ts in (740, 741, 768, 769)],
     ([731], "MON1", "-", "id731"),
     (list(_rng(730, 730)) + list(_rng(732, 739)) + list(_rng(742, 746))
      + list(_rng(749, 756)) + list(_rng(758, 767)) + list(_rng(770, 774))

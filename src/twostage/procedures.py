@@ -21,7 +21,11 @@ profile or the input the rule's kernel reads (a :class:`MajorityRelation`,
 mu, on grades or on S also work on a bare relation, grade table or support
 matrix.  A profile is contracted to the subset before conversion, so grades
 derived from it are re-ranked within the subset; any other input is
-restricted to the subset and keeps its values.  Within one condition
+restricted to the subset and keeps its values.  A one-label set of a
+profile's labels skips the contraction and the conversion: over one
+alternative each kind's input is the same for every profile with n
+criteria (rank 0, no majority edge, zero support, grade 1), so it is built
+directly and the kernel still decides the choice.  Within one condition
 check or two-stage call, a profile is seen through a scope that holds one
 array over its whole universe, S when a rule of the call reads S and μ
 otherwise; every read of μ or S is that array restricted to the subset
@@ -57,6 +61,7 @@ from .profiles import (
     ScopedProfile,
     TournamentMatrix,
     _Universe,
+    _support_dtype,
     borda_scores,
     contract,
     first_places,
@@ -796,6 +801,28 @@ PROCEDURE_NAMES: dict[int, str] = {i: row.name for i, row in _REGISTRY.items()}
 NAME_TO_INDEX: dict[str, int] = {row.name: i for i, row in _REGISTRY.items()}
 
 
+def _one_label_input(kind: str, p: Profile, subset: Iterable[str]) -> _Universe:
+    """What a ``kind`` kernel reads for the choice from the one-label set
+    ``subset`` of profile ``p``, built without contracting or deriving.
+
+    Over one alternative every criterion ranks it first, and there is no
+    pair to compare.  So whatever ``p`` holds, contracting and converting
+    give n rank-0 rows (int32), the 1 × 1 empty relation, the 1 × 1 zero
+    support matrix over n voters (in the dtype the counts of n criteria are
+    summed in) and n grades of 1 (int64); a scope's held μ or S restricted
+    to the label gives the same relation and matrix.  The label is checked
+    as a contraction checks it."""
+    [j] = p._positions(subset)
+    labels, n = (p.labels[j],), p.n
+    if kind == "mu":
+        return MajorityRelation._trusted(labels, np.zeros((1, 1), bool))
+    if kind == "support":
+        return TournamentMatrix._trusted(labels, np.zeros((1, 1), _support_dtype(n)), n)
+    if kind == "grades":
+        return GradeTable._trusted(labels, np.ones((n, 1), np.int64))
+    return Profile._trusted(labels, np.zeros((n, 1), np.int32))
+
+
 def _kernel_input(kind: str, data, subset: Iterable[str] | None, name: str):
     """What a ``kind`` kernel reads, for the choice from ``subset`` of
     ``data``: a profile is contracted and then converted; any other input
@@ -803,6 +830,15 @@ def _kernel_input(kind: str, data, subset: Iterable[str] | None, name: str):
     conversion path: the rules, the NC checker and the fixture runner all
     read their inputs through it, and a wrong kind raises ``TypeError``
     naming the operation ``name``.
+
+    A set or frozenset of one label is the exception for a profile, plain
+    or scoped: its input is built directly (``_one_label_input``), equal in
+    labels, values, dtype and ``voters`` to the contracted and converted
+    one, and a scope's ``held`` is left as it is.  About half the stage
+    calls of a check or a two-stage call at small m choose from one
+    survivor, and there the contraction and derivation cost more than the
+    kernel does.  A relation, support matrix or grade table given directly
+    is still restricted: a grade table's values are its own, not re-ranked.
 
     A condition check or a two-stage call hands the rule a
     :class:`ScopedProfile`, which holds one array over its whole universe:
@@ -820,6 +856,8 @@ def _kernel_input(kind: str, data, subset: Iterable[str] | None, name: str):
     caller that replaces one (the benchmark's tracer does) sees every use.
     """
     if isinstance(data, Profile):
+        if isinstance(subset, (set, frozenset)) and len(subset) == 1:
+            return _one_label_input(kind, data, subset)
         if isinstance(data, ScopedProfile) and kind in ("mu", "support"):
             if subset is None and data.held is None:
                 data.held = tournament_matrix(data) if data.support else majority_relation(data)

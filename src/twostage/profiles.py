@@ -637,6 +637,16 @@ def borda_counts(p: Profile) -> dict[str, int]:
     return _by_label(p, borda_scores(p))
 
 
+def _support_dtype(n: int) -> type:
+    """The dtype support counts over ``n`` criteria are summed in: the
+    narrowest unsigned type that holds ``n``, or int64."""
+    if n < 255:
+        return np.uint8
+    if n < 65535:
+        return np.uint16
+    return np.int64
+
+
 def _pairwise_support(p: Profile) -> np.ndarray:
     """(m, m) matrix of S(x, y) = how many criteria rank x above y.
 
@@ -673,12 +683,7 @@ def _pairwise_support(p: Profile) -> np.ndarray:
     from it, when a rule of the call reads S, else as the relation alone.
     """
     m, n = p.m, p.n
-    if n < 255:
-        acc_dtype = np.uint8
-    elif n < 65535:
-        acc_dtype = np.uint16
-    else:
-        acc_dtype = np.int64
+    acc_dtype = _support_dtype(n)
     if n * m * m <= 1 << 12:
         return np.less(p.ranks[:, :, None], p.ranks[:, None, :]).sum(0, dtype=acc_dtype)
     ranks = p.ranks.astype(np.min_scalar_type(-m))

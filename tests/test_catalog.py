@@ -362,7 +362,7 @@ def test_export_catalog_shape():
 
 # the sha256 of the whole exported table; a deliberate change to any id's
 # status, detail or flags must update it
-CATALOG_SHA256 = "5032994cc5708f032fd5c134c0a7d8d3df40054cdaa0896ff279462e37b0bc6b"
+CATALOG_SHA256 = "23b3b811b9b2247187d432b1eba93ca7c08175c6733d62ce1fd1430512b04838"
 
 
 def test_export_catalog_is_pinned_whole():

@@ -27,8 +27,10 @@ from twostage import (
 )
 from twostage import procedures
 from twostage.procedures import (
+    _REGISTRY,
     Procedure,
     QParetoRule,
+    _kernel_input,
     _row_masks,
     black,
     borda,
@@ -59,7 +61,7 @@ from twostage.procedures import (
     uncovered_2,
     weakly_stable_sets,
 )
-from twostage.profiles import TournamentMatrix, default_labels
+from twostage.profiles import ScopedProfile, TournamentMatrix, default_labels
 
 
 def orders_of(p: Profile):
@@ -396,6 +398,20 @@ def test_transitive_hand_case():
     assert simpson(t) == a
 
 
+def every_rule_row():
+    """Each registry row, with q-approval at q = 1-3 and k-stable at
+    k = 2-3, then q-Pareto at q = 0-2."""
+    rules = []
+    for index, row in _REGISTRY.items():
+        if row.param == "q":
+            rules += [Procedure(index, q=q) for q in (1, 2, 3)]
+        elif row.param == "k":
+            rules += [Procedure(index, k=k) for k in (2, 3)]
+        else:
+            rules.append(Procedure(index))
+    return rules + [QParetoRule(q) for q in range(3)]
+
+
 def test_single_alternative_profile():
     p = Profile([("a",), ("a",), ("a",)])
     assert run_off(p) == frozenset({"a"})
@@ -404,6 +420,27 @@ def test_single_alternative_profile():
     assert simple_majority(p) == frozenset({"a"})
     assert nanson(p) == frozenset({"a"})
     assert inverse_borda(p) == frozenset({"a"})
+    # every rule chooses x from {x}, whatever it reads: the catalog's
+    # single-winner degenerate ids rest on this.  Each input is a profile,
+    # a fresh scope, a scope holding what a whole-universe choice derived,
+    # the rule's own kind and, for grade rules, a table with repeated and
+    # negative grades
+    rng = np.random.default_rng(399)
+    for n in range(1, 12):
+        for m in (1, 3):
+            p = generate_profile(m, n, seed=10 * n + m)
+            loose = GradeTable(p.labels, rng.integers(-2, 3, size=(n, m)))
+            for rule in every_rule_row():
+                warm = ScopedProfile(p, "support" in rule.kinds)
+                rule.choose(warm)
+                inputs = [p, ScopedProfile(p, "support" in rule.kinds), warm, derived(rule.kind, p)]
+                if rule.kind == "grades":
+                    inputs.append(loose)
+                for x in p.labels:
+                    for data in inputs:
+                        assert rule.choose(data, {x}) == {x}, (rule, n, m, x, data)
+                if m == 1:
+                    assert all(rule.choose(data) == set(p.labels) for data in inputs), (rule, n)
 
 
 def test_single_winner_shapes():
@@ -678,6 +715,64 @@ def test_kind_named_aliases_are_gone():
     assert not hasattr(TwoStage, "choose_mu")
     assert not hasattr(TwoStage, "choose_mu_detailed")
     assert not hasattr(QParetoRule, "choose_grades")
+
+
+def one_label_views(p):
+    """``p`` plain, and scoped with ``held`` unset, set to μ and set to S."""
+    unset, mu, support = ScopedProfile(p, True), ScopedProfile(p, False), ScopedProfile(p, True)
+    mu.held, support.held = majority_relation(p), tournament_matrix(p)
+    return p, unset, mu, support
+
+
+def test_a_one_label_set_builds_the_input_contraction_gives():
+    # a set of one label gets its input built directly; it equals the
+    # contracted and converted input, and a scope's restricted held array,
+    # in labels, values, dtype and voters.  n = 254 and 255 straddle the
+    # switch of the support counts from uint8 to uint16
+    for n in [*range(1, 13), 254, 255]:
+        for m in range(1, 6):
+            p = generate_profile(m, n, seed=10 * n + m)
+            for data in one_label_views(p):
+                held = getattr(data, "held", None)
+                for kind in KIND_RULES:
+                    for x in p.labels:
+                        wants = [derived(kind, contract(p, [x]))]
+                        if held is not None and kind in ("mu", held.kind):
+                            kept = held.restrict([x])
+                            wants.append(kept if kept.kind == kind else kept.majority())
+                        for subset in ({x}, frozenset({x})):
+                            got = _kernel_input(kind, data, subset, "test")
+                            for want in wants:
+                                assert type(got) is type(want) and got == want
+                                assert got.labels == want.labels == (x,)
+                                assert got._array().dtype == want._array().dtype
+                                assert getattr(got, "voters", None) == getattr(want, "voters", None)
+                        assert getattr(data, "held", None) is held
+
+
+NOUNS = {
+    "profile": "a full profile",
+    "mu": "a majority relation",
+    "support": "a support matrix",
+    "grades": "a grade table",
+}
+
+
+def test_a_one_label_set_raises_as_contraction_does():
+    p = generate_profile(3, 4, seed=2)
+    for data in one_label_views(p):
+        for kind in KIND_RULES:
+            with pytest.raises(ValueError, match="^unknown alternative 'z'$"):
+                _kernel_input(kind, data, {"z"}, "op")
+            with pytest.raises(ValueError, match="^subset of alternatives must be non-empty$"):
+                _kernel_input(kind, data, set(), "op")
+    for given in ("mu", "support", "grades"):
+        for kind in KIND_RULES:
+            if kind == given:
+                continue
+            wanted = "a full profile" + ("" if kind == "profile" else f" or {NOUNS[kind]}")
+            with pytest.raises(TypeError, match=f"^op needs {wanted}, not {NOUNS[given]}$"):
+                _kernel_input(kind, derived(given, p), {"a"}, "op")
 
 
 # Grade rules that read the grade values themselves, not only their order:

@@ -4,7 +4,7 @@ names would leave its layers silently empty; this test catches that."""
 
 from pathlib import Path
 
-from twostage import compose, generate_profile, verify_bounded
+from twostage import compose, generate_profile, make_procedure, verify_bounded
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -17,7 +17,11 @@ def test_traced_layers_see_verify_and_compose_calls(monkeypatch):
     tracer.install()
     try:
         outcome = verify_bounded(compose(19, 7), "H", 3, 2)
-        compose(27, 28).choose_detailed(generate_profile(5, 7, seed=3))
+        p = generate_profile(5, 7, seed=3)
+        compose(27, 28).choose_detailed(p)
+        # the calls above choose from one label at every contraction, which
+        # builds its input directly; this one contracts to two
+        make_procedure(7).choose(p, {"a", "b"})
     finally:
         tracer.uninstall()
     assert outcome.status == "verified"
