@@ -171,32 +171,9 @@ def _deletions(labels: Sequence[str]) -> Iterator[frozenset[str]]:
 
 
 _Family = Callable[[Sequence[str]], Iterable[frozenset[str]]]
-
-
-class _Memo:
-    """Memoizes one rule's choice per subset of one fixed universe.
-
-    ``choose(subset)`` computes the choice from ``subset``, or from the whole
-    universe when ``subset`` is None.
-    """
-
-    def __init__(
-        self,
-        choose: Callable[[frozenset[str] | None], frozenset[str]],
-        labels: Sequence[str],
-    ):
-        self._choose = choose
-        self.labels = tuple(labels)
-        self.universe = frozenset(labels)
-        self._cache: dict[frozenset[str], frozenset[str]] = {}
-
-    def __call__(self, subset: frozenset[str] | None = None) -> frozenset[str]:
-        key = self.universe if subset is None else subset
-        got = self._cache.get(key)
-        if got is None:
-            got = self._choose(subset)
-            self._cache[key] = got
-        return got
+# One rule's choice from a subset of one fixed universe, or from the whole
+# universe when called with none; a check caches it per subset.
+_Choose = Callable[..., frozenset[str]]
 
 
 # A probe generator strengthens one target alternative in every admissible
@@ -267,7 +244,7 @@ _SINGLE_SUBSET = {
 }
 
 
-def _check_subsets(axiom: str, choose: _Memo, family: Iterable[frozenset[str]]) -> Counterexample | None:
+def _check_subsets(axiom: str, choose: _Choose, family: Iterable[frozenset[str]]) -> Counterexample | None:
     constrains, holds, sentence = _SINGLE_SUBSET[axiom]
     full = choose()
     for sub in family:
@@ -302,10 +279,10 @@ _PROBED = {
 }
 
 
-def _check_probes(axiom: str, choose: _Memo, probes: _Probes) -> Counterexample | None:
+def _check_probes(axiom: str, choose: _Choose, labels: Sequence[str], probes: _Probes) -> Counterexample | None:
     targets, stands, sentence = _PROBED[axiom]
     full = choose()
-    for a in targets(full, choose.labels):
+    for a in targets(full, labels):
         for fields, move, after in probes(a):
             if not stands(full, a, after):
                 return Counterexample(
@@ -317,12 +294,12 @@ def _check_probes(axiom: str, choose: _Memo, probes: _Probes) -> Counterexample 
     return None
 
 
-def _check_c(choose: _Memo, family: Iterable[frozenset[str]]) -> Counterexample | None:
+def _check_c(choose: _Choose, universe: frozenset[str], family: Iterable[frozenset[str]]) -> Counterexample | None:
     """Pairs of the family that cover the universe, in family order.  Pairs
     that contain the universe itself can never violate C."""
     full = choose()
     for left, right in itertools.combinations(family, 2):
-        if left | right != choose.universe:
+        if left | right != universe:
             continue
         common = choose(left) & choose(right)
         if not common <= full:
@@ -343,9 +320,8 @@ def _check_c(choose: _Memo, family: Iterable[frozenset[str]]) -> Counterexample 
     return None
 
 
-def _check_mon2(choose: _Memo, *, strict: bool) -> Counterexample | None:
+def _check_mon2(choose: _Choose, universe: frozenset[str], *, strict: bool) -> Counterexample | None:
     full = choose()
-    universe = choose.universe
     for a, b in itertools.combinations(sorted(full), 2):
         a_ok = a in choose(universe - {b})
         b_ok = b in choose(universe - {a})
@@ -370,7 +346,7 @@ def _check_mon2(choose: _Memo, *, strict: bool) -> Counterexample | None:
     return None
 
 
-def _check_nc(choose: _Memo, g: GradeTable) -> Counterexample | None:
+def _check_nc(choose: _Choose, g: GradeTable) -> Counterexample | None:
     full = choose()
     best = threshold_order(g)[0]
     if full != best:
@@ -390,18 +366,22 @@ def _check(
     rule: ChoiceRule, data, axiom: str, family: _Family, mon2_strict: bool
 ) -> Verdict:
     if type(data) is Profile:
-        # μ and S derived at most once, restricted per subset; S only when
-        # the rule may read it (a rule that does not say may)
-        data = ScopedProfile(data, "support" in getattr(rule, "kinds", ("support",)))
-    choose = _Memo(lambda subset: rule.choose(data, subset), data.labels)
+        # μ or S derived at most once, restricted per subset: S when the
+        # rule says it reads S, otherwise what its first read asks for
+        data = ScopedProfile(data, "support" in getattr(rule, "kinds", ()))
+    # each subset's choice computed once, on first need.  A lambda, not a
+    # partial: functools.cache copies the wrapped function's name and
+    # annotations, and the failed lookups on a partial double its set-up
+    choose = functools.cache(lambda subset=None: rule.choose(data, subset))
+    labels = data.labels
     if axiom in _SINGLE_SUBSET:
-        witness = _check_subsets(axiom, choose, family(choose.labels))
+        witness = _check_subsets(axiom, choose, family(labels))
     elif axiom == "C":
-        witness = _check_c(choose, family(choose.labels))
+        witness = _check_c(choose, frozenset(labels), family(labels))
     elif axiom in _PROBED:
-        witness = _check_probes(axiom, choose, _probes(rule, data, axiom))
+        witness = _check_probes(axiom, choose, labels, _probes(rule, data, axiom))
     elif axiom == "MON2":
-        witness = _check_mon2(choose, strict=mon2_strict)
+        witness = _check_mon2(choose, frozenset(labels), strict=mon2_strict)
     elif isinstance(data, (Profile, GradeTable)):
         witness = _check_nc(choose, _kernel_input("grades", data, None, axiom))
     else:

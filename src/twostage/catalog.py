@@ -386,6 +386,8 @@ _ID_RULES: list[_IdRule] = [
     (list(_rng(394, 403)) + list(_rng(405, 407)) + [409, 412] + list(_rng(414, 420)), "MON1", "-", "family:fishburn-first"),
     ([412], "MON2", "-", "id412_case1"),
     (list(_rng(393, 420)), "NC", "-", "family:fishburn-first"),
+    # --- uncovered-2-first: id460 refutes the C of its block row -----------
+    ([460], "C", "-", "id460"),
     # --- core-first live rows --------------------------------------------
     ([534, 535, 536, 537, 538, 543, 554, 558], "H", "-", "family:core-first"),
     ([534, 535, 536, 537, 538, 543, 554, 558], "C", "-", "family:core-first"),

@@ -747,10 +747,11 @@ minimax = simpson
 
 def black(t: TournamentMatrix) -> frozenset[str]:
     """The Condorcet winner when one exists, the Borda winners otherwise.
-    Both read S alone: x beats y when S(x, y) > voters // 2, as in
-    :func:`majority_relation`, and x's Borda score, the sum over criteria of
-    the alternatives ranked below x, is its row sum of S."""
-    winner = _labels_where(t, (t.counts > t.voters // 2).sum(axis=1) == t.m - 1)
+    Both read S alone: the Condorcet winner is that of S's strict-majority
+    relation (:meth:`TournamentMatrix.majority`), and x's Borda score, the
+    sum over criteria of the alternatives ranked below x, is its row sum of
+    S."""
+    winner = condorcet_winner(t.majority())
     return winner if winner else _argmax_set(t, t.counts.sum(axis=1, dtype=np.int64))
 
 
@@ -841,16 +842,17 @@ def _kernel_input(kind: str, data, subset: Iterable[str] | None, name: str):
     is still restricted: a grade table's values are its own, not re-ranked.
 
     A condition check or a two-stage call hands the rule a
-    :class:`ScopedProfile`, which holds one array over its whole universe:
-    S when a rule of the call reads S (the scope's ``support``), otherwise
-    μ, derived in place.  The first choice from the whole universe that
-    reads μ or S derives it.  Every later read of μ or S is that array
-    restricted to the subset, with μ read from a restricted S by
+    :class:`ScopedProfile`, which holds one array over its whole universe.
+    The first choice from the whole universe that reads μ or S derives it:
+    S when that read is S or the scope's ``support`` says an S read will
+    follow, otherwise μ, derived in place.  A held S serves every later
+    read of S and of μ, restricted to the subset, with μ read from S by
     ``majority()``, so an S-first, μ-second call reads μ over the survivors
-    alone.  A subset choice never derives the full array itself, which at
-    large m costs far more than the subset's; and grades and profile
-    kernels always contract, since they re-rank within the subset.  No
-    kernel calls this itself: each reads only the input its row names.
+    alone; a held μ serves μ.  Any other read contracts and derives, as on
+    a plain profile.  A subset choice never derives the full array itself,
+    which at large m costs far more than the subset's; and grades and
+    profile kernels always contract, since they re-rank within the subset.
+    No kernel calls this itself: each reads only the input its row names.
 
     The converters are looked up as module globals on each call, so a
     caller that replaces one (the benchmark's tracer does) sees every use.
@@ -860,9 +862,11 @@ def _kernel_input(kind: str, data, subset: Iterable[str] | None, name: str):
             return _one_label_input(kind, data, subset)
         if isinstance(data, ScopedProfile) and kind in ("mu", "support"):
             if subset is None and data.held is None:
-                data.held = tournament_matrix(data) if data.support else majority_relation(data)
-            if data.held is not None:
-                held = data.held if subset is None else data.held.restrict(subset)
+                reads_s = data.support or kind == "support"
+                data.held = tournament_matrix(data) if reads_s else majority_relation(data)
+            held = data.held
+            if held is not None and kind in (held.kind, "mu"):
+                held = held if subset is None else held.restrict(subset)
                 return held if held.kind == kind else held.majority()
         if subset is not None:
             data = contract(data, subset)

@@ -285,15 +285,17 @@ class ScopedProfile(Profile):
     the one m × m array the scope derives over its whole universe (None
     until a choice from the whole universe reads μ or S).
 
-    ``support`` says whether a rule may read the support matrix S through
-    the scope.  If so, ``held`` is S; if not, it is μ, written over its own
-    counts (:func:`majority_relation`).  Once it is derived, every read of
-    μ or S through the scope is ``held`` restricted to the subset, with μ
-    read from an S by :meth:`TournamentMatrix.majority` (see
-    ``procedures._kernel_input``), since S(x, y) counts the same criteria
-    in a contracted profile as in the full one.  A profile kernel gets a plain contraction, which carries
-    nothing of the view.  The view compares equal to the profile it views,
-    and nothing is kept on that profile: every view starts empty.
+    ``support`` says that an S read will follow a μ read.  The first
+    whole-universe read of μ or S decides ``held``: S when that read is S
+    or ``support`` is set, otherwise μ, written over its own counts
+    (:func:`majority_relation`).  A held S serves every later read of S,
+    and of μ through :meth:`TournamentMatrix.majority`, restricted to the
+    subset, since S(x, y) counts the same criteria in a contracted profile
+    as in the full one; a held μ serves μ.  Any other read contracts and
+    derives, as on a plain profile (see ``procedures._kernel_input``).  A
+    profile kernel gets a plain contraction, which carries nothing of the
+    view.  The view compares equal to the profile it views, and nothing is
+    kept on that profile: every view starts empty.
     """
 
     __slots__ = ("held", "support")

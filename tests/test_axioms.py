@@ -963,12 +963,13 @@ class _ChooseOnly:
 
 
 def test_a_rule_declaring_no_kinds_gets_the_same_verdicts():
-    # the check's scope then derives S, as a rule may read it, and reads μ
-    # from S; the verdicts and witnesses are those of the declaring rule.
+    # the check's scope then holds what the rule's first whole-universe
+    # read asks for, μ or S, and an S read after a held μ contracts and
+    # derives; the verdicts and witnesses are those of the declaring rule.
     # An even number of criteria leaves majority ties, so each rule fails
     # some condition on some of these profiles.
     profiles = [generate_profile(m, n, seed=seed) for m, n in ((4, 4), (5, 6), (6, 4)) for seed in (0, 1)]
-    for first, second in ((20, 20), (27, 28), (12, 27), (2, 1)):
+    for first, second in ((20, 20), (27, 28), (12, 27), (2, 1), (19, 7), (28, 20)):
         rule, violated = compose(first, second), 0
         for p in profiles:
             for axiom in ("H", "C", "O", "ACA", "MON2"):

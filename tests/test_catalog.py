@@ -362,7 +362,7 @@ def test_export_catalog_shape():
 
 # the sha256 of the whole exported table; a deliberate change to any id's
 # status, detail or flags must update it
-CATALOG_SHA256 = "23b3b811b9b2247187d432b1eba93ca7c08175c6733d62ce1fd1430512b04838"
+CATALOG_SHA256 = "4cd9e9092341a80e7fecf60552859c9d345ac4f469ca479b71be54e5a75caad5"
 
 
 def test_export_catalog_is_pinned_whole():

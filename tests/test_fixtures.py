@@ -27,6 +27,7 @@ EXPECTED_FIXTURES = {
     "id404",
     "id412_case1",
     "id412_case2",
+    "id460",
     "id534_case5",
     "id589",
     "id712",
@@ -66,7 +67,7 @@ def test_a_flag_citing_its_own_fixture_rests_on_an_axiom_check_there():
             expects = [check["expect"] for check in doc["checks"]
                        if check["op"] == "axiom" and check["axiom"] == axiom and "rule" not in check]
             assert expects == [outcome[value]], (entry.two_stage_id, axiom, source)
-    assert cited == 36
+    assert cited == 37
 
 
 def test_single_fixture_file_runs():

@@ -5,6 +5,8 @@ four alternatives and a random sample at five; the order-based rules over
 seeded random profiles, with a few frozen hand-worked cases.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -773,6 +775,28 @@ def test_a_one_label_set_raises_as_contraction_does():
             wanted = "a full profile" + ("" if kind == "profile" else f" or {NOUNS[kind]}")
             with pytest.raises(TypeError, match=f"^op needs {wanted}, not {NOUNS[given]}$"):
                 _kernel_input(kind, derived(given, p), {"a"}, "op")
+
+
+def test_a_scope_serves_every_read_whatever_it_was_told():
+    # a scope told or not told that S will be read gives every rule the
+    # plain profile's choice, in either order of a μ rule and an S rule.
+    # The first whole-universe read of μ or S decides what it holds: S when
+    # that read is S or the scope was told, otherwise μ; a held μ does not
+    # serve S, so the S reads after it contract and derive.  Each rule comes
+    # with the kind of its first read
+    rules = [(make_procedure(i), "support") for i in (8, 27, 28)]
+    rules += [(make_procedure(20), "mu"), (compose(12, 27), "mu")]
+    for m, n in ((3, 4), (5, 3), (6, 6)):
+        p = generate_profile(m, n, seed=7 * m + n)
+        subsets = (None, frozenset(p.labels[1:]), {p.labels[0]})
+        for (first, first_read), (then, _) in itertools.permutations(rules, 2):
+            for support in (False, True):
+                scope = ScopedProfile(p, support)
+                for rule in (first, then):
+                    for subset in subsets:
+                        assert rule.choose(scope, subset) == rule.choose(p, subset), (rule.label(), support)
+                kind = "support" if support else first_read
+                assert scope.held.kind == kind and scope.held == derived(kind, p)
 
 
 # Grade rules that read the grade values themselves, not only their order:

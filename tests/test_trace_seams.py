@@ -4,7 +4,7 @@ names would leave its layers silently empty; this test catches that."""
 
 from pathlib import Path
 
-from twostage import compose, generate_profile, make_procedure, verify_bounded
+from twostage import compose, generate_profile, make_procedure, procedures, verify_bounded
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -48,3 +48,31 @@ def test_a_traced_check_derives_the_relation_once_per_profile(monkeypatch):
     totals = tracer.layer_totals()
     assert totals[SUPPORT][0] == outcome.evaluated
     assert totals.get(CONTRACT, (0, 0.0))[0] == 0
+
+
+def test_a_traced_check_of_a_rule_declaring_no_kinds_derives_no_support(monkeypatch):
+    # the traced benchmark wraps each rule in a CountingRule, which declares
+    # no kinds; a rule whose stages read only μ must still derive μ alone
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import CountingRule, Tracer
+
+    derived = []
+    support = procedures.tournament_matrix
+
+    def counted(p):
+        derived.append(p)
+        return support(p)
+
+    monkeypatch.setattr(procedures, "tournament_matrix", counted)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        outcomes = [
+            verify_bounded(CountingRule(compose(*spec), tracer.counters), "H", 3, 3)
+            for spec in ((20, 20), (19, 7))
+        ]
+    finally:
+        tracer.uninstall()
+    assert [outcome.evaluated for outcome in outcomes] == [216, 216]
+    assert tracer.counters["rule_calls"] > 0
+    assert not derived
