@@ -150,6 +150,8 @@ def run_scaling(
     point once with :func:`measure_call`, and each point keeps its minimum,
     so a burst of load on the machine slows one sample of every point
     rather than every sample of one point, which would bend the fit."""
+    if budget_seconds is not None and not budget_seconds >= 0:
+        raise ValueError(f"the time budget must be non-negative seconds, got {budget_seconds}")
     proc = make_procedure(spec)
     grid = sorted(m_values)
     note = ""
@@ -265,14 +267,15 @@ def run_groups(
 
 
 def scaling_report(results: Iterable[BenchResult]) -> str:
-    """Tab-separated summary of scaling runs."""
+    """Tab-separated summary of scaling runs: one line per timed point, and
+    one line with empty point columns for a run that timed none."""
     lines = ["name\tm\tn\tseconds\texponent\tresidual\tpartial\tnote"]
     for r in results:
-        for p in r.points:
-            lines.append(
-                f"{r.name}\t{p.m}\t{p.n}\t{p.seconds:.6g}\t"
-                f"{'' if r.exponent is None else f'{r.exponent:.3f}'}\t"
-                f"{'' if r.residual is None else f'{r.residual:.3f}'}\t"
-                f"{'yes' if r.partial else 'no'}\t{r.note}"
-            )
+        fit = (
+            f"{'' if r.exponent is None else f'{r.exponent:.3f}'}\t"
+            f"{'' if r.residual is None else f'{r.residual:.3f}'}\t"
+            f"{'yes' if r.partial else 'no'}\t{r.note}"
+        )
+        points = [f"{p.m}\t{p.n}\t{p.seconds:.6g}" for p in r.points] or ["\t\t"]
+        lines.extend(f"{r.name}\t{point}\t{fit}" for point in points)
     return "\n".join(lines) + "\n"

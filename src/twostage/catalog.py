@@ -123,8 +123,11 @@ def compose(
 ) -> TwoStage:
     """Build a two-stage rule.  ``q`` / ``k`` parameterize whichever stage
     accepts them (pass ready :class:`Procedure` objects to parameterize the
-    two stages differently).  Each stage must be one of the 28 indexed
-    procedures, since the two-stage id is built from their indices."""
+    two stages differently); a ``q`` or ``k`` that no stage built from an
+    index or name takes raises, as in :func:`make_procedure`.  Each stage
+    must be one of the 28 indexed procedures, since the two-stage id is
+    built from their indices."""
+    taken = set()
 
     def build(spec):
         proc = make_procedure(spec)
@@ -132,10 +135,17 @@ def compose(
             raise ValueError(f"{proc.label()} is not an indexed procedure and cannot be a stage")
         if isinstance(spec, Procedure):
             return proc
+        taken.add(proc.param)
         value = {"q": q, "k": k}.get(proc.param)
         return proc if value is None else make_procedure(proc.index, **{proc.param: value})
 
-    return TwoStage(build(first), build(second))
+    rule = TwoStage(build(first), build(second))
+    for name, value in (("q", q), ("k", k)):
+        if value is not None and name not in taken:
+            raise ValueError(
+                f"{rule.label()}: no stage built from an index or name takes a {name} parameter"
+            )
+    return rule
 
 
 def two_stage_from_id(two_stage_id: int, *, q: int | None = None, k: int | None = None) -> TwoStage:
@@ -223,16 +233,23 @@ assert not set(EQUIVALENT_TO) & set(DEGENERATE_IDS)
 # per-axiom flags
 # ---------------------------------------------------------------------------
 #
-# Curated from two kinds of evidence, compiled most-specific-last:
-#   * block rules: one flag pattern covering a cross product of stages;
-#   * id rules: claims about individual ids, usually backed by a fixture
-#     case in the corpus (the source column names it).
-# A '?' in a pattern leaves that axiom unverified.  Conflicting block
-# evidence (the source material is partly illegible) demotes the cell to
-# unverified rather than guessing.
+# The paper's theorem table, as rows of one format: (first stages, second
+# stages, one symbol per condition H C O ACA MON1 MON2 SM NC, source).  Each
+# row speaks for the cross product of its stages; '+' is satisfies, '-'
+# violates, and '?' leaves the condition to the other rows.  Two lists of rows
+# are compiled in turn:
+#   * block rows sweep families of stages; where two disagree on a cell
+#     (the source material is partly illegible) it is demoted to unverified
+#     rather than guessed;
+#   * claim rows speak for single families or single ids, usually backed by
+#     a fixture in the corpus that the source names; they override the blocks
+#     and never settle the same cell twice.
+# Inherited families then copy flags across, and every cell left unsettled
+# reads unverified, as does every degenerate or equivalent id.
+
+EVERY = tuple(range(1, 29))  # every second stage
 
 _BLOCKS: list[tuple[tuple[int, ...], tuple[int, ...], str, str]] = [
-    # stage-1 indices, stage-2 indices, H C O ACA MON1 MON2 SM NC, source tag
     ((2, 3, 4, 12, 13, 15, 16, 17, 18, 20, 23, 24, 25, 26, 27, 28), (5, 6, 11),
      "- - - - - + - -", "block:elimination-second"),
     ((9, 10, 11, 14, 21), (1, 5, 6, 11, 19),
@@ -273,195 +290,155 @@ _BLOCKS: list[tuple[tuple[int, ...], tuple[int, ...], str, str]] = [
       for i in (2, 3, 4, 7, 8, 12, 13, 14, 15, 16, 17, 18, 20, 22, 23, 24, 25, 26, 27, 28)],
 ]
 
+_CLAIMS: list[tuple[tuple[int, ...], tuple[int, ...], str, str]] = [
+    # plurality-first (2)
+    ((2,), (2, 3, 4, 7, 8, 12, 13, 14, 15, 16, 18, 21, 22, 23, 24, 25, 26, 27, 28),
+     "? ? ? ? + ? ? ?", "family:plurality-first"),
+    ((2,), (17,), "? - ? ? + ? ? ?", "family:plurality-first"),
+    ((2,), (19,), "- - - ? + ? ? ?", "family:plurality-first"),
+    ((2,), (20,), "- - ? ? + ? ? ?", "family:plurality-first"),
+    ((2,), (1,), "- ? - - + ? ? ?", "id029_case1"),
+    ((2,), (1,), "? - ? ? ? ? ? ?", "id029_case2"),
+    ((2,), (1,), "? ? ? ? ? ? - ?", "id029_case7"),
+    ((2,), (1,), "? ? ? ? ? ? ? -", "id029_case8"),
+    ((2,), (12,), "? - - ? ? ? ? ?", "id040"),
+    ((2,), (22,), "? ? ? ? ? ? ? -", "id050"),
+    ((2,), (1,), "? ? ? ? ? + ? ?", "vacuous:single-winner"),
+    # inverse-plurality-first (3)
+    ((3,), (1, 2, 3, 4, 7, 8, 13, 14, 15, 16, 18, 21, 22, 23, 24, 25, 27, 28),
+     "? ? ? ? + ? ? ?", "family:inverse-plurality-first"),
+    ((3,), (12,), "? ? - ? + ? ? ?", "family:inverse-plurality-first"),
+    ((3,), (17,), "? - ? ? + ? ? ?", "family:inverse-plurality-first"),
+    ((3,), (19,), "- - - ? + ? ? ?", "family:inverse-plurality-first"),
+    ((3,), (20,), "- - ? ? + ? ? ?", "family:inverse-plurality-first"),
+    ((3,), (26,), "? ? ? ? + - ? ?", "family:inverse-plurality-first"),
+    ((3,), (1,), "- ? - ? ? ? ? ?", "id057"),
+    ((3,), (12,), "? - ? ? ? ? ? ?", "id068"),
+    ((3,), (20,), "? ? ? ? ? - ? ?", "id076"),
+    ((3,), (22,), "? ? ? ? ? ? ? -", "id078"),
+    # Borda-first (7)
+    ((7,), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 18, 21, 23, 24, 25, 27, 28),
+     "? ? ? ? + ? ? ?", "family:borda-first"),
+    ((7,), (12,), "? - - ? + ? ? ?", "family:borda-first"),
+    ((7,), (17,), "? - ? ? + ? ? ?", "family:borda-first"),
+    ((7,), (19,), "- - - ? + ? ? ?", "family:borda-first"),
+    ((7,), (20,), "- - ? ? + - ? ?", "family:borda-first"),
+    ((7,), (22,), "? ? ? ? + ? ? -", "family:borda-first"),
+    ((7,), (26,), "? ? ? ? + - ? ?", "family:borda-first"),
+    ((7,), (1,), "- ? - ? ? ? ? ?", "id169"),
+    # Black-first (8)
+    ((8,), (1, 5, 6, 19), "? - ? ? + ? - -", "family:black-first"),
+    ((8,),
+     (2, 3, 4, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 20, 21, 22, 23, 24, 25, 26, 27, 28),
+     "? - ? ? + - - -", "family:black-first"),
+    ((8,), EVERY, "- ? - - ? ? ? ?", "id197"),
+    ((8,), (1, 5, 6, 19), "? ? ? ? ? + ? ?", "vacuous:single-winner"),
+    # minimal-dominant-first (12)
+    ((12,), (2, 3, 4, 5, 8, 9, 10, 11, 22), "- - - - - - - -", "family:dominant-first"),
+    ((12,), (6, 7), "- - - - - ? - -", "family:dominant-first"),
+    ((12,), (26, 27, 28), "- - - - + - - -", "family:dominant-first"),
+    # minimal-undominated-first (13)
+    ((13,), (2, 3, 4, 5, 8, 9, 10, 11, 22), "- - - - - - - -", "family:undominated-first"),
+    ((13,), (6, 7), "- - - - - ? - -", "family:undominated-first"),
+    ((13,), (15, 16, 17, 18, 21, 23, 24, 25, 26, 27, 28),
+     "- - - - + - - -", "family:undominated-first"),
+    # minimal-weakly-stable-first (14)
+    ((14,), (1,), "? ? ? ? ? - ? -", "family:weakly-stable-first"),
+    ((14,), (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 18, 21, 22, 23, 24, 25, 26, 27, 28),
+     "? ? ? ? - - ? -", "family:weakly-stable-first"),
+    ((14,), (12,), "? - - ? - - ? -", "family:weakly-stable-first"),
+    ((14,), (17,), "? - ? ? - - ? -", "family:weakly-stable-first"),
+    ((14,), (19,), "- ? ? ? - - ? -", "family:weakly-stable-first"),
+    ((14,), (20,), "- - ? ? - - ? -", "family:weakly-stable-first"),
+    ((14,), (1,), "- ? - ? ? ? ? ?", "id365_case1"),
+    ((14,), (1,), "? ? ? ? - ? ? ?", "id365_case5"),
+    ((14,), (19,), "? - ? ? ? ? ? ?", "id383_case2"),
+    # Fishburn-first (15)
+    ((15,), (1, 16, 18, 19, 21), "? ? ? ? ? ? ? -", "family:fishburn-first"),
+    ((15,), (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 15, 20, 22, 23, 24, 25, 26, 27, 28),
+     "? ? ? ? - ? ? -", "family:fishburn-first"),
+    ((15,), (12,), "? - - ? ? ? ? -", "family:fishburn-first"),
+    ((15,), (17,), "? - ? ? - ? ? -", "family:fishburn-first"),
+    ((15,), (20,), "- ? ? ? ? - ? ?", "id412_case1"),
+    ((15,), (20,), "? - ? ? ? ? ? ?", "id412_case2"),
+    # uncovered-2-first (17): id460 refutes the C of its block row
+    ((17,), (12,), "? - ? ? ? ? ? ?", "id460"),
+    # core-first (20)
+    ((20,), (2,), "- - - - ? - - -", "family:core-first"),
+    ((20,), (3, 4, 5, 6, 11, 22, 26), "- - - - - - - -", "family:core-first"),
+    ((20,), (2,), "? ? ? ? - ? ? ?", "id534_case5"),
+    # threshold-first (22)
+    ((22,), (1,), "- - - - + - - ?", "family:threshold-first"),
+    ((22,), EVERY[1:], "- - - - + - - -", "family:threshold-first"),
+    ((22,), (1,), "? ? ? ? ? ? ? -", "id589"),
+    # Copeland-first (23, 24, 25)
+    ((23, 24, 25),
+     (1, 2, 3, 4, 7, 8, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28),
+     "? ? ? ? + ? ? -", "family:copeland-first"),
+    ((23, 24, 25), (5, 6, 9, 10, 11), "? ? ? ? - ? ? -", "family:copeland-first"),
+    # super-threshold-first (26)
+    ((26,), (1,), "- ? ? ? + ? ? -", "family:super-threshold-first"),
+    ((26,), (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 14, 15, 16, 18, 21, 22, 23, 24, 25, 26, 27, 28),
+     "? ? ? ? - ? ? -", "family:super-threshold-first"),
+    ((26,), (12,), "? - - ? ? ? ? -", "family:super-threshold-first"),
+    ((26,), (13,), "? ? ? ? ? ? ? -", "family:super-threshold-first"),
+    ((26,), (17,), "? - - ? - ? ? -", "family:super-threshold-first"),
+    ((26,), (19, 20), "- - ? ? + ? ? -", "family:super-threshold-first"),
+    ((26,), (12,), "? ? ? ? - ? ? ?", "id712"),
+    ((26,), (13,), "? ? ? ? - ? ? ?", "id713"),
+    # minimax-first and Simpson-first (27, 28)
+    ((27, 28), (1, 19, 20), "? ? ? ? + ? ? ?", "family:tournament-first"),
+    ((27,), (2, 4, 5, 6, 7, 8, 9, 10, 11, 14, 15, 16, 17, 18, 21, 22, 23, 24, 25, 26, 27, 28),
+     "? ? ? ? - ? ? ?", "family:tournament-first"),
+    ((27,), (3,), "? ? ? ? - ? ? ?", "id731"),
+    ((27,), (12,), "? ? ? ? - ? ? ?", "id740"),
+    ((27,), (13,), "? ? ? ? - ? ? ?", "id741"),
+    ((28,), (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 14, 15, 16, 17, 18, 21, 22, 23, 24, 25, 26, 27, 28),
+     "? ? ? ? - ? ? ?", "family:tournament-first"),
+    ((28,), (12,), "? ? ? ? - ? ? ?", "id768"),
+    ((28,), (13,), "? ? ? ? - ? ? ?", "id769"),
+]
+
 # families that repeat an earlier one's flags: (source first stage, target
 # first stage, second stages, values kept, source tag).  q-approval-first
 # takes plurality-first's flags, and k-stable-first takes weakly-stable-first's
 # violations (same arguments, larger examples).
 _INHERITED = [
     (2, 4, range(2, 19), ("satisfies", "violates"), "family:q-approval-first"),
-    (14, 21, range(1, 29), ("violates",), "family:k-stable-first"),
+    (14, 21, EVERY, ("violates",), "family:k-stable-first"),
 ]
 
-# (ids, axiom, value, source); ranges inclusive
-_IdRule = tuple[Iterable[int], str, str, str]
+_VALUE_OF = {"+": "satisfies", "-": "violates"}
 
 
-def _rng(a: int, b: int) -> range:
-    return range(a, b + 1)
+def _expand(rows) -> Iterable[tuple[int, str, str, str]]:
+    """Yield ``(id, condition, value, source)`` for every cell a row settles.
 
-
-_ID_RULES: list[_IdRule] = [
-    # --- plurality-first family -----------------------------------------
-    ([29], "H", "-", "id029_case1"),
-    ([29], "O", "-", "id029_case1"),
-    ([29], "ACA", "-", "id029_case1"),
-    ([29], "C", "-", "id029_case2"),
-    ([29], "MON1", "+", "id029_case1"),
-    ([29], "MON2", "+", "vacuous:single-winner"),
-    ([29], "SM", "-", "id029_case7"),
-    ([29], "NC", "-", "id029_case8"),
-    (list(_rng(30, 32)) + list(_rng(35, 36)) + list(_rng(40, 56)), "MON1", "+", "family:plurality-first"),
-    ([40], "C", "-", "id040"),
-    ([45, 47, 48], "C", "-", "family:plurality-first"),
-    ([40], "O", "-", "id040"),
-    ([47], "O", "-", "family:plurality-first"),
-    ([47, 48], "H", "-", "family:plurality-first"),
-    ([50], "NC", "-", "id050"),
-    # --- inverse-plurality-first family ---------------------------------
-    ([57], "H", "-", "id057"),
-    ([75, 76], "H", "-", "family:inverse-plurality-first"),
-    ([57], "O", "-", "id057"),
-    ([68, 75], "O", "-", "family:inverse-plurality-first"),
-    ([68], "C", "-", "id068"),
-    ([73, 75, 76], "C", "-", "family:inverse-plurality-first"),
-    (list(_rng(57, 60)) + [63, 64] + list(_rng(68, 84)), "MON1", "+", "family:inverse-plurality-first"),
-    ([76], "MON2", "-", "id076"),
-    ([82], "MON2", "-", "family:inverse-plurality-first"),
-    ([78], "NC", "-", "id078"),
-    # --- q-approval family mirrors the plurality family -----------------
-    # (ids 86..102 inherit the 30..46 flags; handled programmatically below)
-    # --- Borda-first family ----------------------------------------------
-    ([169], "H", "-", "id169"),
-    ([187, 188], "H", "-", "family:borda-first"),
-    ([169], "O", "-", "id169"),
-    ([180, 187], "O", "-", "family:borda-first"),
-    ([180, 185, 187, 188], "C", "-", "family:borda-first"),
-    (list(_rng(169, 196)), "MON1", "+", "family:borda-first"),
-    ([188, 194], "MON2", "-", "family:borda-first"),
-    ([190], "NC", "-", "family:borda-first"),
-    # --- Black-first family ----------------------------------------------
-    (list(_rng(197, 224)), "H", "-", "id197"),
-    (list(_rng(197, 224)), "O", "-", "id197"),
-    (list(_rng(197, 224)), "C", "-", "family:black-first"),
-    (list(_rng(197, 224)), "ACA", "-", "id197"),
-    (list(_rng(197, 224)), "MON1", "+", "family:black-first"),
-    (list(_rng(198, 200)) + list(_rng(203, 214)) + list(_rng(216, 224)), "MON2", "-", "family:black-first"),
-    ([197, 201, 202, 215], "MON2", "+", "vacuous:single-winner"),
-    (list(_rng(197, 224)), "SM", "-", "family:black-first"),
-    (list(_rng(197, 224)), "NC", "-", "family:black-first"),
-    # --- minimal-dominant-first family ----------------------------------
-    (list(_rng(310, 319)) + [330] + list(_rng(334, 336)), "H", "-", "family:dominant-first"),
-    (list(_rng(310, 319)) + [330] + list(_rng(334, 336)), "C", "-", "family:dominant-first"),
-    (list(_rng(310, 319)) + [330] + list(_rng(334, 336)), "O", "-", "family:dominant-first"),
-    (list(_rng(310, 319)) + [330] + list(_rng(334, 336)), "ACA", "-", "family:dominant-first"),
-    (list(_rng(310, 319)) + [330], "MON1", "-", "family:dominant-first"),
-    (list(_rng(334, 336)), "MON1", "+", "family:dominant-first"),
-    (list(_rng(310, 313)) + list(_rng(316, 319)) + [330] + list(_rng(334, 336)), "MON2", "-", "family:dominant-first"),
-    (list(_rng(310, 319)) + [330] + list(_rng(334, 336)), "SM", "-", "family:dominant-first"),
-    (list(_rng(310, 319)) + [330] + list(_rng(334, 336)), "NC", "-", "family:dominant-first"),
-    # --- minimal-undominated-first family (mirrors the dominant family) --
-    (list(_rng(338, 347)) + [358] + list(_rng(362, 364)), "H", "-", "family:undominated-first"),
-    (list(_rng(338, 347)) + [358] + list(_rng(362, 364)), "C", "-", "family:undominated-first"),
-    (list(_rng(338, 347)) + [358] + list(_rng(362, 364)), "O", "-", "family:undominated-first"),
-    (list(_rng(338, 347)) + [358] + list(_rng(362, 364)), "ACA", "-", "family:undominated-first"),
-    (list(_rng(338, 347)) + [358], "MON1", "-", "family:undominated-first"),
-    (list(_rng(362, 364)), "MON1", "+", "family:undominated-first"),
-    (list(_rng(338, 341)) + list(_rng(344, 347)) + [358] + list(_rng(362, 364)), "MON2", "-", "family:undominated-first"),
-    (list(_rng(338, 347)) + [358] + list(_rng(362, 364)), "SM", "-", "family:undominated-first"),
-    (list(_rng(338, 347)) + [358] + list(_rng(362, 364)), "NC", "-", "family:undominated-first"),
-    (list(_rng(351, 354)) + [357] + list(_rng(359, 361)), "H", "-", "family:undominated-first"),
-    (list(_rng(351, 354)) + [357] + list(_rng(359, 361)), "C", "-", "family:undominated-first"),
-    (list(_rng(351, 354)) + [357] + list(_rng(359, 361)), "O", "-", "family:undominated-first"),
-    (list(_rng(351, 354)) + [357] + list(_rng(359, 361)), "ACA", "-", "family:undominated-first"),
-    (list(_rng(351, 354)) + [357] + list(_rng(359, 361)), "MON1", "+", "family:undominated-first"),
-    (list(_rng(351, 354)) + [357] + list(_rng(359, 361)), "MON2", "-", "family:undominated-first"),
-    (list(_rng(351, 354)) + [357] + list(_rng(359, 361)), "SM", "-", "family:undominated-first"),
-    (list(_rng(351, 354)) + [357] + list(_rng(359, 361)), "NC", "-", "family:undominated-first"),
-    # --- weakly-stable-first family --------------------------------------
-    ([365], "H", "-", "id365_case1"),
-    ([383, 384], "H", "-", "family:weakly-stable-first"),
-    ([365], "O", "-", "id365_case1"),
-    ([376], "O", "-", "family:weakly-stable-first"),
-    ([383], "C", "-", "id383_case2"),
-    ([376, 381, 384], "C", "-", "family:weakly-stable-first"),
-    ([365], "MON1", "-", "id365_case5"),
-    ([x for x in _rng(366, 392)], "MON1", "-", "family:weakly-stable-first"),
-    (list(_rng(365, 392)), "MON2", "-", "family:weakly-stable-first"),
-    (list(_rng(365, 392)), "NC", "-", "family:weakly-stable-first"),
-    # --- Fishburn-first family -------------------------------------------
-    ([412], "H", "-", "id412_case1"),
-    ([412], "C", "-", "id412_case2"),
-    ([404, 409], "C", "-", "family:fishburn-first"),
-    ([404], "O", "-", "family:fishburn-first"),
-    (list(_rng(394, 403)) + list(_rng(405, 407)) + [409, 412] + list(_rng(414, 420)), "MON1", "-", "family:fishburn-first"),
-    ([412], "MON2", "-", "id412_case1"),
-    (list(_rng(393, 420)), "NC", "-", "family:fishburn-first"),
-    # --- uncovered-2-first: id460 refutes the C of its block row -----------
-    ([460], "C", "-", "id460"),
-    # --- core-first live rows --------------------------------------------
-    ([534, 535, 536, 537, 538, 543, 554, 558], "H", "-", "family:core-first"),
-    ([534, 535, 536, 537, 538, 543, 554, 558], "C", "-", "family:core-first"),
-    ([534, 535, 536, 537, 538, 543, 554, 558], "O", "-", "family:core-first"),
-    ([534, 535, 536, 537, 538, 543, 554, 558], "ACA", "-", "family:core-first"),
-    ([534], "MON1", "-", "id534_case5"),
-    ([535, 536, 537, 538, 543, 554, 558], "MON1", "-", "family:core-first"),
-    ([534, 535, 536, 537, 538, 543, 554, 558], "MON2", "-", "family:core-first"),
-    ([534, 535, 536, 537, 538, 543, 554, 558], "SM", "-", "family:core-first"),
-    ([534, 535, 536, 537, 538, 543, 554, 558], "NC", "-", "family:core-first"),
-    # --- threshold-first family -------------------------------------------
-    (list(_rng(589, 616)), "H", "-", "family:threshold-first"),
-    (list(_rng(589, 616)), "C", "-", "family:threshold-first"),
-    (list(_rng(589, 616)), "O", "-", "family:threshold-first"),
-    (list(_rng(589, 616)), "ACA", "-", "family:threshold-first"),
-    (list(_rng(589, 616)), "MON1", "+", "family:threshold-first"),
-    (list(_rng(589, 616)), "MON2", "-", "family:threshold-first"),
-    (list(_rng(589, 616)), "SM", "-", "family:threshold-first"),
-    ([589], "NC", "-", "id589"),
-    (list(_rng(590, 616)), "NC", "-", "family:threshold-first"),
-    # --- Copeland-first families ------------------------------------------
-    (list(_rng(617, 620)) + list(_rng(623, 624)) + list(_rng(628, 648))
-     + list(_rng(651, 652)) + list(_rng(656, 676)) + list(_rng(679, 680))
-     + list(_rng(684, 700)), "MON1", "+", "family:copeland-first"),
-    (list(_rng(621, 622)) + list(_rng(625, 627)) + list(_rng(649, 650))
-     + list(_rng(653, 655)) + list(_rng(677, 678)) + list(_rng(681, 683)),
-     "MON1", "-", "family:copeland-first"),
-    (list(_rng(617, 700)), "NC", "-", "family:copeland-first"),
-    # --- super-threshold-first family ---------------------------------------
-    ([701, 719, 720], "H", "-", "family:super-threshold-first"),
-    ([712, 717, 719, 720], "C", "-", "family:super-threshold-first"),
-    ([712, 717], "O", "-", "family:super-threshold-first"),
-    ([701, 719, 720], "MON1", "+", "family:super-threshold-first"),
-    *[([ts], "MON1", "-", f"id{ts}") for ts in (712, 713)],
-    (list(_rng(702, 711)) + list(_rng(714, 718)) + list(_rng(721, 728)), "MON1", "-", "family:super-threshold-first"),
-    (list(_rng(701, 728)), "NC", "-", "family:super-threshold-first"),
-    # --- minimax / Simpson-first families -----------------------------------
-    ([729, 747, 748, 757, 775, 776], "MON1", "+", "family:tournament-first"),
-    *[([ts], "MON1", "-", f"id{ts}") for ts in (740, 741, 768, 769)],
-    ([731], "MON1", "-", "id731"),
-    (list(_rng(730, 730)) + list(_rng(732, 739)) + list(_rng(742, 746))
-     + list(_rng(749, 756)) + list(_rng(758, 767)) + list(_rng(770, 774))
-     + list(_rng(777, 784)),
-     "MON1", "-", "family:tournament-first"),
-]
+    A pattern must hold one symbol from ``+ - ?`` per condition; anything else
+    raises :class:`ValueError` naming the row's source."""
+    for firsts, seconds, pattern, source in rows:
+        symbols = pattern.split()
+        if len(symbols) != len(AXIOM_KEYS) or not set(symbols) <= {"+", "-", "?"}:
+            raise ValueError(
+                f"{source}: pattern {pattern!r} must be {len(AXIOM_KEYS)} symbols from + - ?"
+            )
+        for first in firsts:
+            for second in seconds:
+                ts = encode_two_stage(first, second)
+                for axiom, symbol in zip(AXIOM_KEYS, symbols):
+                    if symbol != "?":
+                        yield ts, axiom, _VALUE_OF[symbol], source
 
 
 def _compile_flags() -> dict[int, dict[str, tuple[str, str]]]:
-    value_of = {"+": "satisfies", "-": "violates"}
     flags: dict[int, dict[str, tuple[str, str]]] = {ts: {} for ts in range(1, 785)}
-
-    def put(ts: int, axiom: str, value: str, source: str):
+    for ts, axiom, value, source in _expand(_BLOCKS):
         cell = flags[ts]
         if axiom in cell and cell[axiom][0] != value:
-            cell[axiom] = ("unverified", "conflicting-evidence")
-        else:
-            cell[axiom] = (value, source)
-
-    # pass 1: block rules, the diagonal last (conflicting blocks demote to unverified)
-    for firsts, seconds, pattern, source in _BLOCKS:
-        values = pattern.split()
-        for fi in firsts:
-            for se in seconds:
-                ts = encode_two_stage(fi, se)
-                for axiom, sym in zip(AXIOM_KEYS, values):
-                    if sym != "?":
-                        put(ts, axiom, value_of[sym], source)
-
-    # pass 2: id rules override blocks (more specific evidence wins)
-    for ids, axiom, sym, source in _ID_RULES:
-        for ts in ids:
-            flags[ts][axiom] = (value_of[sym], source)
-
-    # pass 3: inherited families copy the flags they keep
+            value, source = "unverified", "conflicting-evidence"
+        cell[axiom] = (value, source)
+    for ts, axiom, value, source in _expand(_CLAIMS):
+        flags[ts][axiom] = (value, source)
     for src_first, dst_first, seconds, kept, tag in _INHERITED:
         for second in seconds:
             src = flags[encode_two_stage(src_first, second)]
@@ -469,18 +446,12 @@ def _compile_flags() -> dict[int, dict[str, tuple[str, str]]]:
             for axiom, (value, _) in src.items():
                 if value in kept:
                     dst[axiom] = (value, tag)
-
-    # pass 4: degenerate and equivalent ids are not studied as two-stage
-    # rules; whatever the sweeping block rows said about them is not evidence
-    for ts in list(DEGENERATE_IDS) + list(EQUIVALENT_TO):
+    # degenerate and equivalent ids are not studied as two-stage rules; what
+    # the sweeping rows said about them is not evidence
+    for ts in DEGENERATE_IDS.keys() | EQUIVALENT_TO.keys():
         flags[ts] = {}
-
-    # pass 5: fill the gaps
-    for ts in range(1, 785):
-        cell = flags[ts]
-        for axiom in AXIOM_KEYS:
-            cell.setdefault(axiom, ("unverified", ""))
-    return flags
+    blank = dict.fromkeys(AXIOM_KEYS, ("unverified", ""))
+    return {ts: blank | cell for ts, cell in flags.items()}
 
 
 _FLAGS = _compile_flags()

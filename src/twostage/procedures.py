@@ -737,8 +737,8 @@ def simpson(t: TournamentMatrix) -> frozenset[str]:
     minimax: S(x, y) = voters - S(y, x) off the diagonal and 0 on it, so a
     row's min is voters minus its column's max, the strongest rival.  The
     winners minimise that max; bitwise NOT reverses the order of the uint8,
-    uint16, int32 and int64 counts alike, with no Python-int operand for
-    NumPy to promote."""
+    uint16 and int64 counts alike, with no Python-int operand for NumPy to
+    promote."""
     return _argmax_set(t, ~t.counts.max(axis=0))
 
 

@@ -90,6 +90,18 @@ def _check_labels(labels: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(out))
 
 
+def _int64(values, what: str) -> np.ndarray:
+    """``values`` as a new int64 array.  A value that is not a whole number
+    in int64's range raises rather than being truncated or wrapped."""
+    array = np.asarray(values)
+    if array.dtype.kind in "biuf":
+        with np.errstate(invalid="ignore"):  # NaN, inf and overflow fail the test below
+            ints = array.astype(np.int64)
+        if (ints == array).all():
+            return ints
+    raise ValueError(f"{what} must be integers")
+
+
 class _Universe:
     """One input value: the sorted alternative ``labels`` and one read-only
     array aligned with the labels, named by ``_field``.  Each subclass adds
@@ -360,8 +372,8 @@ class TournamentMatrix(_Universe):
     equals the number of criteria ``voters`` for every pair x != y.  Counts
     computed from a profile keep the dtype they were summed in (uint8 below
     255 criteria, uint16 below 65535, int64 beyond), and ``restrict`` keeps
-    it; counts a caller supplies go through validation and are stored as
-    int32.
+    it; counts a caller supplies must be whole numbers, go through
+    validation and are stored as int64.
     """
 
     __slots__ = ("counts", "voters")
@@ -372,7 +384,7 @@ class TournamentMatrix(_Universe):
 
     def __init__(self, labels: Sequence[str], counts: np.ndarray, voters: int):
         labels = _check_labels(labels)
-        counts = np.asarray(counts)
+        counts = _int64(counts, "support counts")
         m = len(labels)
         if counts.shape != (m, m):
             raise ValueError("support matrix shape does not match universe")
@@ -380,11 +392,11 @@ class TournamentMatrix(_Universe):
             raise ValueError("support matrix diagonal must be zero")
         if (counts < 0).any():
             raise ValueError("support counts must be non-negative")
-        check = counts.astype(np.int64) + counts.T
+        check = counts + counts.T
         np.fill_diagonal(check, voters)
         if voters <= 0 or (check != voters).any():
             raise ValueError("support counts of opposite pairs must sum to the criterion count")
-        self._set(labels, counts.astype(np.int32), int(voters))
+        self._set(labels, counts, int(voters))
 
     def support(self, x: str, y: str) -> int:
         return int(self.counts[self.index(x), self.index(y)])
@@ -414,12 +426,12 @@ class GradeTable(_Universe):
 
     def __init__(self, labels: Sequence[str], grades: np.ndarray):
         labels = _check_labels(labels)
-        grades = np.asarray(grades, dtype=np.int64)
+        grades = _int64(grades, "grades")
         if grades.ndim != 2 or grades.shape[1] != len(labels):
             raise ValueError("grade matrix must be (criteria x alternatives)")
         if grades.shape[0] == 0:
             raise ValueError("grade table needs at least one criterion")
-        self._set(labels, grades.copy())
+        self._set(labels, grades)
 
     @property
     def n(self) -> int:

@@ -156,3 +156,19 @@ def test_scaling_report_is_tab_separated():
     assert len(lines) == 1 + len(result.points)
     for line in lines[1:]:
         assert len(line.split("\t")) == 8
+
+
+def test_a_result_with_no_timed_point_still_gets_its_line():
+    # a zero budget stops before the first point; the report keeps the
+    # result's name and note instead of dropping it with its empty points
+    result = run_scaling(7, m_values=(32, 64), n=3, budget_seconds=0.0, trials=1)
+    assert result.points == () and result.partial
+    lines = scaling_report([result]).splitlines()
+    assert lines[1:] == [f"borda\t\t\t\t\t\tyes\t{result.note}"]
+    assert result.note.startswith("budget exceeded")
+
+
+@pytest.mark.parametrize("budget", [-1.0, float("nan")])
+def test_run_scaling_rejects_a_budget_that_is_not_a_non_negative_number(budget):
+    with pytest.raises(ValueError, match="non-negative"):
+        run_scaling(7, m_values=(32, 64), n=3, budget_seconds=budget, trials=1)

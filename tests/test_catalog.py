@@ -28,8 +28,9 @@ from twostage import (
     tournament_matrix,
     two_stage_from_id,
 )
-from twostage import procedures
+from twostage import catalog, procedures
 from twostage.catalog import _R_SINGLE, DEGENERATE_IDS, EQUIVALENT_TO
+from twostage.fixtures import corpus_dir
 from twostage.procedures import (
     QParetoRule,
     black,
@@ -98,6 +99,22 @@ def test_compose_parameterizes_the_right_stage():
     custom = compose(Procedure(4, q=5), Procedure(21, k=2))
     assert custom.first.q == 5 and custom.second.k == 2
     assert compose("plurality", "borda") == compose(2, 7)
+
+
+def test_compose_rejects_a_parameter_no_built_stage_takes():
+    # as make_procedure does, rather than dropping the value
+    for first, second, params in (
+        (7, 7, {"k": 3}),
+        (4, 7, {"k": 3}),
+        (21, 2, {"q": 3}),
+        ("borda", "copeland_1", {"q": 2, "k": 2}),
+        (Procedure(4, q=5), 7, {"q": 3}),  # a ready stage keeps its own q
+    ):
+        with pytest.raises(ValueError, match="takes a [qk] parameter"):
+            compose(first, second, **params)
+    with pytest.raises(ValueError, match="takes a q parameter"):
+        two_stage_from_id(encode_two_stage(7, 21), q=2, k=3)
+    assert two_stage_from_id(encode_two_stage(7, 21), k=3).second.k == 3
 
 
 def test_compose_rejects_qpareto_stages():
@@ -226,11 +243,36 @@ def test_curated_flags_spot_checks():
 
 
 def test_flag_sources_name_their_evidence():
+    # a settled flag names a corpus fixture or a tag; a misspelt fixture name
+    # would otherwise pass unseen, since tests/test_fixtures.py skips a source
+    # that names no fixture
+    fixtures = {path.stem for path in corpus_dir().glob("*.yaml")}
     for entry in full_catalog():
         for axiom in AXIOM_KEYS:
             value, source = entry.flags[axiom]
-            if value in ("satisfies", "violates"):
-                assert source, (entry.two_stage_id, axiom)
+            if value == "unverified":
+                assert source in ("", "conflicting-evidence"), (entry.two_stage_id, axiom)
+            else:
+                assert source in fixtures or source.startswith(("block:", "family:", "vacuous:")), (
+                    entry.two_stage_id, axiom, source
+                )
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    ["- - - - + + -", "- - - - + + - - -", "- - - - + + - x", "-------+", ""],
+)
+def test_a_pattern_not_of_eight_symbols_from_plus_minus_query_is_rejected(pattern):
+    row = ((2,), (7,), pattern, "family:test-row")
+    with pytest.raises(ValueError, match="family:test-row"):
+        list(catalog._expand([row]))
+
+
+def test_no_two_claim_rows_settle_the_same_cell():
+    # claim rows override the blocks and are applied in list order, so the
+    # flags depend on that order only if two of them share a cell
+    cells = [(ts, axiom) for ts, axiom, _, _ in catalog._expand(catalog._CLAIMS)]
+    assert len(cells) == len(set(cells))
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,21 @@ def test_compose_requires_both_stages(capsys, files):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "rule",
+    [
+        ("--first", "7", "--second", "7", "--k", "3"),
+        ("--first", "4", "--second", "7", "--k", "3"),
+        ("--first", "21", "--second", "7", "--q", "3"),
+        ("--two-stage", "29", "--q", "2"),
+    ],
+)
+def test_compose_rejects_a_parameter_no_stage_takes(capsys, files, rule):
+    code, out, err = run(capsys, "compose", *rule, "--profile", files["wide"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "takes a" in err
+
+
 def test_compose_takes_a_two_stage_id(capsys, files):
     code, out, err = run(capsys, "compose", "--two-stage", "29", "--profile", files["wide"])
     assert (code, out, err) == (0, "stage1 {a, b, d}\nfinal {}\n", "")
@@ -450,6 +465,25 @@ def test_bench_scaling_suite_small(capsys):
     assert lines[0].startswith("name\tm\tn\tseconds")
     assert len(lines) == 1 + 4  # one grid point per procedure at this cap
     assert "too few" in out
+
+
+def test_bench_scaling_with_no_timed_point_reports_every_procedure(capsys):
+    code, out, err = run(
+        capsys, "bench", "--suite", "scaling", "--budget-seconds", "0", "--m-max", "1000"
+    )
+    assert (code, err) == (0, "")
+    note = "budget exceeded in round 1 of 3, after 0 of 1 grid points"
+    assert out.splitlines()[1:] == [
+        f"{name}\t\t\t\t\t\tyes\t{note}" for name in ("borda", "minimax", "simpson", "copeland_1")
+    ]
+
+
+def test_bench_negative_budget_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "bench", "--suite", "scaling", "--budget-seconds", "-1", "--m-max", "1000"
+    )
+    assert (code, out) == (2, "")
+    assert "non-negative" in err
 
 
 def test_bench_m_max_below_the_grid_is_a_usage_error(capsys):

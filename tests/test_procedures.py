@@ -272,14 +272,14 @@ def test_minimax_and_simpson_share_one_kernel():
     assert minimax is simpson
     # a and b tie with a strongest rival of 1; the kernel reverses the
     # column maxima with bitwise NOT, so the tie must hold in every dtype
-    # the counts come in: uint8, uint16 and int64 from profiles, int32 from
+    # the counts come in: uint8, uint16 and int64 from profiles, int64 from
     # a given matrix
     counts = np.array([[0, 1, 2, 1], [1, 0, 1, 2], [0, 1, 0, 1], [1, 0, 1, 0]])
     for dtype in (np.uint8, np.uint16, np.int64):
         t = TournamentMatrix._trusted(tuple("abcd"), counts.astype(dtype), 2)
         assert simpson(t) == frozenset("ab"), dtype
-    t = TournamentMatrix("abcd", counts, 2)
-    assert t.counts.dtype == np.int32 and simpson(t) == frozenset("ab")
+    t = TournamentMatrix("abcd", counts.astype(np.int32), 2)
+    assert t.counts.dtype == np.int64 and simpson(t) == frozenset("ab")
 
 
 def test_support_rules_single_alternative():

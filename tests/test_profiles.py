@@ -283,7 +283,7 @@ def test_trusted_paths_match_validated_constructors():
         assert t.counts.dtype == dtype
         assert (t.counts == naive).all()
         validated = TournamentMatrix(p.labels, t.counts, n)
-        assert validated.counts.dtype == np.int32
+        assert validated.counts.dtype == np.int64  # a caller's counts are kept whole in int64
         assert minimax(t) == simpson(t) == minimax(validated) == simpson(validated)
         assert (t.restrict(p.labels[:3]).counts == naive[:3, :3]).all()
 
@@ -356,10 +356,10 @@ def test_equal_inputs_of_every_kind_hash_equal():
         for data in _every_kind(p):
             again = _validated_copy(data)
             assert again is not data and again == data and hash(again) == hash(data)
-    # a computed support matrix keeps its uint8 sums; the validated copy is int32
+    # a computed support matrix keeps its uint8 sums; the validated copy is int64
     t = tournament_matrix(parse_profile(PROFILE_TEXT))
     validated = _validated_copy(t)
-    assert (t.counts.dtype, validated.counts.dtype) == (np.uint8, np.int32)
+    assert (t.counts.dtype, validated.counts.dtype) == (np.uint8, np.int64)
     assert validated == t and hash(validated) == hash(t)
     assert len({t, validated}) == 1
 
@@ -514,3 +514,22 @@ def test_the_label_map_is_built_by_the_first_lookup():
     # a view shares the map its profile holds, and holds none when it has none
     assert ScopedProfile(p, support=True)._pos is p._pos
     assert not hasattr(ScopedProfile(generate_profile(5, 3, seed=6), support=True), "_pos")
+
+
+@pytest.mark.parametrize("grades", [[[1.5, 1.2]], [[1, float("nan")]], [[1, float("inf")]], [["1", "2"]]])
+def test_a_grade_table_rejects_grades_that_are_not_integers(grades):
+    # a cast would truncate them: [[1.5, 1.2]] became [[1, 1]]
+    with pytest.raises(ValueError, match="grades must be integers"):
+        GradeTable(["a", "b"], grades)
+    assert GradeTable(["a", "b"], [[2.0, -1.0]]).grades.tolist() == [[2, -1]]
+
+
+def test_a_support_matrix_keeps_counts_beyond_int32():
+    # validated in int64 but stored in int32, these counts read 1 and 2
+    big = 2**32 + 1
+    t = TournamentMatrix(["a", "b"], [[0, big], [2, 0]], big + 2)
+    assert t.counts.dtype == np.int64 and t.counts.tolist() == [[0, big], [2, 0]]
+    assert t.support("a", "b") == big
+    assert simpson(t) == frozenset("a")
+    with pytest.raises(ValueError, match="support counts must be integers"):
+        TournamentMatrix(["a", "b"], [[0, 1.5], [1.5, 0]], 3)
