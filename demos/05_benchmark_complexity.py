@@ -23,7 +23,7 @@ def main() -> None:
     print("== one measurement ==")
     p = generate_profile(m=2000, n=10, seed=7)
     borda = make_procedure(7)
-    seconds = measure_call(lambda: borda.choose(p), trials=1)
+    seconds = measure_call(lambda: borda.choose(p))
     print(f"borda on m=2000, n=10: {seconds * 1000:.2f} ms")
 
     print("\n== scaling fits (reduced grids; single trial) ==")

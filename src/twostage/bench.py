@@ -9,9 +9,10 @@ Two experiments:
   group (:func:`twostage.catalog.classify_group`) on one large profile and
   compare the groups.
 
-Measurements auto-repeat fast calls until they are long enough to time
-reliably and keep the minimum of several trials.  Exceeding a time budget
-stops the grid early and flags the result as partial rather than failing.
+Each sample repeats a fast call until the batch is long enough to time
+reliably, and each timed call keeps its best sample over interleaved rounds.
+Exceeding a time budget stops the rounds early and flags the result as
+partial rather than failing.
 """
 
 from __future__ import annotations
@@ -63,25 +64,54 @@ def generate_profile(m: int, n: int, seed: int) -> Profile:
     return Profile.from_ranks(labels, ranks)
 
 
-def measure_call(fn: Callable[[], object], *, trials: int = 3, min_time: float = 0.01) -> float:
-    """Best (minimum) wall time of ``fn`` over ``trials``, after one unmeasured
-    warm-up call, auto-repeating calls that finish faster than ``min_time`` so
-    the clock resolution cannot dominate.  The minimum is the right estimator
-    here: scheduler and frequency-scaling noise only ever add time."""
+_MIN_SAMPLE_SECONDS = 0.01
+
+
+def measure_call(fn: Callable[[], object]) -> float:
+    """One sample of ``fn``'s wall time per call: after one unmeasured warm-up
+    call, batches of doubling size run until one takes at least
+    ``_MIN_SAMPLE_SECONDS``, so that the clock's resolution cannot dominate,
+    and that batch's mean is the sample."""
     fn()
-    best = math.inf
     repeat = 1
-    for _ in range(trials):
-        while True:
-            start = time.perf_counter()
-            for _ in range(repeat):
-                fn()
-            elapsed = time.perf_counter() - start
-            if elapsed >= min_time or repeat >= 1 << 20:
-                best = min(best, elapsed / repeat)
-                break
-            repeat *= 2
-    return best
+    while True:
+        start = time.perf_counter()
+        for _ in range(repeat):
+            fn()
+        elapsed = time.perf_counter() - start
+        if elapsed >= _MIN_SAMPLE_SECONDS or repeat >= 1 << 20:
+            return elapsed / repeat
+        repeat *= 2
+
+
+def _best_of_rounds(
+    calls: Sequence[Callable[[], object]],
+    trials: int,
+    *,
+    pause: float = 0.0,
+    budget_seconds: float | None = None,
+) -> tuple[list[float], str]:
+    """Each call's best :func:`measure_call` sample over ``trials`` rounds,
+    and the budget's note if it stopped them (a call never sampled keeps
+    ``inf``).  Each round samples every call once, in order, each after a
+    sleep of ``pause`` seconds.  The minimum is the right estimator here:
+    scheduler and frequency-scaling noise only ever add time."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if budget_seconds is not None and not budget_seconds >= 0:
+        raise ValueError(f"the time budget must be non-negative seconds, got {budget_seconds}")
+    best = [math.inf] * len(calls)
+    started = time.perf_counter()
+    for r, (i, call) in itertools.product(range(trials), enumerate(calls)):
+        if budget_seconds is not None and time.perf_counter() - started > budget_seconds:
+            return best, (
+                f"budget exceeded in round {r + 1} of {trials}, "
+                f"after {i} of {len(calls)} grid points"
+            )
+        if pause:
+            time.sleep(pause)
+        best[i] = min(best[i], measure_call(call))
+    return best, ""
 
 
 @dataclass(frozen=True)
@@ -146,37 +176,29 @@ def run_scaling(
 ) -> BenchResult:
     """Time one procedure across ``m_values`` and fit the power law.
 
-    The grid is timed in ``trials`` rounds.  Each round times every grid
-    point once with :func:`measure_call`, and each point keeps its minimum,
-    so a burst of load on the machine slows one sample of every point
-    rather than every sample of one point, which would bend the fit."""
-    if budget_seconds is not None and not budget_seconds >= 0:
-        raise ValueError(f"the time budget must be non-negative seconds, got {budget_seconds}")
-    proc = make_procedure(spec)
+    Each grid point keeps its best sample over ``trials`` interleaved
+    rounds, so a burst of load on the machine slows one sample of every
+    point rather than every sample of one point, which would bend the fit.
+    The result is partial exactly when it carries a note: the budget's, else
+    the set-enumeration cap's, else "too few grid points for a fit"."""
     grid = sorted(m_values)
-    note = ""
-    if proc.index in _SET_ENUMERATION_PROCS and grid[-1] > SET_ENUMERATION_LIMIT:
+    if len(set(grid)) < len(grid):
+        raise ValueError(f"each m value may be given once, not {list(m_values)}")
+    proc = make_procedure(spec)
+    capped = ""
+    if proc.index in _SET_ENUMERATION_PROCS and any(m > SET_ENUMERATION_LIMIT for m in grid):
         grid = [m for m in grid if m <= SET_ENUMERATION_LIMIT]
-        note = (
+        capped = (
             f"stable-set enumeration is capped at {SET_ENUMERATION_LIMIT} "
             f"alternatives; larger sizes skipped"
         )
     profiles = [generate_profile(m, n, seed + i) for i, m in enumerate(grid)]
-    best = [math.inf] * len(grid)
-    started = time.perf_counter()
-    for r, (i, p) in itertools.product(range(trials), enumerate(profiles)):
-        if budget_seconds is not None and time.perf_counter() - started > budget_seconds:
-            note = f"budget exceeded in round {r + 1} of {trials}, after {i} of {len(grid)} grid points"
-            break
-        best[i] = min(best[i], measure_call(lambda: proc.choose(p), trials=1))
+    calls = [lambda p=p: proc.choose(p) for p in profiles]
+    best, stopped = _best_of_rounds(calls, trials, budget_seconds=budget_seconds)
     points = [BenchPoint(m, n, seconds) for m, seconds in zip(grid, best) if seconds < math.inf]
-    partial = bool(note)
     exponent, residual = _fit_power_law(points)
-    if exponent is None and not partial:
-        partial = len(points) < 5
-        if partial:
-            note = note or "too few grid points for a fit"
-    return BenchResult(proc.label(), tuple(points), exponent, residual, partial, note)
+    note = stopped or capped or ("too few grid points for a fit" if exponent is None else "")
+    return BenchResult(proc.label(), tuple(points), exponent, residual, bool(note), note)
 
 
 # How long run_groups waits before each sample, for the BLAS worker threads
@@ -232,9 +254,8 @@ def run_groups(
 ) -> GroupReport:
     """Time each representative two-stage rule on one shared random profile.
 
-    As in :func:`run_scaling`, the rows are timed in ``trials`` rounds.
-    Each round times every row once with :func:`measure_call`, and each
-    row keeps its minimum.  So a slow phase of the machine slows one
+    As in :func:`run_scaling`, each row keeps its best sample over
+    ``trials`` interleaved rounds.  So a slow phase of the machine slows one
     sample of every row it covers, rather than every sample of one group's
     rows, which would move the ratio between the groups.
 
@@ -257,11 +278,8 @@ def run_groups(
                     f"{expected!r}, not {group!r}"
                 )
             cells.append((group, first, second, compose(first, second)))
-    best = [math.inf] * len(cells)
-    for _, (i, cell) in itertools.product(range(trials), enumerate(cells)):
-        rule = cell[3]
-        time.sleep(_BLAS_SPIN_SECONDS)
-        best[i] = min(best[i], measure_call(lambda: rule.choose(p), trials=1))
+    calls = [lambda rule=rule: rule.choose(p) for *_, rule in cells]
+    best, _ = _best_of_rounds(calls, trials, pause=_BLAS_SPIN_SECONDS)
     rows = (GroupRow(group, a, b, s) for (group, a, b, _), s in zip(cells, best))
     return GroupReport(m, n, tuple(rows))
 

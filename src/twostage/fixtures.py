@@ -85,17 +85,13 @@ def corpus_dir() -> Path:
     return Path(importlib.resources.files("twostage") / "data" / "fixtures")
 
 
-def _lookup(table: dict[str, Any], key, what: str):
-    if key not in table:
-        raise ValueError(f"unknown {what} {key!r}")
-    return table[key]
-
-
 _COUNTS = {
     "first_place": first_place_counts,
     "last_place": last_place_counts,
     "borda": borda_counts,
 }
+
+_AXIOM_EXPECT = {"holds": True, "violated": False}
 
 # each minimal-set family from a relation and the reach bound k, which only
 # k-stable sets read
@@ -115,9 +111,21 @@ def _sets_repr(sets: Iterable[Iterable[str]]) -> str:
     return "[" + ", ".join(_fmt_set(s) for s in sets) + "]"
 
 
+class _Fields(dict):
+    """A mapping of a fixture document, whose missing field is an input error
+    that says where the mapping sits."""
+
+    def __init__(self, value: dict[str, Any], where: str):
+        super().__init__(value)
+        self.where = where
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.where} has no {key!r} field")
+
+
 class _FixtureRunner:
     def __init__(self, doc: dict[str, Any]):
-        self.name = doc["name"]
+        self.name = _Fields(doc, "fixture document")["name"]
         self.title = doc.get("title", "")
         raw = self._mapping(doc.get("inputs", {}), "inputs")
         self.inputs = {key: self._parse_input(key, spec) for key, spec in raw.items()}
@@ -130,10 +138,15 @@ class _FixtureRunner:
     def _invalid(self, message: str) -> ValueError:
         return ValueError(f"fixture {self.name}: {message}")
 
-    def _mapping(self, value, what: str) -> dict[str, Any]:
+    def _mapping(self, value, what: str) -> _Fields:
         if not isinstance(value, dict):
             raise self._invalid(f"{what} must be a mapping")
-        return value
+        return _Fields(value, f"fixture {self.name}: {what}")
+
+    def _lookup(self, table: dict[str, Any], key, what: str):
+        if key not in table:
+            raise self._invalid(f"unknown {what} {key!r}")
+        return table[key]
 
     def _rule(self, spec, what: str):
         if spec is None:
@@ -163,7 +176,7 @@ class _FixtureRunner:
 
     def _parse_input(self, key: str, spec) -> object:
         spec = self._mapping(spec, f"input {key!r}")
-        parse = _lookup(INPUT_PARSERS, spec["kind"], "input kind")
+        parse = self._lookup(INPUT_PARSERS, spec["kind"], "input kind")
         if not isinstance(spec["text"], str):
             raise self._invalid(f"the text of input {key!r} must be a string")
         return parse(spec["text"])
@@ -176,18 +189,18 @@ class _FixtureRunner:
         for step in check.get("apply") or ():
             step = self._mapping(step, "a transform")
             if "improve" in step:
-                spec = step["improve"]
+                spec = self._mapping(step["improve"], "an improve transform")
                 change = RankImprovement(
                     spec["target"], int(spec["criterion"]) - 1, int(spec["steps"])
                 )
                 obj = improve(obj, change)
             elif "perturb" in step:
-                spec = step["perturb"]
+                spec = self._mapping(step["perturb"], "a perturb transform")
                 obj = perturb_majority(obj, spec["winner"], spec["loser"])
             elif step.get("realize"):
                 obj = _axioms.realizing_profile(obj)
             else:
-                raise ValueError(f"unknown transform {step!r}")
+                raise self._invalid(f"unknown transform {step!r}")
         return obj
 
     def _read(self, check: dict[str, Any], kind: str, subset: frozenset[str] | None = None):
@@ -217,7 +230,7 @@ class _FixtureRunner:
             op = check["op"]
             handler = getattr(self, f"_op_{op}", None)
             if handler is None:
-                raise ValueError(f"unknown check op {op!r}")
+                raise self._invalid(f"unknown check op {op!r}")
             handler(check)
         return FixtureReport(self.name, self.title, tuple(self.results))
 
@@ -241,7 +254,7 @@ class _FixtureRunner:
     def _op_counts(self, check):
         p = self._read(check, "profile")
         which = check["counts"]
-        got = _lookup(_COUNTS, which, "counts")(p)
+        got = self._lookup(_COUNTS, which, "counts")(p)
         want = {str(k): int(v) for k, v in check["expect"].items()}
         self._record(f"{which} counts = {want}", got, want, str)
 
@@ -272,7 +285,7 @@ class _FixtureRunner:
         subset = self._subset(check)
         mu = self._read(check, "mu", subset)
         which = check["solution"]
-        got = _lookup(_MINIMAL_SETS, which, "solution family")(mu, int(check.get("k", 2)))
+        got = self._lookup(_MINIMAL_SETS, which, "solution family")(mu, int(check.get("k", 2)))
         want = self._sets(check["expect"])
         where = f" on {_fmt_set(subset)}" if subset else ""
         self._record(
@@ -294,7 +307,7 @@ class _FixtureRunner:
         axiom = _axioms.normalize_axiom(check["axiom"])
         strict = bool(check.get("mon2_strict", False))
         verdict = _axioms.check_axiom(rule, obj, axiom, mon2_strict=strict)
-        want_holds = {"holds": True, "violated": False}[check["expect"]]
+        want_holds = self._lookup(_AXIOM_EXPECT, check["expect"], "axiom expectation")
         found = f"a violation: {verdict.witness.description}" if verdict.witness else "no violation"
         self._record(
             f"axiom {axiom} {'holds' if want_holds else 'is violated'}",

@@ -70,6 +70,8 @@ def default_labels(m: int) -> tuple[str, ...]:
     style beyond that (padding keeps lexicographic order equal to numeric
     order, which the rest of the package relies on).
     """
+    if m < 1:
+        raise ValueError(f"a universe needs at least one alternative, got m={m}")
     if m <= 26:
         return tuple("abcdefghijklmnopqrstuvwxyz"[:m])
     width = len(str(m))

@@ -35,7 +35,7 @@ def test_generate_profile_rejects_an_empty_universe_or_no_criteria():
 
 
 def test_measure_call_repeats_fast_calls():
-    timed = measure_call(lambda: None, trials=3, min_time=0.001)
+    timed = measure_call(lambda: None)
     assert timed > 0
     assert timed < 0.001  # a no-op is far below the repeat threshold
 
@@ -123,8 +123,7 @@ def test_run_groups_times_the_rows_in_rounds(monkeypatch):
 
     samples = iter([5.0, 4.0, 3.0, 2.0, 6.0, 1.0])
 
-    def once(fn, *, trials):
-        assert trials == 1
+    def once(fn):
         fn()
         return next(samples)
 
@@ -136,6 +135,69 @@ def test_run_groups_times_the_rows_in_rounds(monkeypatch):
     pause = bench._BLAS_SPIN_SECONDS
     assert calls == [pause, (2, 16), pause, (27, 28)] * 3
     assert [(r.group, r.seconds) for r in report.rows] == [("low", 3.0), ("average", 1.0)]
+
+
+def test_run_scaling_times_the_grid_in_rounds(monkeypatch):
+    # each round times every grid point once, in grid order and with no
+    # pause, and each point keeps its minimum
+    calls = []
+
+    class Proc:
+        index = 7
+
+        def choose(self, p):
+            calls.append(p.m)
+
+        def label(self):
+            return "fake"
+
+    samples = iter([5.0, 4.0, 3.0, 2.0, 6.0, 1.0])
+
+    def once(fn):
+        fn()
+        return next(samples)
+
+    monkeypatch.setattr(bench, "make_procedure", lambda spec: Proc())
+    monkeypatch.setattr(bench, "measure_call", once)
+    monkeypatch.setattr(bench.time, "sleep", lambda s: calls.append(s))
+    result = run_scaling(7, m_values=(3, 2), n=3, trials=3)
+    assert calls == [2, 3] * 3
+    assert [(p.m, p.seconds) for p in result.points] == [(2, 3.0), (3, 1.0)]
+
+
+@pytest.mark.parametrize("spec", [14, 21, 7])
+def test_an_empty_grid_is_a_partial_result(spec):
+    result = run_scaling(spec, m_values=(), n=3, trials=1)
+    assert result.points == () and result.exponent is None
+    assert result.partial and result.note == "too few grid points for a fit"
+
+
+def test_five_points_with_one_unusable_make_a_partial_result():
+    # m = 1 gives the fit no usable point, so four points remain
+    result = run_scaling(7, m_values=(1, 2, 4, 8, 16), n=3, trials=1)
+    assert len(result.points) == 5 and result.exponent is None
+    assert result.partial and result.note == "too few grid points for a fit"
+
+
+def test_a_capped_grid_is_partial_even_with_a_fit():
+    result = run_scaling(14, m_values=(2, 3, 4, 5, 6, SET_ENUMERATION_LIMIT + 1), n=3, trials=1)
+    assert result.exponent is not None
+    assert result.partial and "capped" in result.note
+
+
+def test_run_scaling_rejects_a_repeated_m():
+    with pytest.raises(ValueError, match=r"each m value may be given once, not \[64, 64, 64"):
+        run_scaling(7, m_values=(64,) * 5, n=3, trials=1)
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda trials: run_scaling(7, m_values=(32,), n=3, trials=trials), id="scaling"),
+    pytest.param(lambda trials: run_groups(m=20, n=3, trials=trials), id="groups"),
+])
+@pytest.mark.parametrize("trials", [0, -1])
+def test_fewer_than_one_round_is_rejected(run, trials):
+    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+        run(trials)
 
 
 def test_run_groups_rejects_misfiled_representatives():

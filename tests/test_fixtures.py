@@ -247,6 +247,47 @@ def test_fixture_documents_of_the_wrong_shape_name_the_fixture(tmp_path, body, m
     assert str(exc.value) == f"fixture bad: {message}"
 
 
+MAIN = {"kind": "profile", "text": "a b\nb a\na b\n"}
+
+
+@pytest.mark.parametrize("doc, message", [
+    pytest.param({"name": None}, "fixture document has no 'name' field", id="name"),
+    pytest.param({"inputs": {"main": {"text": "a b\n"}}},
+                 "fixture bad: input 'main' has no 'kind' field", id="kind"),
+    pytest.param({"inputs": {"main": {"kind": "profile"}}},
+                 "fixture bad: input 'main' has no 'text' field", id="text"),
+    pytest.param({"checks": [{"expect": ["a"]}]}, "fixture bad: check 1 has no 'op' field",
+                 id="op"),
+    pytest.param({"checks": [{"op": "choose"}]}, "fixture bad: check 1 has no 'expect' field",
+                 id="expect"),
+    pytest.param({"checks": [{"op": "counts", "expect": {"a": 1}}]},
+                 "fixture bad: check 1 has no 'counts' field", id="counts"),
+    pytest.param({"checks": [{"op": "minimal_sets", "expect": []}]},
+                 "fixture bad: check 1 has no 'solution' field", id="solution"),
+    pytest.param({"checks": [{"op": "qpareto", "expect": []}]},
+                 "fixture bad: check 1 has no 'q' field", id="q"),
+    pytest.param({"checks": [{"op": "axiom", "expect": "holds"}]},
+                 "fixture bad: check 1 has no 'axiom' field", id="axiom"),
+    pytest.param({"checks": [{"op": "axiom", "axiom": "C", "expect": "maybe"}]},
+                 "fixture bad: unknown axiom expectation 'maybe'", id="axiom-expect"),
+    *(pytest.param({"checks": [{"op": "choose", "apply": [{"improve": spec}], "expect": []}]},
+                   f"fixture bad: an improve transform has no {field!r} field", id=field)
+      for field, spec in (("target", {"criterion": 1, "steps": 1}),
+                          ("criterion", {"target": "a", "steps": 1}),
+                          ("steps", {"target": "a", "criterion": 1}))),
+    *(pytest.param({"inputs": {"main": {"kind": "majority", "text": "a b\n- 1\n0 -\n"}},
+                    "checks": [{"op": "choose", "apply": [{"perturb": spec}], "expect": []}]},
+                   f"fixture bad: a perturb transform has no {field!r} field", id=field)
+      for field, spec in (("winner", {"loser": "a"}), ("loser", {"winner": "b"}))),
+])
+def test_a_missing_field_names_the_fixture_and_the_field(doc, message):
+    # a field given as None is left out of the document
+    base = {"name": "bad", "rule": {"procedure": 7}, "inputs": {"main": MAIN}}
+    with pytest.raises(ValueError) as exc:
+        run_fixture({key: value for key, value in {**base, **doc}.items() if value is not None})
+    assert str(exc.value) == message
+
+
 def test_corpus_covers_the_required_minimum():
     # the documented minimum replay set for the acceptance gate
     required = {

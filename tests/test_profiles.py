@@ -98,6 +98,14 @@ def test_default_labels_shape():
     assert sorted(labs) == list(labs)
 
 
+@pytest.mark.parametrize("m", [0, -3])
+def test_a_generated_universe_needs_an_alternative(m):
+    with pytest.raises(ValueError, match=f"needs at least one alternative, got m={m}"):
+        default_labels(m)
+    with pytest.raises(ValueError, match=f"needs at least one alternative, got m={m}"):
+        next(enumerate_majority_relations(m))
+
+
 def test_contract_preserves_relative_order():
     p = parse_profile(PROFILE_TEXT)
     pc = contract(p, {"a", "b"})
