@@ -111,9 +111,13 @@ def _sets_repr(sets: Iterable[Iterable[str]]) -> str:
     return "[" + ", ".join(_fmt_set(s) for s in sets) + "]"
 
 
+# the default of a field a fixture must give
+_REQUIRED = object()
+
+
 class _Fields(dict):
-    """A mapping of a fixture document, whose missing field is an input error
-    that says where the mapping sits."""
+    """A mapping of a fixture document, whose missing field, or field of the
+    wrong type, is an input error that says where the mapping sits."""
 
     def __init__(self, value: dict[str, Any], where: str):
         super().__init__(value)
@@ -121,6 +125,32 @@ class _Fields(dict):
 
     def __missing__(self, key):
         raise ValueError(f"{self.where} has no {key!r} field")
+
+    def _read(self, key, default, ok: Callable[[Any], bool], shape: str):
+        """Field ``key``, or ``default`` when it is absent and not
+        ``_REQUIRED``; any other value must be ``ok``."""
+        value = self[key] if default is _REQUIRED else self.get(key, default)
+        if value is not default and not ok(value):
+            raise ValueError(f"{self.where}: field {key!r} must be {shape}, not {value!r}")
+        return value
+
+    def text(self, key, default=_REQUIRED) -> str:
+        return self._read(key, default, lambda v: isinstance(v, str), "a string")
+
+    def integer(self, key, default=_REQUIRED) -> int:
+        # not ``isinstance``: YAML's true and false are bools, which Python counts as ints
+        return self._read(key, default, lambda v: type(v) is int, "an integer")
+
+    def mapping(self, key) -> "_Fields":
+        return _Fields(self._read(key, _REQUIRED, lambda v: isinstance(v, dict), "a mapping"),
+                       f"{self.where}: field {key!r}")
+
+    def pairs(self, key) -> list[tuple[str, str]]:
+        """A list of two-item lists, each read as a pair of labels."""
+        def ok(v):
+            return isinstance(v, list) and all(isinstance(pair, list) and len(pair) == 2 for pair in v)
+
+        return [(str(x), str(y)) for x, y in self._read(key, _REQUIRED, ok, "a list of pairs")]
 
 
 class _FixtureRunner:
@@ -156,9 +186,9 @@ class _FixtureRunner:
             pair = spec["two_stage"]
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                 raise self._invalid(f"the two_stage of {what} must be a list of two procedures")
-            return _catalog.compose(*pair, q=spec.get("q"), k=spec.get("k"))
+            return _catalog.compose(*pair, q=spec.integer("q", None), k=spec.integer("k", None))
         if "procedure" in spec:
-            return make_procedure(spec["procedure"], q=spec.get("q"), k=spec.get("k"))
+            return make_procedure(spec["procedure"], q=spec.integer("q", None), k=spec.integer("k", None))
         raise self._invalid(f"{what} must name either a procedure or a two-stage pair")
 
     def _listed(self, value, what: str):
@@ -176,13 +206,13 @@ class _FixtureRunner:
 
     def _parse_input(self, key: str, spec) -> object:
         spec = self._mapping(spec, f"input {key!r}")
-        parse = self._lookup(INPUT_PARSERS, spec["kind"], "input kind")
+        parse = self._lookup(INPUT_PARSERS, spec.text("kind"), "input kind")
         if not isinstance(spec["text"], str):
             raise self._invalid(f"the text of input {key!r} must be a string")
         return parse(spec["text"])
 
     def _input(self, check: dict[str, Any]):
-        name = check.get("input", "main")
+        name = check.text("input", "main")
         if name not in self.inputs:
             raise self._invalid(f"no input named {name!r}")
         obj = self.inputs[name]
@@ -191,12 +221,12 @@ class _FixtureRunner:
             if "improve" in step:
                 spec = self._mapping(step["improve"], "an improve transform")
                 change = RankImprovement(
-                    spec["target"], int(spec["criterion"]) - 1, int(spec["steps"])
+                    spec.text("target"), spec.integer("criterion") - 1, spec.integer("steps")
                 )
                 obj = improve(obj, change)
             elif "perturb" in step:
                 spec = self._mapping(step["perturb"], "a perturb transform")
-                obj = perturb_majority(obj, spec["winner"], spec["loser"])
+                obj = perturb_majority(obj, spec.text("winner"), spec.text("loser"))
             elif step.get("realize"):
                 obj = _axioms.realizing_profile(obj)
             else:
@@ -227,7 +257,7 @@ class _FixtureRunner:
     def run(self) -> FixtureReport:
         for number, check in enumerate(self.checks, start=1):
             check = self._mapping(check, f"check {number}")
-            op = check["op"]
+            op = check.text("op")
             handler = getattr(self, f"_op_{op}", None)
             if handler is None:
                 raise self._invalid(f"unknown check op {op!r}")
@@ -253,26 +283,29 @@ class _FixtureRunner:
 
     def _op_counts(self, check):
         p = self._read(check, "profile")
-        which = check["counts"]
+        which = check.text("counts")
         got = self._lookup(_COUNTS, which, "counts")(p)
-        want = {str(k): int(v) for k, v in check["expect"].items()}
+        expect = check.mapping("expect")
+        want = {str(label): expect.integer(label) for label in expect}
         self._record(f"{which} counts = {want}", got, want, str)
 
     def _op_majority_edges(self, check):
         got = sorted(self._read(check, "mu").edges())
-        want = sorted((str(x), str(y)) for x, y in check["expect"])
+        want = sorted(check.pairs("expect"))
         self._record(f"majority edges = {want}", got, want, str)
 
     def _op_support(self, check):
         t = self._read(check, "support")
-        expect = check["expect"]
-        want = {str(x): {str(y): int(n) for y, n in row.items()} for x, row in expect.items()}
+        expect = check.mapping("expect")
+        rows = {x: expect.mapping(x) for x in expect}
+        want = {str(x): {str(y): row.integer(y) for y in row} for x, row in rows.items()}
         got = {x: {y: t.support(x, y) for y in row} for x, row in want.items()}
         self._record("pairwise support matrix", got, want, str)
 
     def _op_grade_table(self, check):
         g = self._read(check, "grades")
-        want = {str(label): [int(v) for v in column] for label, column in check["expect"].items()}
+        expect = check.mapping("expect")
+        want = {str(label): [int(v) for v in column] for label, column in expect.items()}
         got = {label: list(g.column(label)) for label in want}
         self._record("grade table", got, want, str)
 
@@ -284,8 +317,8 @@ class _FixtureRunner:
     def _op_minimal_sets(self, check):
         subset = self._subset(check)
         mu = self._read(check, "mu", subset)
-        which = check["solution"]
-        got = self._lookup(_MINIMAL_SETS, which, "solution family")(mu, int(check.get("k", 2)))
+        which = check.text("solution")
+        got = self._lookup(_MINIMAL_SETS, which, "solution family")(mu, check.integer("k", 2))
         want = self._sets(check["expect"])
         where = f" on {_fmt_set(subset)}" if subset else ""
         self._record(
@@ -296,7 +329,7 @@ class _FixtureRunner:
         )
 
     def _op_qpareto(self, check):
-        q = int(check["q"])
+        q = check.integer("q")
         got = q_pareto(self._read(check, "grades"), q)
         want = self._set(check["expect"])
         self._record(f"q-Pareto at q={q} -> {_fmt_set(want)}", got, want, _fmt_set)
@@ -304,10 +337,10 @@ class _FixtureRunner:
     def _op_axiom(self, check):
         rule = self._rule_for(check)
         obj = self._input(check)
-        axiom = _axioms.normalize_axiom(check["axiom"])
+        axiom = _axioms.normalize_axiom(check.text("axiom"))
         strict = bool(check.get("mon2_strict", False))
         verdict = _axioms.check_axiom(rule, obj, axiom, mon2_strict=strict)
-        want_holds = self._lookup(_AXIOM_EXPECT, check["expect"], "axiom expectation")
+        want_holds = self._lookup(_AXIOM_EXPECT, check.text("expect"), "axiom expectation")
         found = f"a violation: {verdict.witness.description}" if verdict.witness else "no violation"
         self._record(
             f"axiom {axiom} {'holds' if want_holds else 'is violated'}",

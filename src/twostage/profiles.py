@@ -7,11 +7,13 @@ vectors, the pairwise majority relation, tournament (support) matrices, and
 grade tables for threshold-style rules.
 
 Alternatives are plain string labels.  The universe is kept sorted so that
-iteration order, printed output and generated structures are deterministic.
+iteration order, printed output and generated structures are deterministic;
+a constructor takes labels in any order and aligns its array with them sorted.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -79,17 +81,18 @@ def default_labels(m: int) -> tuple[str, ...]:
 
 
 def _check_labels(labels: Iterable[str]) -> tuple[str, ...]:
+    """``labels`` in the order given, each a distinct non-empty string without whitespace."""
     out = tuple(labels)
     if not out:
         raise ValueError("universe must contain at least one alternative")
     seen = set()
     for lab in out:
-        if not lab or any(ch.isspace() for ch in lab):
+        if not isinstance(lab, str) or not lab or any(ch.isspace() for ch in lab):
             raise ValueError(f"bad alternative label {lab!r}")
         if lab in seen:
             raise ValueError(f"duplicate alternative label {lab!r}")
         seen.add(lab)
-    return tuple(sorted(out))
+    return out
 
 
 def _int64(values, what: str) -> np.ndarray:
@@ -111,19 +114,18 @@ class _Universe:
     ``kind`` (as the procedure registry names it) and the ``noun`` error
     messages use.
 
-    The label -> position map ``_pos`` is built by the first :meth:`index`
-    call, not with the value: most relations, support matrices and
-    contracted profiles are derived, read by a kernel and dropped without
-    one label lookup.  A set of labels finds its positions in one pass over
-    ``labels`` instead (see :meth:`_positions`)."""
+    Label order has one owner, :meth:`_aligned`: a validating constructor
+    takes labels in any order, with its array aligned with them as given,
+    and stores both sorted.  Because the labels are sorted, :meth:`index`
+    is a binary search over them and the value keeps no label map."""
 
-    __slots__ = ("labels", "_pos")
+    __slots__ = ("labels",)
 
     kind: str
     noun: str
     _field: str
-    # ``restrict`` keeps the rows and the columns of a square (m, m) array,
-    # or only the columns of a per-criterion (n, m) one
+    # the label axes: the rows and the columns of a square (m, m) array, or
+    # only the columns of a per-criterion (n, m) one
     _square = True
     # further state, compared by ``__eq__`` and kept by ``restrict``
     _extra: tuple[str, ...] = ()
@@ -145,24 +147,34 @@ class _Universe:
         self._set(labels, array, *extra)
         return self
 
+    @classmethod
+    def _aligned(cls, labels: tuple[str, ...], array: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+        """``labels`` sorted, and a copy of ``array``, aligned with them as given,
+        with its label axes (columns, and rows too if square) permuted to match."""
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        array = array[:, order]
+        if cls._square:
+            array = array[order]
+        return tuple(labels[j] for j in order), array
+
     @property
     def m(self) -> int:
         return len(self.labels)
 
     def index(self, label: str) -> int:
+        """The position of ``label``, by binary search over the sorted labels."""
         try:
-            pos = self._pos
-        except AttributeError:
-            pos = self._pos = {lab: j for j, lab in enumerate(self.labels)}
-        try:
-            return pos[label]
-        except KeyError:
-            raise ValueError(f"unknown alternative {label!r}") from None
+            j = bisect_left(self.labels, label)
+            if self.labels[j] == label:
+                return j
+        except (TypeError, IndexError):  # not comparable with a string, or past the last label
+            pass
+        raise ValueError(f"unknown alternative {label!r}")
 
     def _positions(self, subset: Iterable[str]) -> list[int]:
         """The positions of a non-empty subset's labels, ascending.  A set
         or frozenset is read in one pass over ``labels``, which yields them
-        in order and needs no label map; when that pass finds fewer labels
+        in order with no lookup; when that pass finds fewer labels
         than the set holds, the label-by-label lookup below names the
         unknown one, as it does for any other iterable."""
         if isinstance(subset, (set, frozenset)):
@@ -242,6 +254,7 @@ class Profile(_Universe):
     kind = "profile"
     noun = "a full profile"
     _field = "ranks"
+    _square = False
 
     def __init__(self, orders: Sequence[Sequence[str]], labels: Sequence[str] | None = None):
         orders = tuple(tuple(o) for o in orders)
@@ -255,12 +268,10 @@ class Profile(_Universe):
         ranks = np.empty((len(orders), m), dtype=np.int32)
         for i, order in enumerate(orders):
             if len(order) != m or set(order) != set(labels):
-                raise ValueError(
-                    f"criterion {i + 1} is not a permutation of the universe"
-                )
+                raise ValueError(f"criterion {i + 1} is not a permutation of the universe")
             for rank, lab in enumerate(order):
                 ranks[i, pos[lab]] = rank
-        self._set(labels, ranks)
+        self._set(*self._aligned(labels, ranks))
 
     @classmethod
     def from_ranks(cls, labels: Sequence[str], ranks: np.ndarray) -> "Profile":
@@ -268,7 +279,8 @@ class Profile(_Universe):
 
         ``ranks[i, j]`` must be the position of ``labels[j]`` under criterion
         ``i``; every row must be a permutation of ``0..m-1``.  Labels must
-        already be sorted.
+        already be sorted: nothing here aligns them, and :meth:`index`
+        searches them as sorted.
         """
         ranks = np.ascontiguousarray(ranks, dtype=np.int32)
         if ranks.ndim != 2 or len(labels) != ranks.shape[1]:
@@ -316,8 +328,6 @@ class ScopedProfile(Profile):
 
     def __init__(self, p: Profile, support: bool):
         self.labels, self.ranks = p.labels, p.ranks
-        if hasattr(p, "_pos"):
-            self._pos = p._pos
         self.held: _Universe | None = None
         self.support = support
 
@@ -357,7 +367,7 @@ class MajorityRelation(_Universe):
             raise ValueError("majority matrix shape does not match universe")
         if matrix.diagonal().any() or (matrix & matrix.T).any():
             raise ValueError("majority relation must be asymmetric and irreflexive")
-        self._set(labels, matrix.copy())
+        self._set(*self._aligned(labels, matrix))
 
     def beats(self, x: str, y: str) -> bool:
         return bool(self.matrix[self.index(x), self.index(y)])
@@ -398,7 +408,7 @@ class TournamentMatrix(_Universe):
         np.fill_diagonal(check, voters)
         if voters <= 0 or (check != voters).any():
             raise ValueError("support counts of opposite pairs must sum to the criterion count")
-        self._set(labels, counts, int(voters))
+        self._set(*self._aligned(labels, counts), int(voters))
 
     def support(self, x: str, y: str) -> int:
         return int(self.counts[self.index(x), self.index(y)])
@@ -433,7 +443,7 @@ class GradeTable(_Universe):
             raise ValueError("grade matrix must be (criteria x alternatives)")
         if grades.shape[0] == 0:
             raise ValueError("grade table needs at least one criterion")
-        self._set(labels, grades)
+        self._set(*self._aligned(labels, grades))
 
     @property
     def n(self) -> int:
@@ -467,12 +477,11 @@ def _data_lines(text: str) -> Iterator[tuple[int, str]]:
 
 def _read_universe(
     text: str, noun: str, rows: str = "criterion lines"
-) -> tuple[list[str], list[tuple[int, str]], np.ndarray]:
-    """The labels named on the universe line of ``text``, the data lines
-    after it (1-based line number, content), and the positions that realign
-    columns from the named order to sorted order.  Raises
-    :class:`ProfileFormatError` on an empty input, a duplicate label (with
-    its line number) or no lines after the universe line."""
+) -> tuple[list[str], list[tuple[int, str]]]:
+    """The labels named on the universe line of ``text``, in the order
+    named, and the data lines after it (1-based line number, content).
+    Raises :class:`ProfileFormatError` on an empty input, a duplicate label
+    (with its line number) or no lines after the universe line."""
     lines = list(_data_lines(text))
     if not lines:
         raise ProfileFormatError(f"empty {noun}: no universe line")
@@ -484,7 +493,7 @@ def _read_universe(
         raise ProfileFormatError(str(exc), line=head_no) from None
     if len(lines) == 1:
         raise ProfileFormatError(f"{noun} has no {rows}", line=head_no)
-    return labels, lines[1:], np.argsort(np.array(labels))
+    return labels, lines[1:]
 
 
 def parse_profile(text: str) -> Profile:
@@ -495,15 +504,13 @@ def parse_profile(text: str) -> Profile:
     ``#`` starts a comment.  Raises :class:`ProfileFormatError` with a line
     number on duplicate labels, non-permutation rows, or an empty file.
     """
-    labels, body, _ = _read_universe(text, "profile")
+    labels, body = _read_universe(text, "profile")
     universe = set(labels)
     orders = []
     for no, content in body:
         row = tuple(content.split())
         if len(row) != len(labels) or set(row) != universe or len(set(row)) != len(row):
-            raise ProfileFormatError(
-                "criterion line is not a permutation of the universe", line=no
-            )
+            raise ProfileFormatError("criterion line is not a permutation of the universe", line=no)
         orders.append(row)
     return Profile(orders, labels=labels)
 
@@ -518,21 +525,19 @@ def format_profile(p: Profile) -> str:
 def parse_grade_table(text: str) -> GradeTable:
     """Parse a grade table: universe line, then one integer row per criterion
     aligned with the universe line's label order."""
-    labels, body, order = _read_universe(text, "grade table")
+    labels, body = _read_universe(text, "grade table")
     rows = []
     for no, content in body:
         parts = content.split()
         if len(parts) != len(labels):
-            raise ProfileFormatError(
-                f"expected {len(labels)} grades, got {len(parts)}", line=no
-            )
+            raise ProfileFormatError(f"expected {len(labels)} grades, got {len(parts)}", line=no)
         try:
             rows.append(np.array([int(v) for v in parts], dtype=np.int64))
         except ValueError:
             raise ProfileFormatError("grades must be integers", line=no) from None
         except OverflowError:
             raise ProfileFormatError("grades must lie within signed 64-bit range", line=no) from None
-    return GradeTable(sorted(labels), np.array(rows)[:, order])
+    return GradeTable(labels, np.array(rows))
 
 
 def format_grade_table(g: GradeTable) -> str:
@@ -551,7 +556,7 @@ def parse_majority_matrix(text: str) -> MajorityRelation:
     on the diagonal or in both directions of a pair raises
     :class:`ProfileFormatError` with its line number.
     """
-    labels, body, order = _read_universe(text, "majority matrix", "matrix rows")
+    labels, body = _read_universe(text, "majority matrix", "matrix rows")
     m = len(labels)
     if len(body) != m:
         raise ProfileFormatError(f"expected {m} matrix rows after the universe line, got {len(body)}")
@@ -575,16 +580,13 @@ def parse_majority_matrix(text: str) -> MajorityRelation:
                         f"{labels[r]} and {labels[c]} cannot beat each other", line=no
                     )
                 mat[r, c] = True
-    return MajorityRelation(sorted(labels), mat[np.ix_(order, order)])
+    return MajorityRelation(labels, mat)
 
 
 def format_majority_matrix(mu: MajorityRelation) -> str:
     out = [" ".join(mu.labels)]
     for i in range(mu.m):
-        row = [
-            "-" if i == j else ("1" if mu.matrix[i, j] else "0")
-            for j in range(mu.m)
-        ]
+        row = ["-" if i == j else ("1" if mu.matrix[i, j] else "0") for j in range(mu.m)]
         out.append(" ".join(row))
     return "\n".join(out) + "\n"
 
@@ -747,10 +749,7 @@ def improve(p: Profile, change: RankImprovement) -> Profile:
     j = p.index(change.target)
     pos = int(p.ranks[change.criterion, j])
     if change.steps > pos:
-        raise ValueError(
-            f"cannot move {change.target!r} up {change.steps} steps "
-            f"from position {pos}"
-        )
+        raise ValueError(f"cannot move {change.target!r} up {change.steps} steps from position {pos}")
     top = pos - change.steps
     ranks = p.ranks.copy()
     row = ranks[change.criterion]

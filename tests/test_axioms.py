@@ -373,6 +373,9 @@ def test_search_respects_its_budget():
     result = search_counterexample(make_procedure(7), "H", cfg)
     assert result.status in ("budget-exceeded", "found")
     assert result.examined <= 10
+    random_cfg = SearchConfig(mode="random", samples=100, budget=10)
+    result = search_counterexample(make_procedure(7), "H", random_cfg)
+    assert (result.status, result.examined) == ("budget-exceeded", 10)
 
 
 def test_a_search_cut_by_its_budget_builds_few_permutations():
@@ -501,6 +504,12 @@ def test_verify_bounded_rejects_a_budget_below_one():
 def test_verify_bounded_rejects_a_size_below_one(m, n):
     with pytest.raises(ValueError, match="m and n must be positive"):
         verify_bounded(make_procedure(7), "H", m, n)
+
+
+@pytest.mark.parametrize("m, n", [(0, 1), (1, 0)])
+def test_all_profiles_rejects_a_size_below_one(m, n):
+    with pytest.raises(ValueError, match="a profile needs at least one alternative and one criterion"):
+        next(all_profiles(m, n))
 
 
 def test_axiom_names_are_the_eight_documented_conditions():

@@ -2,6 +2,7 @@
 provable equivalences (checked over every tie-free relation up to m=5)."""
 
 import hashlib
+import io
 import itertools
 
 import numpy as np
@@ -409,6 +410,8 @@ CATALOG_SHA256 = "4cd9e9092341a80e7fecf60552859c9d345ac4f469ca479b71be54e5a75caa
 
 def test_export_catalog_is_pinned_whole():
     assert hashlib.sha256(export_catalog().encode()).hexdigest() == CATALOG_SHA256
+    stream = io.StringIO()
+    assert export_catalog(stream) == stream.getvalue() == export_catalog()
 
 
 def _record_m(monkeypatch, name):
@@ -471,7 +474,7 @@ def test_a_profile_kernel_gets_a_plain_contraction_inside_a_check(monkeypatch):
     assert contracted
     for p in contracted:
         held = {name for cls in Profile.__mro__ for name in getattr(cls, "__slots__", ()) if hasattr(p, name)}
-        assert held <= {"labels", "ranks", "_pos"} and not hasattr(p, "__dict__")
+        assert held <= {"labels", "ranks"} and not hasattr(p, "__dict__")
 
 
 def test_a_support_two_stage_rule_takes_a_support_matrix():

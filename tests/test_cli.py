@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from twostage.catalog import export_catalog
 from twostage.cli import main
 
 WIDE = "a b c d\nb a c d\na c b d\nd a b c\n"
@@ -514,6 +515,11 @@ def test_catalog_counts(capsys):
     code, out, _ = run(capsys, "catalog", "--counts")
     assert code == 0
     assert out == "total\t784\ndegenerate\t168\nequivalent\t25\nregular\t591\n"
+
+
+def test_catalog_with_no_flag_prints_the_export(capsys):
+    code, out, _ = run(capsys, "catalog")
+    assert (code, out) == (0, export_catalog())
 
 
 def test_catalog_export_to_file(capsys, tmp_path):

@@ -248,6 +248,7 @@ def test_fixture_documents_of_the_wrong_shape_name_the_fixture(tmp_path, body, m
 
 
 MAIN = {"kind": "profile", "text": "a b\nb a\na b\n"}
+MAIN3 = {"kind": "profile", "text": "a b c\nb a c\nc a b\na b c\n"}
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -285,6 +286,51 @@ def test_a_missing_field_names_the_fixture_and_the_field(doc, message):
     base = {"name": "bad", "rule": {"procedure": 7}, "inputs": {"main": MAIN}}
     with pytest.raises(ValueError) as exc:
         run_fixture({key: value for key, value in {**base, **doc}.items() if value is not None})
+    assert str(exc.value) == message
+
+
+def _check(**fields):
+    return {"checks": [fields]}
+
+
+def _must_be(where, field, shape, value):
+    return f"fixture bad: {where}: field {field!r} must be {shape}, not {value!r}"
+
+
+@pytest.mark.parametrize("doc, message", [
+    pytest.param(_check(op="counts", counts="first_place", expect=["a"]),
+                 _must_be("check 1", "expect", "a mapping", ["a"]), id="counts-expect"),
+    pytest.param(_check(op="support", expect=["a"]),
+                 _must_be("check 1", "expect", "a mapping", ["a"]), id="support-expect"),
+    pytest.param(_check(op="grade_table", expect=3),
+                 _must_be("check 1", "expect", "a mapping", 3), id="grade_table-expect"),
+    pytest.param(_check(op="axiom", axiom=["H"], expect="holds"),
+                 _must_be("check 1", "axiom", "a string", ["H"]), id="axiom"),
+    pytest.param(_check(op="axiom", axiom="H", expect=["holds"]),
+                 _must_be("check 1", "expect", "a string", ["holds"]), id="axiom-expect"),
+    pytest.param(_check(op="choose", input=["main"], expect=["a"]),
+                 _must_be("check 1", "input", "a string", ["main"]), id="input"),
+    pytest.param(_check(op="counts", counts=["first_place"], expect={"a": 1}),
+                 _must_be("check 1", "counts", "a string", ["first_place"]), id="counts"),
+    pytest.param({"inputs": {"main": {**MAIN3, "kind": ["profile"]}}},
+                 _must_be("input 'main'", "kind", "a string", ["profile"]), id="kind"),
+    pytest.param(_check(op="qpareto", q="two", expect=["a"]),
+                 _must_be("check 1", "q", "an integer", "two"), id="q"),
+    pytest.param(_check(op="choose", expect=["a"],
+                        apply=[{"improve": {"target": "b", "criterion": "first", "steps": 1}}]),
+                 _must_be("an improve transform", "criterion", "an integer", "first"),
+                 id="criterion"),
+    pytest.param({"rule": {"procedure": 4, "q": "x"}},
+                 _must_be("rule", "q", "an integer", "x"), id="rule-q"),
+    pytest.param(_check(op="majority_edges", expect={"ab": 1}),
+                 _must_be("check 1", "expect", "a list of pairs", {"ab": 1}), id="edges"),
+])
+def test_a_field_of_the_wrong_type_names_the_fixture_and_the_field(doc, message):
+    # each of these crashed with a traceback, named neither the fixture nor
+    # the field, or (the string "ab" as an edge) was silently misread
+    base = {"name": "bad", "rule": {"procedure": 2}, "inputs": {"main": MAIN3}}
+    with pytest.raises(ValueError) as exc:
+        run_fixture({**base, **doc})
     assert str(exc.value) == message
 
 

@@ -610,6 +610,13 @@ def test_make_procedure_rejects_bad_requests():
         make_procedure("qpareto", k=2)
     with pytest.raises(ValueError):
         make_procedure("qpareto", q=-1)
+    with pytest.raises(ValueError, match="^borda takes no k parameter$"):
+        Procedure(7, k=2)
+    p = generate_profile(4, 3, seed=2)
+    with pytest.raises(ValueError, match="^q-approval needs q >= 1$"):
+        q_approval(p, 0)  # the kernel checks q as the rule does
+    with pytest.raises(ValueError, match="^no Copeland variant 4$"):
+        copeland(majority_relation(p), 4)
 
 
 def test_apply_procedure_rejects_parameters_for_an_existing_rule():

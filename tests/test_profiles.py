@@ -18,6 +18,7 @@ from twostage.profiles import (
     RankImprovement,
     ScopedProfile,
     TournamentMatrix,
+    _Universe,
     _pairwise_support,
     borda_counts,
     contract,
@@ -204,6 +205,8 @@ def test_parse_majority_matrix_rejects_symmetric_pair():
     assert exc.value.line == 2
     with pytest.raises(ProfileFormatError, match="^line 2: duplicate alternative label 'a'$"):
         parse_majority_matrix("# universe\na a\n- 0\n0 -\n")
+    with pytest.raises(ProfileFormatError, match="^line 3: '-' allowed on the diagonal only$"):
+        parse_majority_matrix("a b\n- 0\n- 0\n")
 
 
 def test_restrict_matrix_and_grades():
@@ -458,8 +461,8 @@ def test_inputs_of_different_kinds_never_compare_equal():
 
 # (m, n) at each switch point of the support kernel: the rank dtype
 # (int8 up to m = 128), a row panel narrower than m (at m = 1100 panels of
-# 476 rows leave a last one of 148), the
-# accumulator dtype (uint8 below n = 255), n * panel width * m on either
+# 476 rows leave a last one of 148), the accumulator dtype (uint8 below
+# n = 255, uint16 below 65535, int64 from there), n * panel width * m on either
 # side of the 1 << 16 elements one compare may span (at m = 64 a compare
 # holds 16 criteria, at m = 181 two, from m = 256 one), and n * m * m on
 # either side of the 1 << 12 elements of the single int32 compare.
@@ -468,7 +471,7 @@ SUPPORT_KERNEL_SIZES = [
     (1100, 2),
     *((5, n) for n in (1, 2, 254, 255, 256)),
     (64, 15), (64, 16), (64, 17), (64, 33), (181, 2), (181, 3), (255, 2), (256, 2),
-    (16, 16), (16, 17), (64, 1), (65, 1), (4, 256), (4, 257),
+    (16, 16), (16, 17), (64, 1), (65, 1), (4, 256), (4, 257), (2, 65534), (2, 70000),
 ]
 
 
@@ -479,7 +482,7 @@ def test_support_kernel_matches_a_brute_count(m, n):
     support = oracles.brute_support(p.orders)
     want = np.array([[support[x].get(y, 0) for y in p.labels] for x in p.labels])
     got = _pairwise_support(p)
-    assert (got == want).all() and got.dtype == (np.uint8 if n < 255 else np.uint16)
+    assert (got == want).all() and got.dtype == (np.uint8 if n < 255 else np.uint16 if n < 65535 else np.int64)
     t = tournament_matrix(p)
     assert t.voters == n and (t.counts == want).all()
     assert (majority_relation(p).matrix == (2 * want > n)).all()
@@ -511,17 +514,72 @@ def test_a_bad_subset_raises_the_same_message_for_every_kind(subset, message):
         assert str(err.value) == "unknown alternative 'zz'"
 
 
-def test_the_label_map_is_built_by_the_first_lookup():
+def test_index_gives_each_label_its_position_for_every_kind():
+    # a position is a binary search over the sorted labels: no value keeps a label map
+    assert _Universe.__slots__ == ("labels",)
     p = generate_profile(5, 3, seed=6)
     derived = [majority_relation(p), tournament_matrix(p), grade_table(p), contract(p, frozenset("bcd"))]
     derived.append(derived[0].restrict(frozenset("abd")))
-    for value in [p, *derived]:
-        assert not hasattr(value, "_pos")
+    unsorted = [
+        MajorityRelation(["c", "a", "b"], [[0, 1, 0], [0, 0, 0], [1, 1, 0]]),
+        TournamentMatrix(["c", "a", "b"], [[0, 2, 1], [1, 0, 3], [2, 0, 0]], 3),
+        GradeTable(["c", "a", "b"], [[1, 2, 3]]),
+    ]
+    for value in [p, ScopedProfile(p, support=True), *derived, *unsorted]:
         assert [value.index(lab) for lab in value.labels] == list(range(value.m))
-        assert value._pos == {lab: j for j, lab in enumerate(value.labels)}
-    # a view shares the map its profile holds, and holds none when it has none
-    assert ScopedProfile(p, support=True)._pos is p._pos
-    assert not hasattr(ScopedProfile(generate_profile(5, 3, seed=6), support=True), "_pos")
+        assert not hasattr(value, "__dict__")
+        for miss in ("", "A", "ab", "zz", None, 7):  # before, between and after the labels
+            with pytest.raises(ValueError, match=f"^unknown alternative {miss!r}$"):
+                value.index(miss)
+    assert [value.labels for value in unsorted] == [("a", "b", "c")] * 3
+
+
+def test_a_value_built_from_unsorted_labels_aligns_its_array():
+    # each constructor sorts the labels and permutes the array's label axes with them
+    p = generate_profile(4, 5, seed=9)
+    backwards = p.labels[::-1]
+    mu, t, g = majority_relation(p), tournament_matrix(p), grade_table(p)
+    assert MajorityRelation(backwards, mu.matrix[::-1, ::-1]) == MajorityRelation(p.labels, mu.matrix)
+    assert TournamentMatrix(backwards, t.counts[::-1, ::-1], p.n) == TournamentMatrix(p.labels, t.counts, p.n)
+    assert GradeTable(backwards, g.grades[:, ::-1]) == GradeTable(p.labels, g.grades)
+    assert Profile(p.orders, labels=backwards) == p
+    assert MajorityRelation(["b", "a"], [[0, 1], [0, 0]]).beats("b", "a")
+    assert GradeTable(["b", "a"], [[5, 1]]).column("b") == (5,)
+    # the parsers pass the labels as written
+    assert parse_grade_table("b a\n5 1\n") == GradeTable(["a", "b"], [[1, 5]])
+    assert parse_majority_matrix("c a b\n- 1 0\n0 - 0\n1 1 -\n").edges() == (("b", "a"), ("b", "c"), ("c", "a"))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Profile([]), "profile needs at least one criterion", id="no-criterion"),
+    pytest.param(lambda: Profile([("a", "b"), ("a", "c")]),
+                 "criterion 2 is not a permutation of the universe", id="not-a-permutation"),
+    pytest.param(lambda: Profile.from_ranks(("a", "b"), np.zeros((1, 3))),
+                 "rank matrix does not match label count", id="rank-label-count"),
+    pytest.param(lambda: MajorityRelation(("a", "b"), np.zeros((2, 3))),
+                 "majority matrix shape does not match universe", id="majority-shape"),
+    pytest.param(lambda: TournamentMatrix(("a", "b"), np.zeros((3, 3)), 1),
+                 "support matrix shape does not match universe", id="support-shape"),
+    pytest.param(lambda: GradeTable(("a", "b"), [1, 2]),
+                 "grade matrix must be (criteria x alternatives)", id="grades-1d"),
+    pytest.param(lambda: GradeTable(("a", "b"), np.zeros((0, 2))),
+                 "grade table needs at least one criterion", id="no-grade-row"),
+    pytest.param(lambda: MajorityRelation((), np.zeros((0, 0))),
+                 "universe must contain at least one alternative", id="empty-universe"),
+    pytest.param(lambda: Profile([("a b", "c")]), "bad alternative label 'a b'", id="space"),
+    pytest.param(lambda: Profile([(1, 2), (2, 1)]), "bad alternative label 1", id="int-profile"),
+    pytest.param(lambda: MajorityRelation([1, 2], [[0, 1], [0, 0]]), "bad alternative label 1",
+                 id="int-relation"),
+    pytest.param(lambda: GradeTable(["a", None], [[1, 2]]), "bad alternative label None", id="none"),
+    pytest.param(lambda: improve(parse_profile(PROFILE_TEXT), RankImprovement("b", 0, 0)),
+                 "steps must be positive (a zero-step move is not an improvement)", id="zero-steps"),
+    pytest.param(lambda: top_q_counts(parse_profile(PROFILE_TEXT), 0), "q must be at least 1",
+                 id="top-0"),
+])
+def test_a_malformed_value_is_rejected_with_its_message(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("grades", [[[1.5, 1.2]], [[1, float("nan")]], [[1, float("inf")]], [["1", "2"]]])
