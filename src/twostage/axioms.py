@@ -819,10 +819,7 @@ def verify_bounded(
     also ``neutral`` on one per orbit under relabelling the alternatives too.
     """
     axiom = normalize_axiom(axiom)
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
+    SearchConfig((m,), (n,), budget=budget, mon2_strict=mon2_strict)  # rejects a budget or size below one
     total = _cell_size(m, n, budget)
     if total > budget:
         return VerificationOutcome("budget-exceeded", 0)

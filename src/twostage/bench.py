@@ -132,16 +132,20 @@ class BenchResult:
     ``exponent`` is the slope of the least-squares line through
     (log m, log t) over points with m > 1; ``residual`` is the root mean
     squared log-error of that line.  A fit requires at least five usable
-    points — with fewer (for example after a budget stop) the result is
-    ``partial`` and carries no exponent.
+    points — with fewer (for example after a budget stop) the result
+    carries no exponent.  A result is ``partial`` exactly when it carries a
+    note saying why.
     """
 
     name: str
     points: tuple[BenchPoint, ...]
     exponent: float | None
     residual: float | None
-    partial: bool = False
     note: str = ""
+
+    @property
+    def partial(self) -> bool:
+        return bool(self.note)
 
     def __post_init__(self):
         usable = [p for p in self.points if p.m > 1]
@@ -198,7 +202,7 @@ def run_scaling(
     points = [BenchPoint(m, n, seconds) for m, seconds in zip(grid, best) if seconds < math.inf]
     exponent, residual = _fit_power_law(points)
     note = stopped or capped or ("too few grid points for a fit" if exponent is None else "")
-    return BenchResult(proc.label(), tuple(points), exponent, residual, bool(note), note)
+    return BenchResult(proc.label(), tuple(points), exponent, residual, note)
 
 
 # How long run_groups waits before each sample, for the BLAS worker threads

@@ -11,6 +11,10 @@ Checks may transform the input first: ``improve`` moves one alternative up
 in one criterion, ``perturb`` flips one majority edge, and ``realize``
 replaces a majority relation with a profile that generates it (used when a
 second stage needs ballot information the relation alone cannot supply).
+
+A document is read whole against its declared shapes before any input is
+parsed or any check runs: a field a shape does not declare, a missing field or
+a field of the wrong type is a ValueError naming the fixture and the field.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Collection, Iterable
 
 import yaml
 
@@ -111,247 +115,243 @@ def _sets_repr(sets: Iterable[Iterable[str]]) -> str:
     return "[" + ", ".join(_fmt_set(s) for s in sets) + "]"
 
 
-# the default of a field a fixture must give
-_REQUIRED = object()
+# ---------------------------------------------------------------------------
+# Declared shapes.  A field type reads one value into the plain value a check
+# uses, or raises a ValueError naming where the value sits.  A shape maps each
+# field a mapping may hold to its type, or to (type, default) if it is optional.
+# A field of type ``_MAPPING`` or ``_LIST`` holds parts read by their own
+# shapes, and is named by its key rather than as a field.
+
+def _kind(shape: str, ok: Callable[[Any], bool], convert: Callable[[Any], Any] = lambda v: v):
+    """The field type of the values that are ``ok``, read through ``convert``."""
+    def read(value, where: str):
+        if not ok(value):
+            raise ValueError(f"{where} must be {shape}, not {value!r}")
+        return convert(value)
+    return read
 
 
-class _Fields(dict):
-    """A mapping of a fixture document, whose missing field, or field of the
-    wrong type, is an input error that says where the mapping sits."""
-
-    def __init__(self, value: dict[str, Any], where: str):
-        super().__init__(value)
-        self.where = where
-
-    def __missing__(self, key):
-        raise ValueError(f"{self.where} has no {key!r} field")
-
-    def _read(self, key, default, ok: Callable[[Any], bool], shape: str):
-        """Field ``key``, or ``default`` when it is absent and not
-        ``_REQUIRED``; any other value must be ``ok``."""
-        value = self[key] if default is _REQUIRED else self.get(key, default)
-        if value is not default and not ok(value):
-            raise ValueError(f"{self.where}: field {key!r} must be {shape}, not {value!r}")
-        return value
-
-    def text(self, key, default=_REQUIRED) -> str:
-        return self._read(key, default, lambda v: isinstance(v, str), "a string")
-
-    def integer(self, key, default=_REQUIRED) -> int:
-        # not ``isinstance``: YAML's true and false are bools, which Python counts as ints
-        return self._read(key, default, lambda v: type(v) is int, "an integer")
-
-    def mapping(self, key) -> "_Fields":
-        return _Fields(self._read(key, _REQUIRED, lambda v: isinstance(v, dict), "a mapping"),
-                       f"{self.where}: field {key!r}")
-
-    def pairs(self, key) -> list[tuple[str, str]]:
-        """A list of two-item lists, each read as a pair of labels."""
-        def ok(v):
-            return isinstance(v, list) and all(isinstance(pair, list) and len(pair) == 2 for pair in v)
-
-        return [(str(x), str(y)) for x, y in self._read(key, _REQUIRED, ok, "a list of pairs")]
+def _is_int(v) -> bool:
+    # not ``isinstance``: YAML's true and false are bools, which Python counts as ints
+    return type(v) is int
 
 
-class _FixtureRunner:
-    def __init__(self, doc: dict[str, Any]):
-        self.name = _Fields(doc, "fixture document")["name"]
-        self.title = doc.get("title", "")
-        raw = self._mapping(doc.get("inputs", {}), "inputs")
-        self.inputs = {key: self._parse_input(key, spec) for key, spec in raw.items()}
-        self.rule = self._rule(doc.get("rule"), "rule")
-        self.checks = doc.get("checks", [])
-        if not isinstance(self.checks, list):
-            raise self._invalid("checks must be a list")
-        self.results: list[CheckResult] = []
+def _is_procedure(v) -> bool:
+    return _is_int(v) or isinstance(v, str)
 
-    def _invalid(self, message: str) -> ValueError:
-        return ValueError(f"fixture {self.name}: {message}")
 
-    def _mapping(self, value, what: str) -> _Fields:
-        if not isinstance(value, dict):
-            raise self._invalid(f"{what} must be a mapping")
-        return _Fields(value, f"fixture {self.name}: {what}")
+def _is_list_of(ok: Callable[[Any], bool], length: int | None = None) -> Callable[[Any], bool]:
+    return lambda v: isinstance(v, list) and all(map(ok, v)) and length in (None, len(v))
 
-    def _lookup(self, table: dict[str, Any], key, what: str):
-        if key not in table:
-            raise self._invalid(f"unknown {what} {key!r}")
-        return table[key]
 
-    def _rule(self, spec, what: str):
-        if spec is None:
-            return None
-        spec = self._mapping(spec, what)
-        if "two_stage" in spec:
-            pair = spec["two_stage"]
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-                raise self._invalid(f"the two_stage of {what} must be a list of two procedures")
-            return _catalog.compose(*pair, q=spec.integer("q", None), k=spec.integer("k", None))
-        if "procedure" in spec:
-            return make_procedure(spec["procedure"], q=spec.integer("q", None), k=spec.integer("k", None))
-        raise self._invalid(f"{what} must name either a procedure or a two-stage pair")
+def _is_map_of(ok: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda v: isinstance(v, dict) and all(isinstance(k, str) and ok(x) for k, x in v.items())
 
-    def _listed(self, value, what: str):
-        """``value``, refused as a bare string, which would read as its characters."""
-        if isinstance(value, str):
-            raise self._invalid(f"write {what} as a list, not the string {value!r}")
-        return value
 
-    def _set(self, value) -> frozenset[str]:
-        value = self._listed(value, "a set")
-        return frozenset() if value is None else frozenset(str(v) for v in value)
+def _map_of(shape: str, ok: Callable[[Any], bool]):
+    """A mapping, whose keys are labels and whose values are ``ok``."""
+    entries = _kind(f"a mapping of labels to {shape}", _is_map_of(ok))
+    return lambda value, where: entries(_MAPPING(value, where), where)
 
-    def _sets(self, value) -> list[frozenset[str]]:
-        return [self._set(v) for v in self._listed(value, "a list of sets")]
 
-    def _parse_input(self, key: str, spec) -> object:
-        spec = self._mapping(spec, f"input {key!r}")
-        parse = self._lookup(INPUT_PARSERS, spec.text("kind"), "input kind")
-        if not isinstance(spec["text"], str):
-            raise self._invalid(f"the text of input {key!r} must be a string")
-        return parse(spec["text"])
+def _one_of(names: Collection[str]):
+    """A string, which is one of ``names``."""
+    member = _kind("one of " + ", ".join(names), names.__contains__)
+    return lambda value, where: member(_TEXT(value, where), where)
 
-    def _input(self, check: dict[str, Any]):
-        name = check.text("input", "main")
-        if name not in self.inputs:
-            raise self._invalid(f"no input named {name!r}")
-        obj = self.inputs[name]
-        for step in check.get("apply") or ():
-            step = self._mapping(step, "a transform")
-            if "improve" in step:
-                spec = self._mapping(step["improve"], "an improve transform")
-                change = RankImprovement(
-                    spec.text("target"), spec.integer("criterion") - 1, spec.integer("steps")
-                )
-                obj = improve(obj, change)
-            elif "perturb" in step:
-                spec = self._mapping(step["perturb"], "a perturb transform")
-                obj = perturb_majority(obj, spec.text("winner"), spec.text("loser"))
-            elif step.get("realize"):
-                obj = _axioms.realizing_profile(obj)
-            else:
-                raise self._invalid(f"unknown transform {step!r}")
-        return obj
 
-    def _read(self, check: dict[str, Any], kind: str, subset: frozenset[str] | None = None):
-        """The check's input as a ``kind`` kernel reads it."""
-        where = f"fixture {self.name}: {check['op']}"
-        return _kernel_input(kind, self._input(check), subset, where)
+_is_labels = _is_list_of(lambda v: isinstance(v, str))
+_TEXT = _kind("a string", lambda v: isinstance(v, str))
+_INT = _kind("an integer", _is_int)
+_MAPPING = _kind("a mapping", lambda v: isinstance(v, dict))
+_LIST = _kind("a list", lambda v: isinstance(v, list))
+_LABELS = _kind("a list of labels", _is_labels, frozenset)
+_LABEL_SETS = _kind("a list of label lists", _is_list_of(_is_labels), lambda v: [frozenset(s) for s in v])
+_PAIRS = _kind("a list of pairs", _is_list_of(_is_list_of(lambda v: isinstance(v, str), 2)),
+               lambda v: sorted(map(tuple, v)))
 
-    def _subset(self, check: dict[str, Any]) -> frozenset[str] | None:
-        subset = check.get("subset")
-        return self._set(subset) if subset else None
+_DOCUMENT = {"name": _TEXT, "title": (_TEXT, ""), "inputs": (_MAPPING, {}), "rule": (_MAPPING, None),
+             "checks": (_LIST, [])}
+_INPUT = {"kind": _one_of(INPUT_PARSERS), "text": _TEXT}
+_RULE = {"procedure": (_kind("a procedure index or name", _is_procedure), None),
+         "two_stage": (_kind("a list of two procedures", _is_list_of(_is_procedure, 2)), None),
+         "q": (_INT, None), "k": (_INT, None)}
+_TRANSFORM = {"improve": (_MAPPING, None), "perturb": (_MAPPING, None),
+              "realize": (_kind("true", lambda v: v is True), None)}
+_IMPROVE = {"target": _TEXT, "criterion": _INT, "steps": _INT}
+_PERTURB = {"winner": _TEXT, "loser": _TEXT}
+# the fields of every check; ``_OPS`` declares the rest, op by op
+_CHECK = {"op": _TEXT, "input": (_TEXT, "main"), "apply": (_LIST, [])}
 
-    def _rule_for(self, check: dict[str, Any]):
-        if "rule" in check:
-            return self._rule(check["rule"], "a check's rule")
-        if self.rule is None:
-            raise self._invalid("check needs a rule")
-        return self.rule
 
-    def _record(self, description: str, got, want, shown: Callable[[Any], str]):
-        """One check, passed when ``got == want``, with ``got`` as ``shown`` renders it."""
-        self.results.append(CheckResult(description, got == want, f"got {shown(got)}"))
+def _field(mapping: dict, key: str, spec, where: str):
+    kind, *default = spec if isinstance(spec, tuple) else (spec,)
+    if key in mapping:
+        return kind(mapping[key], f"{where}: {key}" if kind in (_MAPPING, _LIST) else f"{where}: field {key!r}")
+    if not default:
+        raise ValueError(f"{where} has no {key!r} field")
+    return default[0]
 
-    # ------------------------------------------------------------------
-    def run(self) -> FixtureReport:
-        for number, check in enumerate(self.checks, start=1):
-            check = self._mapping(check, f"check {number}")
-            op = check.text("op")
-            handler = getattr(self, f"_op_{op}", None)
-            if handler is None:
-                raise self._invalid(f"unknown check op {op!r}")
-            handler(check)
-        return FixtureReport(self.name, self.title, tuple(self.results))
 
-    # ------------------------------------------------------------------
-    def _op_choose(self, check):
-        rule = self._rule_for(check)
-        obj = self._input(check)
-        subset = self._subset(check)
-        where = f" on {_fmt_set(subset)}" if subset else ""
-        if "expect_stage1" in check:
-            if not hasattr(rule, "choose_detailed"):
-                raise self._invalid("expect_stage1 needs a two-stage rule")
-            stage1, final = rule.choose_detailed(obj, subset)
-            want = self._set(check["expect_stage1"])
-            self._record(f"first stage{where} -> {_fmt_set(want)}", stage1, want, _fmt_set)
-        else:
-            final = rule.choose(obj, subset)
-        want = self._set(check["expect"])
-        self._record(f"choice{where} -> {_fmt_set(want)}", final, want, _fmt_set)
+def _read(shape: dict[str, Any], value, where: str) -> dict[str, Any]:
+    """``value`` read as a mapping that holds only the fields ``shape`` declares."""
+    for key in _MAPPING(value, where):
+        if key not in shape:
+            raise ValueError(f"{where} has an unknown field {key!r}")
+    return {key: _field(value, key, spec, where) for key, spec in shape.items()}
 
-    def _op_counts(self, check):
-        p = self._read(check, "profile")
-        which = check.text("counts")
-        got = self._lookup(_COUNTS, which, "counts")(p)
-        expect = check.mapping("expect")
-        want = {str(label): expect.integer(label) for label in expect}
-        self._record(f"{which} counts = {want}", got, want, str)
 
-    def _op_majority_edges(self, check):
-        got = sorted(self._read(check, "mu").edges())
-        want = sorted(check.pairs("expect"))
-        self._record(f"majority edges = {want}", got, want, str)
+def _document(doc, where: str) -> dict[str, Any]:
+    """``doc`` read part by part, each rule built and each transform read as a function."""
+    where = f"fixture {_field(_MAPPING(doc, where), 'name', _TEXT, where)}"
+    doc = _read(_DOCUMENT, doc, where)
+    doc["inputs"] = {key: _read(_INPUT, spec, f"{where}: input {key!r}")
+                     for key, spec in doc["inputs"].items()}
+    if doc["rule"] is not None:
+        doc["rule"] = _rule(doc["rule"], f"{where}: rule")
+    doc["checks"] = [_check(check, doc, f"{where}: check {number}")
+                     for number, check in enumerate(doc["checks"], start=1)]
+    return doc
 
-    def _op_support(self, check):
-        t = self._read(check, "support")
-        expect = check.mapping("expect")
-        rows = {x: expect.mapping(x) for x in expect}
-        want = {str(x): {str(y): row.integer(y) for y in row} for x, row in rows.items()}
-        got = {x: {y: t.support(x, y) for y in row} for x, row in want.items()}
-        self._record("pairwise support matrix", got, want, str)
 
-    def _op_grade_table(self, check):
-        g = self._read(check, "grades")
-        expect = check.mapping("expect")
-        want = {str(label): [int(v) for v in column] for label, column in expect.items()}
-        got = {label: list(g.column(label)) for label in want}
-        self._record("grade table", got, want, str)
+def _rule(spec, where: str):
+    spec = _read(_RULE, spec, where)
+    if (spec["procedure"] is None) == (spec["two_stage"] is None):
+        raise ValueError(f"{where} must name either a procedure or a two-stage pair")
+    try:
+        if spec["two_stage"] is not None:
+            return _catalog.compose(*spec["two_stage"], q=spec["q"], k=spec["k"])
+        return make_procedure(spec["procedure"], q=spec["q"], k=spec["k"])
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
-    def _op_threshold_order(self, check):
-        got = [frozenset(c) for c in threshold_order(self._read(check, "grades"))]
-        want = self._sets(check["expect"])
-        self._record(f"threshold order = {_sets_repr(want)}", got, want, _sets_repr)
 
-    def _op_minimal_sets(self, check):
-        subset = self._subset(check)
-        mu = self._read(check, "mu", subset)
-        which = check.text("solution")
-        got = self._lookup(_MINIMAL_SETS, which, "solution family")(mu, check.integer("k", 2))
-        want = self._sets(check["expect"])
-        where = f" on {_fmt_set(subset)}" if subset else ""
-        self._record(
-            f"minimal {which} sets{where} = {_sets_repr(want)}",
-            sorted(got, key=_by_size),
-            sorted(want, key=_by_size),
-            _sets_repr,
-        )
+def _check(check, doc: dict[str, Any], where: str) -> dict[str, Any]:
+    shape = _OPS[_field(_MAPPING(check, where), "op", _one_of(_OPS), where)][1]
+    check = _read({**_CHECK, **shape}, check, where)
+    if check["input"] not in doc["inputs"]:
+        raise ValueError(f"{where}: no input named {check['input']!r}")
+    check["apply"] = [_transform(step, f"{where}: transform {number}")
+                      for number, step in enumerate(check["apply"], start=1)]
+    if "rule" in shape:
+        check["rule"] = doc["rule"] if check["rule"] is None else _rule(check["rule"], f"{where}: rule")
+        if check["rule"] is None:
+            raise ValueError(f"{where} needs a rule")
+    if check.get("expect_stage1") is not None and not hasattr(check["rule"], "choose_detailed"):
+        raise ValueError(f"{where}: expect_stage1 needs a two-stage rule")
+    return check
 
-    def _op_qpareto(self, check):
-        q = check.integer("q")
-        got = q_pareto(self._read(check, "grades"), q)
-        want = self._set(check["expect"])
-        self._record(f"q-Pareto at q={q} -> {_fmt_set(want)}", got, want, _fmt_set)
 
-    def _op_axiom(self, check):
-        rule = self._rule_for(check)
-        obj = self._input(check)
-        axiom = _axioms.normalize_axiom(check.text("axiom"))
-        strict = bool(check.get("mon2_strict", False))
-        verdict = _axioms.check_axiom(rule, obj, axiom, mon2_strict=strict)
-        want_holds = self._lookup(_AXIOM_EXPECT, check.text("expect"), "axiom expectation")
-        found = f"a violation: {verdict.witness.description}" if verdict.witness else "no violation"
-        self._record(
-            f"axiom {axiom} {'holds' if want_holds else 'is violated'}",
-            verdict.holds,
-            want_holds,
-            lambda holds: found,
-        )
+def _transform(step, where: str) -> Callable[[Any], Any]:
+    step = _read(_TRANSFORM, step, where)
+    if sum(value is not None for value in step.values()) != 1:
+        raise ValueError(f"{where} must hold exactly one of {', '.join(_TRANSFORM)}")
+    if step["improve"] is not None:
+        spec = _read(_IMPROVE, step["improve"], f"{where}: improve")
+        change = RankImprovement(spec["target"], spec["criterion"] - 1, spec["steps"])
+        return lambda obj: improve(obj, change)
+    if step["perturb"] is not None:
+        spec = _read(_PERTURB, step["perturb"], f"{where}: perturb")
+        return lambda obj: perturb_majority(obj, spec["winner"], spec["loser"])
+    return _axioms.realizing_profile
+
+
+# ---------------------------------------------------------------------------
+# Check handlers.  Each takes a read check, its transformed input and ``read``,
+# which gives the input as a ``kind`` kernel reads it on ``subset``, and yields
+# (description, got, want, how got is shown) for each comparison it makes.
+
+def _choose(check, obj, read):
+    rule, subset = check["rule"], check["subset"] or None
+    on = f" on {_fmt_set(subset)}" if subset else ""
+    if check["expect_stage1"] is None:
+        final = rule.choose(obj, subset)
+    else:
+        stage1, final = rule.choose_detailed(obj, subset)
+        yield f"first stage{on} -> {_fmt_set(check['expect_stage1'])}", stage1, check["expect_stage1"], _fmt_set
+    yield f"choice{on} -> {_fmt_set(check['expect'])}", final, check["expect"], _fmt_set
+
+
+def _counts(check, obj, read):
+    which, want = check["counts"], check["expect"]
+    yield f"{which} counts = {want}", _COUNTS[which](read("profile")), want, str
+
+
+def _majority_edges(check, obj, read):
+    yield f"majority edges = {check['expect']}", sorted(read("mu").edges()), check["expect"], str
+
+
+def _support(check, obj, read):
+    t, want = read("support"), check["expect"]
+    yield "pairwise support matrix", {x: {y: t.support(x, y) for y in row} for x, row in want.items()}, want, str
+
+
+def _grade_table(check, obj, read):
+    g, want = read("grades"), check["expect"]
+    yield "grade table", {label: list(g.column(label)) for label in want}, want, str
+
+
+def _threshold_order(check, obj, read):
+    got, want = [frozenset(c) for c in threshold_order(read("grades"))], check["expect"]
+    yield f"threshold order = {_sets_repr(want)}", got, want, _sets_repr
+
+
+def _minimal_sets(check, obj, read):
+    subset, which, want = check["subset"] or None, check["solution"], check["expect"]
+    got = _MINIMAL_SETS[which](read("mu", subset), check["k"])
+    on = f" on {_fmt_set(subset)}" if subset else ""
+    yield (f"minimal {which} sets{on} = {_sets_repr(want)}",
+           sorted(got, key=_by_size), sorted(want, key=_by_size), _sets_repr)
+
+
+def _qpareto(check, obj, read):
+    q, want = check["q"], check["expect"]
+    yield f"q-Pareto at q={q} -> {_fmt_set(want)}", q_pareto(read("grades"), q), want, _fmt_set
+
+
+def _axiom(check, obj, read):
+    verdict = _axioms.check_axiom(check["rule"], obj, check["axiom"], mon2_strict=check["mon2_strict"])
+    holds = _AXIOM_EXPECT[check["expect"]]
+    found = f"a violation: {verdict.witness.description}" if verdict.witness else "no violation"
+    yield (f"axiom {check['axiom']} {'holds' if holds else 'is violated'}",
+           verdict.holds, holds, lambda _: found)
+
+
+# each check op's handler and the fields it reads besides ``_CHECK``'s
+_OPS: dict[str, tuple[Callable, dict[str, Any]]] = {
+    "choose": (_choose, {"rule": (_MAPPING, None), "subset": (_LABELS, None),
+                         "expect_stage1": (_LABELS, None), "expect": _LABELS}),
+    "counts": (_counts, {"counts": _one_of(_COUNTS), "expect": _map_of("integers", _is_int)}),
+    "majority_edges": (_majority_edges, {"expect": _PAIRS}),
+    "support": (_support, {"expect": _map_of("mappings of labels to integers", _is_map_of(_is_int))}),
+    "grade_table": (_grade_table, {"expect": _map_of("lists of integers", _is_list_of(_is_int))}),
+    "threshold_order": (_threshold_order, {"expect": _LABEL_SETS}),
+    "minimal_sets": (_minimal_sets, {"subset": (_LABELS, None), "solution": _one_of(_MINIMAL_SETS),
+                                     "k": (_INT, 2), "expect": _LABEL_SETS}),
+    "qpareto": (_qpareto, {"q": _INT, "expect": _LABELS}),
+    "axiom": (_axiom, {"rule": (_MAPPING, None), "axiom": _one_of(_axioms.AXIOMS),
+                       "mon2_strict": (_kind("true or false", lambda v: isinstance(v, bool)), False),
+                       "expect": _one_of(_AXIOM_EXPECT)}),
+}
+
+
+def _replay(doc, where: str) -> FixtureReport:
+    doc = _document(doc, where)
+    inputs = {key: INPUT_PARSERS[spec["kind"]](spec["text"]) for key, spec in doc["inputs"].items()}
+    results = []
+    for check in doc["checks"]:
+        obj = inputs[check["input"]]
+        for step in check["apply"]:
+            obj = step(obj)
+        where = f"fixture {doc['name']}: {check['op']}"
+        read = lambda kind, subset=None: _kernel_input(kind, obj, subset, where)
+        for description, got, want, shown in _OPS[check["op"]][0](check, obj, read):
+            results.append(CheckResult(description, got == want, f"got {shown(got)}"))
+    return FixtureReport(doc["name"], doc["title"], tuple(results))
 
 
 def run_fixture(doc: dict[str, Any]) -> FixtureReport:
-    return _FixtureRunner(doc).run()
+    return _replay(doc, "fixture document")
 
 
 def run_fixture_file(path: str | Path) -> FixtureReport:
@@ -359,9 +359,7 @@ def run_fixture_file(path: str | Path) -> FixtureReport:
         doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: a fixture document must be a mapping")
-    return run_fixture(doc)
+    return _replay(doc, f"{path}: fixture document")
 
 
 def run_corpus(directory: str | Path | None = None) -> list[FixtureReport]:

@@ -39,8 +39,9 @@ kernel itself.  :class:`Procedure` reads its row from ``_REGISTRY`` and
 :class:`QParetoRule` holds one of its own; names, dispatch and labels all
 derive from the row.  Every such rule is anonymous and neutral.
 
-Empty choices: only the simple majority rule, the Condorcet winner, and the
-run-off procedure can return an empty set; everything else always chooses at
+Empty choices: only the simple majority rule (1), the run-off procedure (5),
+the Condorcet winner (19) and the core (20) can return an empty set, all four
+on a majority cycle such as abc/bca/cab; everything else always chooses at
 least one alternative on a non-empty input.
 """
 

@@ -49,7 +49,7 @@ def test_bench_point_and_result_invariants():
         BenchResult("x", points[:4], 1.0, 0.0)
     with pytest.raises(ValueError):
         BenchResult("x", points, 1.0, None)
-    BenchResult("x", points[:2], None, None, partial=True)
+    assert BenchResult("x", points[:2], None, None, note="too few grid points for a fit").partial
 
 
 def test_run_scaling_fits_linear_growth():

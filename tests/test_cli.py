@@ -428,7 +428,7 @@ def test_fixtures_rejects_an_op_its_input_cannot_feed(capsys, tmp_path, op, fiel
 def test_fixtures_rejects_a_document_of_the_wrong_shape(capsys, tmp_path):
     (tmp_path / "bad.yaml").write_text("name: bad\ninputs: [1, 2]\n", encoding="utf-8")
     code, out, err = run(capsys, "fixtures", "--dir", str(tmp_path))
-    assert (code, out, err) == (2, "", "error: fixture bad: inputs must be a mapping\n")
+    assert (code, out, err) == (2, "", "error: fixture bad: inputs must be a mapping, not [1, 2]\n")
 
 
 @pytest.mark.parametrize("field, message", [
@@ -438,7 +438,28 @@ def test_fixtures_rejects_a_document_of_the_wrong_shape(capsys, tmp_path):
 def test_fixtures_names_a_rule_or_checks_of_the_wrong_shape(capsys, tmp_path, field, message):
     (tmp_path / "bad.yaml").write_text(f"name: bad\n{field}\n", encoding="utf-8")
     code, out, err = run(capsys, "fixtures", "--dir", str(tmp_path))
-    assert (code, out, err) == (2, "", f"error: fixture bad: {message}\n")
+    assert (code, out, err) == (2, "", f"error: fixture bad: {message}, not 5\n")
+
+
+def test_fixtures_rejects_a_check_field_its_op_does_not_declare(capsys, tmp_path):
+    (tmp_path / "bad.yaml").write_text(
+        "name: bad\n"
+        "inputs:\n"
+        "  main: {kind: profile, text: \"a b\\nb a\\na b\\n\"}\n"
+        "rule: {procedure: 2}\n"
+        "checks:\n"
+        "  - {op: choose, subest: [a], expect: [a]}\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "fixtures", "--dir", str(tmp_path))
+    assert (code, out, err) == (2, "", "error: fixture bad: check 1 has an unknown field 'subest'\n")
+
+
+def test_fixtures_names_the_file_of_a_nameless_document(capsys, tmp_path):
+    path = tmp_path / "nameless.yaml"
+    path.write_text("title: no name\n", encoding="utf-8")
+    code, out, err = run(capsys, "fixtures", "--dir", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: {path}: fixture document has no 'name' field\n")
 
 
 # -- bench --------------------------------------------------------------------

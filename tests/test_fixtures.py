@@ -184,12 +184,12 @@ def test_fixture_runner_rejects_malformed_documents():
 
 
 @pytest.mark.parametrize("op, kind, fields", [
-    ("counts", "grades", {"counts": "borda"}),
-    ("counts", "majority", {"counts": "first_place"}),
+    ("counts", "grades", {"counts": "borda", "expect": {}}),
+    ("counts", "majority", {"counts": "first_place", "expect": {}}),
     ("majority_edges", "grades", {}),
-    ("support", "grades", {}),
-    ("support", "majority", {}),
-    ("grade_table", "majority", {}),
+    ("support", "grades", {"expect": {}}),
+    ("support", "majority", {"expect": {}}),
+    ("grade_table", "majority", {"expect": {}}),
     ("threshold_order", "majority", {}),
     ("minimal_sets", "grades", {"solution": "dominant"}),
     ("qpareto", "majority", {"q": 0}),
@@ -202,37 +202,38 @@ def test_fixture_ops_reject_an_input_kind_they_cannot_read(op, kind, fields):
         run_fixture(doc)
 
 
-SET_AS_STRING = "write a set as a list, not the string 'ab'"
+def _labels(field, value="ab", shape="a list of labels"):
+    return f"check 1: field {field!r} must be {shape}, not {value!r}"
 
 
 @pytest.mark.parametrize("body, message", [
-    pytest.param("inputs: [1, 2]\n", "inputs must be a mapping", id="inputs"),
-    pytest.param("inputs:\n  main: profile\n", "input 'main' must be a mapping", id="input"),
+    pytest.param("inputs: [1, 2]\n", "inputs must be a mapping, not [1, 2]", id="inputs"),
+    pytest.param("inputs:\n  main: profile\n", "input 'main' must be a mapping, not 'profile'",
+                 id="input"),
     pytest.param("inputs:\n  main: {kind: profile, text: 5}\n",
-                 "the text of input 'main' must be a string", id="text"),
-    pytest.param("rule: 5\n", "rule must be a mapping", id="rule"),
-    pytest.param("rule: {two_stage: 5}\n", "the two_stage of rule must be a list of two procedures",
-                 id="two_stage"),
-    pytest.param("rule: {name: borda}\n",
-                 "rule must name either a procedure or a two-stage pair", id="rule-names-nothing"),
-    pytest.param("checks: 5\n", "checks must be a list", id="checks"),
-    pytest.param("checks: [choose]\n", "check 1 must be a mapping", id="check"),
+                 "input 'main': field 'text' must be a string, not 5", id="text"),
+    pytest.param("rule: 5\n", "rule must be a mapping, not 5", id="rule"),
+    pytest.param("rule: {two_stage: 5}\n",
+                 "rule: field 'two_stage' must be a list of two procedures, not 5", id="two_stage"),
+    pytest.param("rule: {name: borda}\n", "rule has an unknown field 'name'", id="rule-names-nothing"),
+    pytest.param("checks: 5\n", "checks must be a list, not 5", id="checks"),
+    pytest.param("checks: [choose]\n", "check 1 must be a mapping, not 'choose'", id="check"),
     pytest.param("checks:\n  - {op: choose, rule: 5, expect: [a]}\n",
-                 "a check's rule must be a mapping", id="check-rule"),
+                 "check 1: rule must be a mapping, not 5", id="check-rule"),
     pytest.param("checks:\n  - {op: choose, apply: [realize], expect: [a]}\n",
-                 "a transform must be a mapping", id="transform"),
-    pytest.param("checks:\n  - {op: choose, expect: ab}\n", SET_AS_STRING, id="expect"),
-    pytest.param("checks:\n  - {op: choose, subset: ab, expect: [a]}\n", SET_AS_STRING,
+                 "check 1: transform 1 must be a mapping, not 'realize'", id="transform"),
+    pytest.param("checks:\n  - {op: choose, expect: ab}\n", _labels("expect"), id="expect"),
+    pytest.param("checks:\n  - {op: choose, subset: ab, expect: [a]}\n", _labels("subset"),
                  id="subset"),
     pytest.param("checks:\n  - {op: choose, rule: {two_stage: [2, 7]}, expect_stage1: ab, "
-                 "expect: [a]}\n", SET_AS_STRING, id="expect_stage1"),
+                 "expect: [a]}\n", _labels("expect_stage1"), id="expect_stage1"),
     pytest.param("checks:\n  - {op: choose, expect_stage1: [a], expect: [a]}\n",
-                 "expect_stage1 needs a two-stage rule", id="expect_stage1-one-stage"),
-    pytest.param("checks:\n  - {op: qpareto, q: 0, expect: ab}\n", SET_AS_STRING, id="qpareto"),
+                 "check 1: expect_stage1 needs a two-stage rule", id="expect_stage1-one-stage"),
+    pytest.param("checks:\n  - {op: qpareto, q: 0, expect: ab}\n", _labels("expect"), id="qpareto"),
     pytest.param("checks:\n  - {op: threshold_order, expect: ab}\n",
-                 "write a list of sets as a list, not the string 'ab'", id="set-list"),
+                 _labels("expect", shape="a list of label lists"), id="set-list"),
     pytest.param("checks:\n  - {op: minimal_sets, solution: dominant, expect: [ab]}\n",
-                 SET_AS_STRING, id="set-list-member"),
+                 _labels("expect", ["ab"], "a list of label lists"), id="set-list-member"),
 ])
 def test_fixture_documents_of_the_wrong_shape_name_the_fixture(tmp_path, body, message):
     head = "name: bad\n"
@@ -270,15 +271,16 @@ MAIN3 = {"kind": "profile", "text": "a b c\nb a c\nc a b\na b c\n"}
     pytest.param({"checks": [{"op": "axiom", "expect": "holds"}]},
                  "fixture bad: check 1 has no 'axiom' field", id="axiom"),
     pytest.param({"checks": [{"op": "axiom", "axiom": "C", "expect": "maybe"}]},
-                 "fixture bad: unknown axiom expectation 'maybe'", id="axiom-expect"),
+                 "fixture bad: check 1: field 'expect' must be one of holds, violated, not 'maybe'",
+                 id="axiom-expect"),
     *(pytest.param({"checks": [{"op": "choose", "apply": [{"improve": spec}], "expect": []}]},
-                   f"fixture bad: an improve transform has no {field!r} field", id=field)
+                   f"fixture bad: check 1: transform 1: improve has no {field!r} field", id=field)
       for field, spec in (("target", {"criterion": 1, "steps": 1}),
                           ("criterion", {"target": "a", "steps": 1}),
                           ("steps", {"target": "a", "criterion": 1}))),
     *(pytest.param({"inputs": {"main": {"kind": "majority", "text": "a b\n- 1\n0 -\n"}},
                     "checks": [{"op": "choose", "apply": [{"perturb": spec}], "expect": []}]},
-                   f"fixture bad: a perturb transform has no {field!r} field", id=field)
+                   f"fixture bad: check 1: transform 1: perturb has no {field!r} field", id=field)
       for field, spec in (("winner", {"loser": "a"}), ("loser", {"winner": "b"}))),
 ])
 def test_a_missing_field_names_the_fixture_and_the_field(doc, message):
@@ -318,7 +320,7 @@ def _must_be(where, field, shape, value):
                  _must_be("check 1", "q", "an integer", "two"), id="q"),
     pytest.param(_check(op="choose", expect=["a"],
                         apply=[{"improve": {"target": "b", "criterion": "first", "steps": 1}}]),
-                 _must_be("an improve transform", "criterion", "an integer", "first"),
+                 _must_be("check 1: transform 1: improve", "criterion", "an integer", "first"),
                  id="criterion"),
     pytest.param({"rule": {"procedure": 4, "q": "x"}},
                  _must_be("rule", "q", "an integer", "x"), id="rule-q"),
@@ -328,6 +330,52 @@ def _must_be(where, field, shape, value):
 def test_a_field_of_the_wrong_type_names_the_fixture_and_the_field(doc, message):
     # each of these crashed with a traceback, named neither the fixture nor
     # the field, or (the string "ab" as an edge) was silently misread
+    base = {"name": "bad", "rule": {"procedure": 2}, "inputs": {"main": MAIN3}}
+    with pytest.raises(ValueError) as exc:
+        run_fixture({**base, **doc})
+    assert str(exc.value) == message
+
+
+GRADES = {"kind": "grades", "text": "a b c\n3 1 2\n1 3 2\n"}
+
+
+@pytest.mark.parametrize("doc, message", [
+    pytest.param(_check(op="choose", subest=["a", "b"], expect=["a"]),
+                 "fixture bad: check 1 has an unknown field 'subest'", id="subest"),
+    pytest.param(_check(op="choose", rule={"two_stage": [2, 7]}, expect_stage_1=["a"], expect=["a"]),
+                 "fixture bad: check 1 has an unknown field 'expect_stage_1'", id="expect_stage_1"),
+    *(pytest.param(_check(op="axiom", axiom="MON2", mon2_strict=text, expect="holds"),
+                   _must_be("check 1", "mon2_strict", "true or false", text), id=f"mon2_strict-{text}")
+      for text in ("no", "false")),
+    pytest.param({"rule": {"procedure": [2]}},
+                 _must_be("rule", "procedure", "a procedure index or name", [2]), id="procedure-list"),
+    pytest.param({"rule": {"two_stage": [[2], 7]}},
+                 _must_be("rule", "two_stage", "a list of two procedures", [[2], 7]), id="two_stage-list"),
+    pytest.param({"rule": {"procedure": True}},
+                 _must_be("rule", "procedure", "a procedure index or name", True), id="procedure-bool"),
+    *(pytest.param({"inputs": {"main": GRADES}, "checks": [{"op": "grade_table", "expect": expect}]},
+                   _must_be("check 1", "expect", "a mapping of labels to lists of integers", expect),
+                   id=name)
+      for name, expect in (("grade-column", {"a": 3}), ("grade-text", {"a": ["x"]}))),
+    pytest.param(_check(op="choose", expect=[["a"]]),
+                 _must_be("check 1", "expect", "a list of labels", [["a"]]), id="nested-set"),
+    pytest.param(_check(op="choose", apply={"realize": True}, expect=["a"]),
+                 "fixture bad: check 1: apply must be a list, not {'realize': True}", id="apply"),
+    pytest.param({"title": ["x"]}, "fixture bad: field 'title' must be a string, not ['x']", id="title"),
+    # one spelling per condition, the one the catalog's flags compare against
+    pytest.param(_check(op="axiom", axiom="mon1", expect="holds"),
+                 _must_be("check 1", "axiom", "one of H, C, O, ACA, MON1, MON2, SM, NC", "mon1"),
+                 id="axiom-alias"),
+    pytest.param({"rule": {"q": 2}}, "fixture bad: rule must name either a procedure or a two-stage pair",
+                 id="rule-names-nothing"),
+    pytest.param({"rule": {"procedure": 2, "two_stage": [2, 7]}},
+                 "fixture bad: rule must name either a procedure or a two-stage pair", id="rule-names-both"),
+])
+def test_a_misread_document_is_refused_with_the_fixture_and_the_field(doc, message):
+    # a misspelt field, a string for a bool, a list or a bool for a
+    # procedure, a list for a label, a mapping for the list of transforms,
+    # and a rule naming no procedure or two: each is refused before any
+    # input is parsed
     base = {"name": "bad", "rule": {"procedure": 2}, "inputs": {"main": MAIN3}}
     with pytest.raises(ValueError) as exc:
         run_fixture({**base, **doc})

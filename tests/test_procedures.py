@@ -373,6 +373,13 @@ def test_cyclic_hand_case():
     assert simpson(t) == everyone
 
 
+def test_only_four_procedures_choose_nothing_on_a_majority_cycle():
+    # the module docstring's list of rules that can return the empty set
+    p = Profile([("a", "b", "c"), ("b", "c", "a"), ("c", "a", "b")])
+    empty = [index for index in range(1, 29) if make_procedure(index).choose(p) == frozenset()]
+    assert empty == [1, 5, 19, 20]
+
+
 def test_transitive_hand_case():
     # Majority relation is the transitive tournament a > b > c > d, but the
     # first-place counts three-way tie between a, b and d.
