@@ -52,7 +52,6 @@ from .procedures import (
     threshold_order,
 )
 from .catalog import (
-    AXIOM_KEYS,
     CatalogEntry,
     TwoStage,
     catalog_counts,
@@ -94,7 +93,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AXIOMS",
-    "AXIOM_KEYS",
     "BenchResult",
     "CatalogEntry",
     "Counterexample",

@@ -51,12 +51,12 @@ from .profiles import (
     MajorityRelation,
     Profile,
     RankImprovement,
-    ScopedProfile,
     _fmt_set,
     default_labels,
     improve,
     majority_relation,
     perturb_majority,
+    scoped,
 )
 from .procedures import _kernel_input, threshold_order
 
@@ -365,10 +365,8 @@ def _check_nc(choose: _Choose, g: GradeTable) -> Counterexample | None:
 def _check(
     rule: ChoiceRule, data, axiom: str, family: _Family, mon2_strict: bool
 ) -> Verdict:
-    if type(data) is Profile:
-        # μ or S derived at most once, restricted per subset: S when the
-        # rule says it reads S, otherwise what its first read asks for
-        data = ScopedProfile(data, "support" in getattr(rule, "kinds", ()))
+    # μ or S derived at most once, restricted per subset
+    data = scoped(data, rule)
     # each subset's choice computed once, on first need.  A lambda, not a
     # partial: functools.cache copies the wrapped function's name and
     # annotations, and the failed lookups on a partial double its set-up
@@ -814,15 +812,15 @@ def verify_bounded(
 
     This is the only verification entry point: a 'verified' outcome means
     every one of the (m!)^n profiles was covered.  Sampling cannot verify,
-    so there is deliberately no random mode here.  An ``anonymous`` rule is
+    so there is deliberately no random mode here.  A cell within the budget
+    is scanned by :func:`search_counterexample`, so an ``anonymous`` rule is
     checked on one profile per orbit under permuting the criteria, and one
     also ``neutral`` on one per orbit under relabelling the alternatives too.
     """
     axiom = normalize_axiom(axiom)
-    SearchConfig((m,), (n,), budget=budget, mon2_strict=mon2_strict)  # rejects a budget or size below one
-    total = _cell_size(m, n, budget)
-    if total > budget:
+    cfg = SearchConfig((m,), (n,), budget=budget, mon2_strict=mon2_strict)
+    if _cell_size(m, n, budget) > budget:
         return VerificationOutcome("budget-exceeded", 0)
-    cell = _scan_cell(rule, m, n, _checker(rule, axiom, "all", mon2_strict), total)
-    status = "refuted" if cell.found else "verified"
-    return VerificationOutcome(status, cell.examined, cell.witness, cell.profile, cell.evaluated)
+    result = search_counterexample(rule, axiom, cfg)  # within the budget: found or exhausted
+    status = "refuted" if result.found else "verified"
+    return VerificationOutcome(status, result.examined, result.witness, result.profile, result.evaluated)

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .catalog import classify_group, compose
+from .catalog import compose
 from .procedures import make_procedure
 from .profiles import Profile, default_labels
 
@@ -190,7 +190,8 @@ def run_scaling(
         raise ValueError(f"each m value may be given once, not {list(m_values)}")
     proc = make_procedure(spec)
     capped = ""
-    if proc.index in _SET_ENUMERATION_PROCS and any(m > SET_ENUMERATION_LIMIT for m in grid):
+    # the q-Pareto rule has no index, and it enumerates no sets
+    if getattr(proc, "index", None) in _SET_ENUMERATION_PROCS and any(m > SET_ENUMERATION_LIMIT for m in grid):
         grid = [m for m in grid if m <= SET_ENUMERATION_LIMIT]
         capped = (
             f"stable-set enumeration is capped at {SET_ENUMERATION_LIMIT} "
@@ -253,10 +254,10 @@ def run_groups(
     m: int = 2000,
     n: int = 10,
     seed: int = 20260818,
-    representatives: dict[str, tuple[tuple[int, int], ...]] | None = None,
     trials: int = 3,
 ) -> GroupReport:
-    """Time each representative two-stage rule on one shared random profile.
+    """Time each two-stage rule of ``GROUP_REPRESENTATIVES`` on one shared
+    random profile.
 
     As in :func:`run_scaling`, each row keeps its best sample over
     ``trials`` interleaved rounds.  So a slow phase of the machine slows one
@@ -270,18 +271,12 @@ def run_groups(
     (m = 2000, n = 10) took 1.6-1.8 times as long right after a call of
     (16, 7) as after a pause.  Without the pause, a row timed after a
     covering row would be charged for that row's spin."""
-    reps = representatives or GROUP_REPRESENTATIVES
     p = generate_profile(m, n, seed)
-    cells = []
-    for group, pairs in reps.items():
-        for first, second in pairs:
-            expected = classify_group(first, second)
-            if expected != group:
-                raise ValueError(
-                    f"procedure pair ({first}, {second}) belongs to group "
-                    f"{expected!r}, not {group!r}"
-                )
-            cells.append((group, first, second, compose(first, second)))
+    cells = [
+        (group, first, second, compose(first, second))
+        for group, pairs in GROUP_REPRESENTATIVES.items()
+        for first, second in pairs
+    ]
     calls = [lambda rule=rule: rule.choose(p) for *_, rule in cells]
     best, _ = _best_of_rounds(calls, trials, pause=_BLAS_SPIN_SECONDS)
     rows = (GroupRow(group, a, b, s) for (group, a, b, _), s in zip(cells, best))

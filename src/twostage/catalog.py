@@ -22,16 +22,14 @@ fixture case or the family argument it rests on), ``unverified`` otherwise.
 from __future__ import annotations
 
 import functools
-import io
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Iterable
 
-from .axioms import AXIOMS as AXIOM_KEYS
+from .axioms import AXIOMS
 from .procedures import PROCEDURE_NAMES, Procedure, make_procedure
-from .profiles import Profile, ScopedProfile
+from .profiles import scoped
 
 __all__ = [
-    "AXIOM_KEYS",
     "TwoStage",
     "compose",
     "encode_two_stage",
@@ -90,8 +88,7 @@ class TwoStage:
         the relation or the support matrix the first derived restricts it
         to the survivors instead of deriving its own; the scope derives S
         only when a stage reads it."""
-        if type(data) is Profile:
-            data = ScopedProfile(data, "support" in self.kinds)
+        data = scoped(data, self)
         survivors = self.first.choose(data, subset)
         if not survivors:
             return survivors, frozenset()
@@ -418,14 +415,14 @@ def _expand(rows) -> Iterable[tuple[int, str, str, str]]:
     raises :class:`ValueError` naming the row's source."""
     for firsts, seconds, pattern, source in rows:
         symbols = pattern.split()
-        if len(symbols) != len(AXIOM_KEYS) or not set(symbols) <= {"+", "-", "?"}:
+        if len(symbols) != len(AXIOMS) or not set(symbols) <= {"+", "-", "?"}:
             raise ValueError(
-                f"{source}: pattern {pattern!r} must be {len(AXIOM_KEYS)} symbols from + - ?"
+                f"{source}: pattern {pattern!r} must be {len(AXIOMS)} symbols from + - ?"
             )
         for first in firsts:
             for second in seconds:
                 ts = encode_two_stage(first, second)
-                for axiom, symbol in zip(AXIOM_KEYS, symbols):
+                for axiom, symbol in zip(AXIOMS, symbols):
                     if symbol != "?":
                         yield ts, axiom, _VALUE_OF[symbol], source
 
@@ -450,7 +447,7 @@ def _compile_flags() -> dict[int, dict[str, tuple[str, str]]]:
     # the sweeping rows said about them is not evidence
     for ts in DEGENERATE_IDS.keys() | EQUIVALENT_TO.keys():
         flags[ts] = {}
-    blank = dict.fromkeys(AXIOM_KEYS, ("unverified", ""))
+    blank = dict.fromkeys(AXIOMS, ("unverified", ""))
     return {ts: blank | cell for ts, cell in flags.items()}
 
 
@@ -477,12 +474,6 @@ class CatalogEntry:
     @property
     def second_name(self) -> str:
         return PROCEDURE_NAMES[self.second]
-
-    def flag(self, axiom: str) -> str:
-        return self.flags[axiom][0]
-
-    def flag_source(self, axiom: str) -> str:
-        return self.flags[axiom][1]
 
 
 def classify(two_stage_id: int) -> CatalogEntry:
@@ -547,16 +538,14 @@ def classify_group(first: int, second: int) -> str:
     raise AssertionError((first, second))  # pragma: no cover
 
 
-def export_catalog(stream: TextIO | None = None) -> str:
-    """Write the catalog as tab-separated text and return it.
+def export_catalog() -> str:
+    """The catalog as tab-separated text.
 
     One row per id: id, stage indices and names, status, detail, then one
     column per axiom holding ``value(source)``.
     """
-    buf = io.StringIO()
-    header = ["id", "first", "first_name", "second", "second_name", "status", "detail"]
-    header += list(AXIOM_KEYS)
-    buf.write("\t".join(header) + "\n")
+    header = ["id", "first", "first_name", "second", "second_name", "status", "detail", *AXIOMS]
+    lines = ["\t".join(header)]
     for entry in full_catalog():
         row = [
             str(entry.two_stage_id),
@@ -567,11 +556,8 @@ def export_catalog(stream: TextIO | None = None) -> str:
             entry.status,
             entry.detail,
         ]
-        for axiom in AXIOM_KEYS:
+        for axiom in AXIOMS:
             value, source = entry.flags[axiom]
             row.append(f"{value}({source})" if source else value)
-        buf.write("\t".join(row) + "\n")
-    text = buf.getvalue()
-    if stream is not None:
-        stream.write(text)
-    return text
+        lines.append("\t".join(row))
+    return "\n".join(lines) + "\n"

@@ -37,8 +37,7 @@ def _default_budget() -> int:
     except ValueError:
         value = 0
     if value < 1:
-        print(f"error: {_BUDGET_ENV} must be a positive integer, got {raw!r}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"{_BUDGET_ENV} must be a positive integer, got {raw!r}")
     return value
 
 
@@ -141,9 +140,8 @@ def _cmd_verify(args) -> int:
             raise ValueError(f"verify checks one size; {flag} was given {len(values)} times")
     m = (args.m or (3,))[0]
     n = (args.n or (3,))[0]
-    axiom = _axioms.normalize_axiom(args.axiom)
     outcome = _axioms.verify_bounded(
-        rule, axiom, m, n, budget=args.budget, mon2_strict=args.mon2_strict
+        rule, args.axiom, m, n, budget=args.budget, mon2_strict=args.mon2_strict
     )
     print(f"status {outcome.status}")
     print(f"checked {outcome.checked}")
@@ -158,10 +156,7 @@ def _cmd_fixtures(args) -> int:
         raise ValueError("no fixtures found")
     failed = sum(not report.passed for report in reports)
     for report in reports:
-        print(f"{'PASS' if report.passed else 'FAIL'}  {report.name}  ({len(report.checks)} checks)")
-        for c in report.checks:
-            if not c.passed:
-                print(f"      failed: {c.description} -- {c.detail}")
+        print(report.summary())
     print(f"total {len(reports)} fixtures, {len(reports) - failed} passed, {failed} failed")
     return 0 if failed == 0 else 1
 
@@ -302,12 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # building the parser reads $TWOSTAGE_BUDGET, which can be an input error
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except BrokenPipeError:
         return 0
-    except (ValueError, TypeError, KeyError, OSError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,6 +40,8 @@ from .procedures import (
 )
 from .profiles import (
     INPUT_PARSERS,
+    MajorityRelation,
+    Profile,
     RankImprovement,
     _fmt_set,
     borda_counts,
@@ -77,11 +79,9 @@ class FixtureReport:
         return all(c.passed for c in self.checks)
 
     def summary(self) -> str:
-        mark = "PASS" if self.passed else "FAIL"
-        lines = [f"[{mark}] {self.name}: {self.title}"]
-        for c in self.checks:
-            lines.append(f"  {'ok ' if c.passed else 'XX '}{c.description}"
-                         + (f" -- {c.detail}" if c.detail and not c.passed else ""))
+        """The report as ``twostage fixtures`` prints it: one line, then one per failed check."""
+        lines = [f"{'PASS' if self.passed else 'FAIL'}  {self.name}  ({len(self.checks)} checks)"]
+        lines += [f"      failed: {c.description} -- {c.detail}" for c in self.checks if not c.passed]
         return "\n".join(lines)
 
 
@@ -201,6 +201,14 @@ def _read(shape: dict[str, Any], value, where: str) -> dict[str, Any]:
     return {key: _field(value, key, spec, where) for key, spec in shape.items()}
 
 
+def _located(where: str, fn: Callable, *args, **kwargs):
+    """``fn(*args, **kwargs)``, whose ValueError is prefixed with ``where``."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _document(doc, where: str) -> dict[str, Any]:
     """``doc`` read part by part, each rule built and each transform read as a function."""
     where = f"fixture {_field(_MAPPING(doc, where), 'name', _TEXT, where)}"
@@ -218,12 +226,9 @@ def _rule(spec, where: str):
     spec = _read(_RULE, spec, where)
     if (spec["procedure"] is None) == (spec["two_stage"] is None):
         raise ValueError(f"{where} must name either a procedure or a two-stage pair")
-    try:
-        if spec["two_stage"] is not None:
-            return _catalog.compose(*spec["two_stage"], q=spec["q"], k=spec["k"])
-        return make_procedure(spec["procedure"], q=spec["q"], k=spec["k"])
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+    if spec["two_stage"] is not None:
+        return _located(where, _catalog.compose, *spec["two_stage"], q=spec["q"], k=spec["k"])
+    return _located(where, make_procedure, spec["procedure"], q=spec["q"], k=spec["k"])
 
 
 def _check(check, doc: dict[str, Any], where: str) -> dict[str, Any]:
@@ -249,11 +254,20 @@ def _transform(step, where: str) -> Callable[[Any], Any]:
     if step["improve"] is not None:
         spec = _read(_IMPROVE, step["improve"], f"{where}: improve")
         change = RankImprovement(spec["target"], spec["criterion"] - 1, spec["steps"])
-        return lambda obj: improve(obj, change)
-    if step["perturb"] is not None:
+        name, needs, apply = "improve", Profile, lambda p: improve(p, change)
+    elif step["perturb"] is not None:
         spec = _read(_PERTURB, step["perturb"], f"{where}: perturb")
-        return lambda obj: perturb_majority(obj, spec["winner"], spec["loser"])
-    return _axioms.realizing_profile
+        name, needs = "perturb", MajorityRelation
+        apply = lambda mu: perturb_majority(mu, spec["winner"], spec["loser"])
+    else:
+        name, needs, apply = "realize", MajorityRelation, _axioms.realizing_profile
+
+    def transform(obj):
+        if not isinstance(obj, needs):
+            raise TypeError(f"{where}: {name} needs {needs.noun}, not {obj.noun}")
+        return _located(where, apply, obj)
+
+    return transform
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +351,19 @@ _OPS: dict[str, tuple[Callable, dict[str, Any]]] = {
 
 def _replay(doc, where: str) -> FixtureReport:
     doc = _document(doc, where)
-    inputs = {key: INPUT_PARSERS[spec["kind"]](spec["text"]) for key, spec in doc["inputs"].items()}
+    fixture = f"fixture {doc['name']}"
+    inputs = {key: _located(f"{fixture}: input {key!r}", INPUT_PARSERS[spec["kind"]], spec["text"])
+              for key, spec in doc["inputs"].items()}
     results = []
-    for check in doc["checks"]:
+    for number, check in enumerate(doc["checks"], start=1):
         obj = inputs[check["input"]]
         for step in check["apply"]:
             obj = step(obj)
-        where = f"fixture {doc['name']}: {check['op']}"
+        where = f"{fixture}: {check['op']}"
         read = lambda kind, subset=None: _kernel_input(kind, obj, subset, where)
-        for description, got, want, shown in _OPS[check["op"]][0](check, obj, read):
+        # a label or criterion the input lacks raises while the handler runs
+        comparisons = _located(f"{fixture}: check {number}", list, _OPS[check["op"]][0](check, obj, read))
+        for description, got, want, shown in comparisons:
             results.append(CheckResult(description, got == want, f"got {shown(got)}"))
     return FixtureReport(doc["name"], doc["title"], tuple(results))
 

@@ -332,6 +332,14 @@ class ScopedProfile(Profile):
         self.support = support
 
 
+def scoped(data, rule):
+    """``data`` for one condition check or two-stage call of ``rule``: a plain
+    profile is seen through a fresh :class:`ScopedProfile`, set to hold S if ``rule`` reads S."""
+    if type(data) is Profile:
+        return ScopedProfile(data, "support" in getattr(rule, "kinds", ()))
+    return data
+
+
 @dataclass(frozen=True)
 class RankImprovement:
     """Move ``target`` up by ``steps`` positions in one criterion.

@@ -130,8 +130,8 @@ def test_run_groups_times_the_rows_in_rounds(monkeypatch):
     monkeypatch.setattr(bench, "compose", Rule)
     monkeypatch.setattr(bench, "measure_call", once)
     monkeypatch.setattr(bench.time, "sleep", lambda s: calls.append(s))
-    reps = {"low": ((2, 16),), "average": ((27, 28),)}
-    report = run_groups(m=5, n=3, trials=3, representatives=reps)
+    monkeypatch.setattr(bench, "GROUP_REPRESENTATIVES", {"low": ((2, 16),), "average": ((27, 28),)})
+    report = run_groups(m=5, n=3, trials=3)
     pause = bench._BLAS_SPIN_SECONDS
     assert calls == [pause, (2, 16), pause, (27, 28)] * 3
     assert [(r.group, r.seconds) for r in report.rows] == [("low", 3.0), ("average", 1.0)]
@@ -185,6 +185,13 @@ def test_a_capped_grid_is_partial_even_with_a_fit():
     assert result.partial and "capped" in result.note
 
 
+def test_run_scaling_times_the_q_pareto_rule():
+    # the q-Pareto rule has no index for the set-enumeration cap to read
+    result = run_scaling("qpareto", m_values=(8, 16, 32, 64, 128), n=3, trials=1)
+    assert result.name == "qpareto(q=2)" and [p.m for p in result.points] == [8, 16, 32, 64, 128]
+    assert result.exponent is not None and not result.partial
+
+
 def test_run_scaling_rejects_a_repeated_m():
     with pytest.raises(ValueError, match=r"each m value may be given once, not \[64, 64, 64"):
         run_scaling(7, m_values=(64,) * 5, n=3, trials=1)
@@ -198,11 +205,6 @@ def test_run_scaling_rejects_a_repeated_m():
 def test_fewer_than_one_round_is_rejected(run, trials):
     with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
         run(trials)
-
-
-def test_run_groups_rejects_misfiled_representatives():
-    with pytest.raises(ValueError):
-        run_groups(m=20, n=3, trials=1, representatives={"low": ((12, 27),)})
 
 
 def test_group_report_separation_handles_zero():

@@ -337,17 +337,13 @@ def test_budget_env_var_feeds_verify(capsys, monkeypatch):
 
 def test_budget_env_var_rejects_garbage(capsys, monkeypatch):
     monkeypatch.setenv("TWOSTAGE_BUDGET", "soon")
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--proc", "7", "--axiom", "Mon1"])
-    assert exc.value.code == 2
+    assert main(["verify", "--proc", "7", "--axiom", "Mon1"]) == 2
     assert "TWOSTAGE_BUDGET must be a positive integer" in capsys.readouterr().err
 
 
 def test_budget_env_var_garbage_is_a_usage_error_for_every_command(capsys, monkeypatch):
     monkeypatch.setenv("TWOSTAGE_BUDGET", "0")
-    with pytest.raises(SystemExit) as exc:
-        main(["catalog", "--counts"])
-    assert exc.value.code == 2
+    assert main(["catalog", "--counts"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "TWOSTAGE_BUDGET must be a positive integer, got '0'" in captured.err
@@ -453,6 +449,31 @@ def test_fixtures_rejects_a_check_field_its_op_does_not_declare(capsys, tmp_path
     )
     code, out, err = run(capsys, "fixtures", "--dir", str(tmp_path))
     assert (code, out, err) == (2, "", "error: fixture bad: check 1 has an unknown field 'subest'\n")
+
+
+@pytest.mark.parametrize("input_text, check, message", [
+    pytest.param('{kind: majority, text: "a b\\n- 1\\n0 -\\n"}',
+                 "{op: choose, apply: [{improve: {target: b, criterion: 1, steps: 1}}], expect: [a]}",
+                 "check 1: transform 1: improve needs a full profile, not a majority relation",
+                 id="transform-kind"),
+    pytest.param('{kind: grades, text: "a b\\n1 x\\n"}', "{op: choose, expect: [a]}",
+                 "input 'main': line 2: grades must be integers", id="text"),
+    pytest.param('{kind: profile, text: "a b\\nb a\\na b\\n"}', "{op: choose, subset: [a, z], expect: [a]}",
+                 "check 1: unknown alternative 'z'", id="subset"),
+    pytest.param('{kind: profile, text: "a b\\nb a\\na b\\n"}',
+                 "{op: choose, apply: [{improve: {target: z, criterion: 1, steps: 1}}], expect: [a]}",
+                 "check 1: transform 1: unknown alternative 'z'", id="target"),
+    pytest.param('{kind: profile, text: "a b\\nb a\\na b\\n"}',
+                 "{op: choose, apply: [{improve: {target: b, criterion: 9, steps: 1}}], expect: [a]}",
+                 "check 1: transform 1: criterion index 8 out of range", id="criterion"),
+])
+def test_fixtures_names_where_an_input_or_check_cannot_be_read(capsys, tmp_path, input_text, check, message):
+    (tmp_path / "bad.yaml").write_text(
+        f"name: bad\ninputs:\n  main: {input_text}\nrule: {{procedure: 20}}\nchecks:\n  - {check}\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "fixtures", "--dir", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: fixture bad: {message}\n")
 
 
 def test_fixtures_names_the_file_of_a_nameless_document(capsys, tmp_path):

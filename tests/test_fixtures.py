@@ -158,8 +158,7 @@ def test_inline_fixture_failure_reports_detail():
     (check,) = report.checks
     assert not check.passed
     assert "got {a, b}" in check.detail
-    assert "[FAIL]" in report.summary()
-    assert "XX " in report.summary()
+    assert report.summary() == "FAIL  failing  (1 checks)\n      failed: choice -> {a} -- got {a, b}"
 
 
 def test_fixture_runner_rejects_malformed_documents():
@@ -380,6 +379,51 @@ def test_a_misread_document_is_refused_with_the_fixture_and_the_field(doc, messa
     with pytest.raises(ValueError) as exc:
         run_fixture({**base, **doc})
     assert str(exc.value) == message
+
+
+MAJORITY = {"kind": "majority", "text": "a b\n- 1\n0 -\n"}
+
+
+@pytest.mark.parametrize("kind, step, message", [
+    pytest.param(MAJORITY, {"improve": {"target": "b", "criterion": 1, "steps": 1}},
+                 "improve needs a full profile, not a majority relation", id="improve"),
+    pytest.param(MAIN3, {"perturb": {"winner": "b", "loser": "a"}},
+                 "perturb needs a majority relation, not a full profile", id="perturb"),
+    pytest.param(MAIN3, {"realize": True}, "realize needs a majority relation, not a full profile",
+                 id="realize"),
+])
+def test_a_transform_of_the_wrong_input_kind_names_the_fixture_check_and_transform(kind, step, message):
+    # each of these crashed with an AttributeError
+    doc = {"name": "bad", "rule": {"procedure": 20}, "inputs": {"main": kind},
+           "checks": [{"op": "choose", "apply": [step], "expect": ["a"]}]}
+    with pytest.raises(TypeError) as exc:
+        run_fixture(doc)
+    assert str(exc.value) == f"fixture bad: check 1: transform 1: {message}"
+
+
+# an input text that does not parse, and checks naming a label or a criterion
+# that the parsed input lacks
+UNREADABLE = [
+    pytest.param({"inputs": {"main": {"kind": "grades", "text": "a b\n1 x\n"}}},
+                 "input 'main': line 2: grades must be integers", id="text"),
+    pytest.param(_check(op="choose", subset=["a", "z"], expect=["a"]),
+                 "check 1: unknown alternative 'z'", id="subset"),
+    pytest.param(_check(op="choose", apply=[{"improve": {"target": "z", "criterion": 1, "steps": 1}}],
+                        expect=["a"]),
+                 "check 1: transform 1: unknown alternative 'z'", id="target"),
+    pytest.param(_check(op="choose", apply=[{"improve": {"target": "b", "criterion": 9, "steps": 1}}],
+                        expect=["a"]),
+                 "check 1: transform 1: criterion index 8 out of range", id="criterion"),
+]
+
+
+@pytest.mark.parametrize("doc, message", UNREADABLE)
+def test_an_input_or_check_that_cannot_be_read_names_its_location(doc, message):
+    # each of these gave the library's message alone
+    base = {"name": "bad", "rule": {"procedure": 2}, "inputs": {"main": MAIN3}}
+    with pytest.raises(ValueError) as exc:
+        run_fixture({**base, **doc})
+    assert str(exc.value) == f"fixture bad: {message}"
 
 
 def test_corpus_covers_the_required_minimum():
