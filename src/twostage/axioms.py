@@ -184,12 +184,21 @@ _Probes = Callable[[str], Iterator[tuple[dict, str, frozenset[str]]]]
 
 def _rank_probes(rule: ChoiceRule, p: Profile) -> _Probes:
     """Every single-criterion upward move of the target: each criterion, each
-    step count that keeps it on the ballot."""
+    step count that keeps it on the ballot.
+
+    For a rule that declares ``anonymous``, a criterion whose order repeats
+    an earlier criterion's is skipped: its moves give the earlier one's
+    improved profiles up to a permutation of the criteria, so the same
+    choices, and the earlier criterion is probed first."""
+    rows = p.ranks.tolist()
+    criteria = range(p.n)
+    if getattr(rule, "anonymous", False):
+        criteria = [i for i in criteria if rows[i] not in rows[:i]]
 
     def probes(target: str):
         j = p.index(target)
-        for i in range(p.n):
-            for steps in range(1, int(p.ranks[i, j]) + 1):
+        for i in criteria:
+            for steps in range(1, rows[i][j] + 1):
                 change = RankImprovement(target, i, steps)
                 yield (
                     {"kind": "improvement", "improvement": change},
@@ -365,12 +374,20 @@ def _check_nc(choose: _Choose, g: GradeTable) -> Counterexample | None:
 def _check(
     rule: ChoiceRule, data, axiom: str, family: _Family, mon2_strict: bool
 ) -> Verdict:
-    # μ or S derived at most once, restricted per subset
-    data = scoped(data, rule)
-    # each subset's choice computed once, on first need.  A lambda, not a
-    # partial: functools.cache copies the wrapped function's name and
-    # annotations, and the failed lookups on a partial double its set-up
-    choose = functools.cache(lambda subset=None: rule.choose(data, subset))
+    # one memo for the check: the rule's choice from each subset (keyed by
+    # the subset, None for the whole universe), and a two-stage rule's
+    # choice of each stage (keyed by the stage and the subset), each
+    # computed once on first need.  μ or S is derived at most once and
+    # restricted per subset.
+    memo: dict = {}
+    data = scoped(data, rule, memo)
+
+    def choose(subset=None):
+        choice = memo.get(subset)
+        if choice is None:
+            choice = memo[subset] = rule.choose(data, subset)
+        return choice
+
     labels = data.labels
     if axiom in _SINGLE_SUBSET:
         witness = _check_subsets(axiom, choose, family(labels))
@@ -492,20 +509,59 @@ def _least_in_orbit(tuples: np.ndarray, act: np.ndarray) -> np.ndarray:
     return ~below.any(axis=0)[:, 0]
 
 
-def _least_tuples(m: int, n: int) -> Iterator[tuple[int, ...]]:
-    """The sorted index tuples least in their orbit under relabelling, in
-    lexicographic order.  Relabelling by the inverse of a member's order
-    maps that member to the identity, permutation 0, so only tuples that
-    start with 0 can be least.  They are filtered in chunks that grow from
-    64 rows while their relabelled images fit in 2^16 entries, so the work
-    stays in proportion to what is drawn."""
-    act = _relabellings(m)
+def _least_tuples(act: np.ndarray, n: int) -> Iterator[tuple[int, ...]]:
+    """The sorted n-tuples of permutation indices least in their orbit under
+    the relabellings ``act``, in lexicographic order.  Relabelling by the
+    inverse of a member's order maps that member to the identity,
+    permutation 0, so only tuples that start with 0 can be least.  They are
+    filtered in chunks that grow from 64 rows while their relabelled images
+    fit in 2^16 entries, so the work stays in proportion to what is drawn."""
     rests = itertools.combinations_with_replacement(range(len(act)), n - 1)
     size, cap = 64, max(64, (1 << 16) // (len(act) * n))
     while chunk := [(0, *rest) for rest in itertools.islice(rests, size)]:
         rows = np.array(chunk, dtype=np.int16)
         yield from map(tuple, rows[_least_in_orbit(rows, act)].tolist())
         size = min(2 * size, cap)
+
+
+class _Representatives:
+    """The profiles of an (m, n) cell least in their orbit under permuting
+    the criteria and relabelling the alternatives, in lexicographic order.
+    Each is built once per process, as a ``Profile`` kept in ``profiles``,
+    and only as far as a scan reads: iterating yields the kept ones and,
+    past their end, builds at least as many again under a lock, so a scan
+    cut by its budget keeps few.  Only this group is kept: it needs
+    m <= 6, and the benchmark's verify-small scans its (3, 3) cell, with 10
+    representatives, 91 times a pass."""
+
+    def __init__(self, m: int, n: int):
+        self._labels = default_labels(m)
+        self._table = _permutations(m)
+        self._rest = _least_tuples(_relabellings(m), n)  # advanced under the lock only
+        self._lock = threading.Lock()  # the table is cached and shared by every caller
+        self._complete = False
+        self.profiles: list[Profile] = []
+
+    def _grow(self, k: int) -> bool:
+        """Build through representative ``k`` if the cell has it; whether it does."""
+        with self._lock:
+            built = len(self.profiles)
+            if built <= k and not self._complete:
+                want = max(k + 1, 2 * built, 64) - built
+                tuples = list(itertools.islice(self._rest, want))
+                self._complete = len(tuples) < want
+                rows = self._table.reach(max(map(max, tuples), default=0)).rows
+                self.profiles += [Profile.from_ranks(self._labels, rows[list(tup)]) for tup in tuples]
+            return k < len(self.profiles)
+
+    def __iter__(self) -> Iterator[Profile]:
+        k = 0
+        while k < len(self.profiles) or self._grow(k):
+            yield self.profiles[k]
+            k += 1
+
+
+_representatives = functools.cache(_Representatives)
 
 
 def _index_tuples(count: int, n: int, *, sort: bool, low: int = 0) -> Iterator[tuple[int, ...]]:
@@ -548,17 +604,20 @@ def all_profiles(m: int, n: int, *, orbits: bool | str = False) -> Iterator[Prof
     orbit under a group: ``True`` or ``"criteria"`` permutes the criteria
     (the sorted order tuples, C(m!+n-1, n) of them);
     ``"criteria+alternatives"`` also relabels the alternatives (m <= 6).
+    Those profiles are built once per process, as far as a scan reads
+    them, and every scan of the cell yields the same objects; the other
+    groups build each profile as it is drawn, because a full scan of a
+    large cell would otherwise keep up to its whole budget of them.
     """
     group = _group(orbits)
     if m < 1 or n < 1:
         raise ValueError("a profile needs at least one alternative and one criterion")
+    if group == _BOTH:
+        yield from _representatives(m, n)
+        return
     labels = default_labels(m)
     table = _permutations(m)
-    if group == _BOTH:
-        tuples = _least_tuples(m, n)
-    else:
-        tuples = _index_tuples(table.count, n, sort=bool(group))
-    for tup in tuples:
+    for tup in _index_tuples(table.count, n, sort=bool(group)):
         yield Profile.from_ranks(labels, table.reach(max(tup)).rows[list(tup)])
 
 

@@ -27,7 +27,7 @@ from typing import Iterable
 
 from .axioms import AXIOMS
 from .procedures import PROCEDURE_NAMES, Procedure, make_procedure
-from .profiles import scoped
+from .profiles import ScopedProfile, scoped
 
 __all__ = [
     "TwoStage",
@@ -87,12 +87,15 @@ class TwoStage:
         :class:`ScopedProfile` for the call, so a second stage that reads
         the relation or the support matrix the first derived restricts it
         to the survivors instead of deriving its own; the scope derives S
-        only when a stage reads it."""
+        only when a stage reads it.  Inside a condition check the scope is
+        the check's, and each stage's choice from a frozenset subset, or
+        from the whole universe, is computed once per check."""
         data = scoped(data, self)
-        survivors = self.first.choose(data, subset)
+        memo = data.memo if type(data) is ScopedProfile else None
+        survivors = _stage_choice(self.first, data, subset, memo)
         if not survivors:
             return survivors, frozenset()
-        return survivors, self.second.choose(data, survivors)
+        return survivors, _stage_choice(self.second, data, survivors, memo)
 
     def choose(self, data, subset: Iterable[str] | None = None) -> frozenset[str]:
         return self.choose_detailed(data, subset)[1]
@@ -109,6 +112,19 @@ class TwoStage:
     @property
     def neutral(self) -> bool:
         return self.first.neutral and self.second.neutral
+
+
+def _stage_choice(stage: Procedure, data, subset: Iterable[str] | None, memo: dict | None) -> frozenset[str]:
+    """``stage``'s choice from ``subset`` of ``data``, kept in a check's
+    ``memo`` under the stage and the subset when there is one and the subset
+    is a frozenset or the whole universe (None)."""
+    if memo is None or not (subset is None or type(subset) is frozenset):
+        return stage.choose(data, subset)
+    key = (stage, subset)
+    choice = memo.get(key)
+    if choice is None:
+        choice = memo[key] = stage.choose(data, subset)
+    return choice
 
 
 def compose(

@@ -202,11 +202,16 @@ def _read(shape: dict[str, Any], value, where: str) -> dict[str, Any]:
 
 
 def _located(where: str, fn: Callable, *args, **kwargs):
-    """``fn(*args, **kwargs)``, whose ValueError is prefixed with ``where``."""
+    """``fn(*args, **kwargs)``, whose ValueError or TypeError is raised again,
+    as the same one of the two, prefixed with ``where``.  A TypeError is an
+    input of a kind its reader cannot take, worded ``R needs A, not B`` by
+    every reader: a transform, an op and a rule's stage."""
     try:
         return fn(*args, **kwargs)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
+    except TypeError as exc:
+        raise TypeError(f"{where}: {exc}") from None
 
 
 def _document(doc, where: str) -> dict[str, Any]:
@@ -254,7 +259,15 @@ def _transform(step, where: str) -> Callable[[Any], Any]:
     if step["improve"] is not None:
         spec = _read(_IMPROVE, step["improve"], f"{where}: improve")
         change = RankImprovement(spec["target"], spec["criterion"] - 1, spec["steps"])
-        name, needs, apply = "improve", Profile, lambda p: improve(p, change)
+
+        def apply(p):
+            # the fixture counts criteria from 1, as the CLI and the witnesses do
+            if not 1 <= spec["criterion"] <= p.n:
+                criteria = "1 criterion" if p.n == 1 else f"{p.n} criteria"
+                raise ValueError(f"criterion {spec['criterion']} out of range: the profile has {criteria}")
+            return improve(p, change)
+
+        name, needs = "improve", Profile
     elif step["perturb"] is not None:
         spec = _read(_PERTURB, step["perturb"], f"{where}: perturb")
         name, needs = "perturb", MajorityRelation
@@ -264,10 +277,10 @@ def _transform(step, where: str) -> Callable[[Any], Any]:
 
     def transform(obj):
         if not isinstance(obj, needs):
-            raise TypeError(f"{where}: {name} needs {needs.noun}, not {obj.noun}")
-        return _located(where, apply, obj)
+            raise TypeError(f"{name} needs {needs.noun}, not {obj.noun}")
+        return apply(obj)
 
-    return transform
+    return lambda obj: _located(where, transform, obj)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +372,9 @@ def _replay(doc, where: str) -> FixtureReport:
         obj = inputs[check["input"]]
         for step in check["apply"]:
             obj = step(obj)
-        where = f"{fixture}: {check['op']}"
-        read = lambda kind, subset=None: _kernel_input(kind, obj, subset, where)
-        # a label or criterion the input lacks raises while the handler runs
+        read = lambda kind, subset=None: _kernel_input(kind, obj, subset, check["op"])
+        # a label the input lacks, or an input the op or the rule cannot
+        # read, raises while the handler runs
         comparisons = _located(f"{fixture}: check {number}", list, _OPS[check["op"]][0](check, obj, read))
         for description, got, want, shown in comparisons:
             results.append(CheckResult(description, got == want, f"got {shown(got)}"))

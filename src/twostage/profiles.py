@@ -322,21 +322,27 @@ class ScopedProfile(Profile):
     profile kernel gets a plain contraction, which carries nothing of the
     view.  The view compares equal to the profile it views, and nothing is
     kept on that profile: every view starts empty.
+
+    ``memo`` is a condition check's choice memo, None in any other scope:
+    a two-stage rule keeps each stage's choice from a frozenset subset, or
+    from the whole universe, in it (``catalog.TwoStage.choose_detailed``).
     """
 
-    __slots__ = ("held", "support")
+    __slots__ = ("held", "support", "memo")
 
-    def __init__(self, p: Profile, support: bool):
+    def __init__(self, p: Profile, support: bool, memo: dict | None = None):
         self.labels, self.ranks = p.labels, p.ranks
         self.held: _Universe | None = None
         self.support = support
+        self.memo = memo
 
 
-def scoped(data, rule):
+def scoped(data, rule, memo: dict | None = None):
     """``data`` for one condition check or two-stage call of ``rule``: a plain
-    profile is seen through a fresh :class:`ScopedProfile`, set to hold S if ``rule`` reads S."""
+    profile is seen through a fresh :class:`ScopedProfile`, set to hold S if
+    ``rule`` reads S and carrying a check's ``memo``."""
     if type(data) is Profile:
-        return ScopedProfile(data, "support" in getattr(rule, "kinds", ()))
+        return ScopedProfile(data, "support" in getattr(rule, "kinds", ()), memo)
     return data
 
 

@@ -40,7 +40,8 @@ from twostage import (
     threshold_order,
     verify_bounded,
 )
-from twostage.axioms import AXIOMS, _Permutations, _permutations
+from twostage import axioms
+from twostage.axioms import AXIOMS, _Permutations, _permutations, _Representatives
 from twostage.procedures import Procedure
 
 
@@ -986,3 +987,175 @@ def test_a_rule_declaring_no_kinds_gets_the_same_verdicts():
                 assert check_axiom(_ChooseOnly(rule), p, axiom) == want, (first, second, axiom, p)
                 violated += not want.holds
         assert violated, (first, second)
+
+
+# ---------------------------------------------------------------------------
+# work shared inside a job: the cached representatives of a cell, one memo
+# per check for the rule and its stages, one probe per distinct criterion
+# order
+# ---------------------------------------------------------------------------
+
+# the 13 rules of the verify-small benchmark; with the profiles each
+# (3, 3) check evaluates, per condition in the order H C O ACA MON1 MON2 SM
+SHARING_RULES = {
+    (2, 1): (10, 9, 9, 10, 10, 10, 3),
+    (22, 1): (4, 4, 4, 4, 10, 10, 3),
+    **{spec: (10, 10, 10, 10, 10, 10, 4) for spec in (
+        (19, 7), (20, 20), (27, 28), (16, 7), (7, 7), (26, 23), (23, 22), (28, 20), (24, 26),
+        (10, 3), (25, 7))},
+}
+SHARING_CASES = [
+    (spec, axiom, 3, 3, evaluated)
+    for spec, counts in SHARING_RULES.items()
+    for axiom, evaluated in zip(("H", "C", "O", "ACA", "MON1", "MON2", "SM"), counts)
+] + [
+    # MON1 and SM probe every criterion of larger cells; the counts are
+    # MON1 at (3, 4) and (4, 2), then SM at (3, 4) and (4, 2)
+    (spec, axiom, m, n, evaluated)
+    for spec, counts in (((2, 1), (24, 17, 3, 1)), ((19, 7), (24, 17, 3, 1)),
+                         ((27, 28), (24, 17, 16, 8)), ((24, 26), (24, 17, 13, 6)))
+    for (axiom, m, n), evaluated in zip((("MON1", 3, 4), ("MON1", 4, 2), ("SM", 3, 4), ("SM", 4, 2)), counts)
+]
+
+
+class Unshared(PlainRule):
+    """Declares no symmetry, so search and verify check every profile and
+    probe every criterion, and hands the rule a plain profile, so no choice
+    or derived array of the check is shared with another call."""
+
+    def choose(self, data, subset=None):
+        if isinstance(data, Profile):
+            data = Profile.from_ranks(data.labels, data.ranks)
+        return self._rule.choose(data, subset)
+
+
+def _replays_without_a_scope(rule, profile, witness):
+    """Each observed choice of ``witness``, recomputed by plain calls of the
+    rule on plain profiles."""
+    p = Profile(profile.orders)
+    if witness.kind == "improvement":
+        recomputed = (rule.choose(p), rule.choose(improve(p, witness.improvement)))
+    else:
+        recomputed = (rule.choose(p), *(rule.choose(p, sub) for sub in witness.subsets))
+    return recomputed == tuple(choice for _, choice in witness.observed)
+
+
+@pytest.mark.parametrize("spec, axiom, m, n, evaluated", SHARING_CASES)
+def test_shared_work_gives_the_outcome_of_a_full_scan(spec, axiom, m, n, evaluated):
+    rule = compose(*spec)
+    outcome = verify_bounded(rule, axiom, m, n)
+    plain = verify_bounded(Unshared(rule), axiom, m, n)
+    assert plain.evaluated == plain.checked
+    assert (outcome.status, outcome.checked, outcome.witness, outcome.profile) == (
+        plain.status, plain.checked, plain.witness, plain.profile
+    )
+    assert outcome.evaluated == evaluated
+    if outcome.witness is not None:
+        assert _replays_without_a_scope(rule, outcome.profile, outcome.witness)
+
+
+def test_shared_choices_give_the_verdicts_of_unshared_ones():
+    # on larger profiles than the cells above, where a survivor set of one
+    # stage can be the subset another stage or the rule chooses from
+    profiles = [generate_profile(m, n, seed=seed) for m, n in ((4, 4), (5, 6), (6, 4)) for seed in (0, 1)]
+    for spec in ((20, 20), (27, 28), (12, 27), (2, 1), (19, 7), (28, 20), (7, 7), (2, 7), (16, 7), (24, 26)):
+        rule = compose(*spec)
+        for p in profiles:
+            for axiom in ("H", "C", "O", "ACA", "MON2"):
+                assert check_axiom(rule, p, axiom) == check_axiom(Unshared(rule), p, axiom), (spec, axiom)
+
+
+def test_a_check_computes_each_stage_choice_once():
+    calls = []
+
+    class Counted(Procedure):
+        def choose(self, data, subset=None):
+            calls.append((self.index, subset))
+            return super().choose(data, subset)
+
+    rule = compose(Counted(20), Counted(20))
+    p = generate_profile(5, 4, seed=1)
+    for axiom in ("H", "C", "O", "ACA", "MON2"):
+        calls.clear()
+        assert check_axiom(rule, p, axiom) == check_axiom(compose(20, 20), p, axiom)
+        assert calls and len(calls) == len(set(calls)), axiom
+    # outside a check nothing is kept: each call computes both stages
+    calls.clear()
+    rule.choose(p)
+    rule.choose(p)
+    assert len(calls) == 4
+
+
+def test_an_anonymous_rule_is_probed_once_per_distinct_criterion_order():
+    # criteria 1 and 3 repeat one order, so criterion 3 is not probed
+    p = Profile([("a", "b", "c"), ("c", "b", "a"), ("a", "b", "c")])
+    moved = []
+
+    class Recorded:
+        anonymous = True
+
+        def choose(self, data, subset=None):
+            if subset is None:
+                moved.append(data.ranks.tolist())
+            return make_procedure(7).choose(data, subset)
+
+    verdict = check_axiom(Recorded(), p, "SM")
+    anonymous = len(moved)
+    moved.clear()
+    Recorded.anonymous = False
+    assert check_axiom(Recorded(), p, "SM") == verdict and verdict.holds
+    # one choice before the moves; a can move 2 steps in criterion 2, b 1
+    # step in each criterion and c 2 steps in criteria 1 and 3: 6 moves
+    # without criterion 3, 9 with it
+    assert (anonymous, len(moved)) == (1 + 6, 1 + 9)
+
+
+def _scan_in_threads(scan, count=4):
+    results = [None] * count
+
+    def run(k):
+        results[k] = scan()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+def test_the_representative_table_grows_consistently_across_threads():
+    # (4, 3) has 111 representatives, so the table grows three times
+    axioms._representatives.cache_clear()
+    rule = compose(7, 7)
+
+    def scan():
+        cell = [p.ranks.tolist() for p in all_profiles(4, 3, orbits="criteria+alternatives")]
+        return _outcome(verify_bounded(rule, "MON2", 4, 3)), cell
+
+    results = _scan_in_threads(scan)
+    single = [p.ranks.tolist() for p in _Representatives(4, 3)]
+    axioms._representatives.cache_clear()
+    want = (_outcome(verify_bounded(rule, "MON2", 4, 3)), single)
+    assert len(single) == 111
+    assert results == [want] * 4
+    assert [p.ranks.tolist() for p in axioms._representatives(4, 3).profiles] == single
+
+
+def test_a_scan_cut_by_its_budget_keeps_few_representatives_and_changes_no_full_scan():
+    axioms._representatives.cache_clear()
+    rule = compose(2, 1)
+    cut = SearchConfig(m_values=(4,), n_values=(3,), budget=50)
+    assert search_counterexample(rule, "MON2", cut).status == "budget-exceeded"
+    assert len(axioms._representatives(4, 3).profiles) <= 64
+    after_cut = verify_bounded(rule, "MON2", 4, 3)
+    axioms._representatives.cache_clear()
+    fresh = verify_bounded(rule, "MON2", 4, 3)
+    assert (after_cut.status, after_cut.checked, after_cut.evaluated) == ("verified", 13824, 111)
+    assert _outcome(after_cut) == _outcome(fresh) and after_cut.evaluated == fresh.evaluated

@@ -418,7 +418,22 @@ def test_fixtures_rejects_an_op_its_input_cannot_feed(capsys, tmp_path, op, fiel
     )
     code, out, err = run(capsys, "fixtures", "--dir", str(tmp_path))
     assert (code, out) == (2, "")
-    assert err == f"error: fixture bad: {op} needs {wanted}, not a majority relation\n"
+    assert err == f"error: fixture bad: check 1: {op} needs {wanted}, not a majority relation\n"
+
+
+def test_fixtures_names_the_check_whose_rule_cannot_read_the_input(capsys, tmp_path):
+    (tmp_path / "bad.yaml").write_text(
+        "name: bad\n"
+        "inputs:\n"
+        "  main: {kind: majority, text: \"a b\\n- 1\\n0 -\\n\"}\n"
+        "rule: {procedure: 7}\n"
+        "checks:\n"
+        "  - {op: choose, expect: [a]}\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "fixtures", "--dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == "error: fixture bad: check 1: borda needs a full profile, not a majority relation\n"
 
 
 def test_fixtures_rejects_a_document_of_the_wrong_shape(capsys, tmp_path):
@@ -465,7 +480,7 @@ def test_fixtures_rejects_a_check_field_its_op_does_not_declare(capsys, tmp_path
                  "check 1: transform 1: unknown alternative 'z'", id="target"),
     pytest.param('{kind: profile, text: "a b\\nb a\\na b\\n"}',
                  "{op: choose, apply: [{improve: {target: b, criterion: 9, steps: 1}}], expect: [a]}",
-                 "check 1: transform 1: criterion index 8 out of range", id="criterion"),
+                 "check 1: transform 1: criterion 9 out of range: the profile has 2 criteria", id="criterion"),
 ])
 def test_fixtures_names_where_an_input_or_check_cannot_be_read(capsys, tmp_path, input_text, check, message):
     (tmp_path / "bad.yaml").write_text(

@@ -197,8 +197,21 @@ def test_fixture_ops_reject_an_input_kind_they_cannot_read(op, kind, fields):
     text = {"grades": "a b\n1 2\n", "majority": "a b\n- 1\n0 -\n"}[kind]
     doc = {"name": "wrong", "inputs": {"main": {"kind": kind, "text": text}},
            "checks": [{"op": op, "expect": [], **fields}]}
-    with pytest.raises(TypeError, match=f"^fixture wrong: {op} needs a full profile"):
+    with pytest.raises(TypeError, match=f"^fixture wrong: check 1: {op} needs a full profile"):
         run_fixture(doc)
+
+
+@pytest.mark.parametrize("rule, check", [
+    pytest.param({"procedure": 7}, {"op": "choose", "expect": ["a"]}, id="choose"),
+    pytest.param({"two_stage": [20, 7]}, {"op": "choose", "expect": ["a"]}, id="second-stage"),
+    pytest.param({"procedure": 7}, {"op": "axiom", "axiom": "H", "expect": "holds"}, id="axiom"),
+])
+def test_a_rule_that_cannot_read_the_input_names_the_fixture_and_check(rule, check):
+    # borda reads a full profile; this gave the rule's message alone
+    doc = {"name": "wrong", "rule": rule, "inputs": {"main": MAJORITY}, "checks": [check]}
+    with pytest.raises(TypeError) as exc:
+        run_fixture(doc)
+    assert str(exc.value) == "fixture wrong: check 1: borda needs a full profile, not a majority relation"
 
 
 def _labels(field, value="ab", shape="a list of labels"):
@@ -413,7 +426,16 @@ UNREADABLE = [
                  "check 1: transform 1: unknown alternative 'z'", id="target"),
     pytest.param(_check(op="choose", apply=[{"improve": {"target": "b", "criterion": 9, "steps": 1}}],
                         expect=["a"]),
-                 "check 1: transform 1: criterion index 8 out of range", id="criterion"),
+                 "check 1: transform 1: criterion 9 out of range: the profile has 3 criteria", id="criterion"),
+    pytest.param(_check(op="choose", apply=[{"improve": {"target": "b", "criterion": 0, "steps": 1}}],
+                        expect=["a"]),
+                 "check 1: transform 1: criterion 0 out of range: the profile has 3 criteria",
+                 id="criterion-zero"),
+    pytest.param({"inputs": {"main": {"kind": "profile", "text": "a b\nb a\n"}},
+                  **_check(op="choose", apply=[{"improve": {"target": "b", "criterion": 2, "steps": 1}}],
+                           expect=["a"])},
+                 "check 1: transform 1: criterion 2 out of range: the profile has 1 criterion",
+                 id="criterion-one"),
 ]
 
 
