@@ -56,9 +56,8 @@ from .profiles import (
     improve,
     majority_relation,
     perturb_majority,
-    scoped,
 )
-from .procedures import _kernel_input, threshold_order
+from .procedures import _kernel_input, scoped, threshold_order
 
 __all__ = [
     "AXIOMS",
@@ -454,36 +453,66 @@ def _group(orbits: bool | str) -> bool | str:
     )
 
 
-class _Permutations:
-    """The m! permutations of ``range(m)`` in lexicographic order as read-only
-    rank rows, built only as far as they are read: ``rows[k, j]`` is
-    alternative ``j``'s place in permutation ``k``, and ``index`` maps the
-    bytes of a row back to ``k``.  A profile holding permutation ``k`` sits at
-    position ``k`` or later, so a scan cut at a budget builds about as many
-    rows as the budget, however large m! is."""
+class _Table:
+    """A sequence drawn from ``source`` and built only as far as it is read:
+    ``reach(k)`` builds through item ``k`` if the source has it, drawing at
+    least as many again as are built (64 at first), so a scan cut at a budget
+    builds about as many items as it reads.  ``build(items, batch)`` returns
+    ``items`` followed by the items made from a drawn batch, and ``key``,
+    when given, files each built item's key in ``index``, by position.
 
-    def __init__(self, m: int):
-        self.count = math.factorial(m)
-        self._rest = itertools.permutations(range(m))
-        self._lock = threading.Lock()  # the table is cached and shared by every caller
-        self.rows = np.empty((0, m), dtype=np.int32)
-        self.index: dict[bytes, int] = {}
+    A table is cached and shared by every caller, so it grows under a lock
+    and checks again under it what is built.  ``index`` is filled before
+    ``items`` is replaced, and ``items`` is replaced whole, never changed in
+    place, so a reader that holds no lock sees a prefix built in full."""
 
-    def reach(self, k: int) -> _Permutations:
-        """Build through row ``k``, at least doubling what is built."""
-        if len(self.rows) <= k < self.count:
+    def __init__(self, source: Iterator, build: Callable, items, key: Callable | None = None):
+        self.items = items
+        self.index: dict = {}
+        self._source = source  # advanced under the lock only
+        self._build = build
+        self._key = key
+        self._lock = threading.Lock()
+        self._complete = False
+
+    def reach(self, k: int):
+        """The items built once item ``k`` is, or all of them if there are fewer."""
+        if len(self.items) <= k and not self._complete:
             with self._lock:
-                built = len(self.rows)
-                if built <= k:
-                    more = list(itertools.islice(self._rest, max(k + 1, 2 * built, 64) - built))
-                    rows = np.argsort(more, axis=1).astype(np.int32)
-                    self.index.update((row.tobytes(), built + i) for i, row in enumerate(rows))
-                    self.rows = np.concatenate((self.rows, rows))
-                    self.rows.setflags(write=False)
-        return self
+                built = len(self.items)
+                if built <= k and not self._complete:
+                    want = max(k + 1, 2 * built, 64) - built
+                    batch = list(itertools.islice(self._source, want))
+                    self._complete = len(batch) < want
+                    if batch:
+                        items = self._build(self.items, batch)
+                        if self._key is not None:
+                            self.index.update((self._key(item), j) for j, item in enumerate(items[built:], built))
+                        self.items = items
+        return self.items
+
+    def __iter__(self) -> Iterator:
+        items, k = self.items, 0
+        while k < len(items) or k < len(items := self.reach(k)):
+            yield items[k]
+            k += 1
 
 
-_permutations = functools.cache(_Permutations)
+@functools.cache
+def _permutations(m: int) -> _Table:
+    """The m! permutations of ``range(m)`` in lexicographic order as one
+    read-only array of rank rows: ``items[k, j]`` is alternative ``j``'s
+    place in permutation ``k``, and ``index`` maps the bytes of a row back
+    to ``k``.  A profile holding permutation ``k`` sits at position ``k`` or
+    later, so a scan cut at a budget builds about as many rows as the
+    budget, however large m! is."""
+
+    def build(rows: np.ndarray, batch: list) -> np.ndarray:
+        rows = np.concatenate((rows, np.argsort(batch, axis=1).astype(np.int32)))
+        rows.setflags(write=False)
+        return rows
+
+    return _Table(itertools.permutations(range(m)), build, np.empty((0, m), np.int32), np.ndarray.tobytes)
 
 
 @functools.cache
@@ -492,8 +521,7 @@ def _relabellings(m: int) -> np.ndarray:
     ``j`` is renamed ``orders[s][j]``.  Row 0 is the identity."""
     if m > _RELABEL_MAX_M:
         raise ValueError(f"orbits under relabelling need m <= {_RELABEL_MAX_M}, got {m}")
-    table = _permutations(m)
-    orders = table.reach(table.count - 1).rows.argsort(axis=1)
+    orders = _permutations(m).reach(math.factorial(m) - 1).argsort(axis=1)
     radix = m ** np.arange(m - 1, -1, -1, dtype=np.int32)
     codes = orders @ radix  # increasing, as the permutations are lexicographic
     return np.searchsorted(codes, orders[:, orders] @ radix).astype(np.int16)
@@ -514,54 +542,28 @@ def _least_tuples(act: np.ndarray, n: int) -> Iterator[tuple[int, ...]]:
     the relabellings ``act``, in lexicographic order.  Relabelling by the
     inverse of a member's order maps that member to the identity,
     permutation 0, so only tuples that start with 0 can be least.  They are
-    filtered in chunks that grow from 64 rows while their relabelled images
-    fit in 2^16 entries, so the work stays in proportion to what is drawn."""
+    filtered in chunks whose relabelled images hold at most 2^16 entries."""
     rests = itertools.combinations_with_replacement(range(len(act)), n - 1)
-    size, cap = 64, max(64, (1 << 16) // (len(act) * n))
+    size = max(1, (1 << 16) // (len(act) * n))
     while chunk := [(0, *rest) for rest in itertools.islice(rests, size)]:
         rows = np.array(chunk, dtype=np.int16)
         yield from map(tuple, rows[_least_in_orbit(rows, act)].tolist())
-        size = min(2 * size, cap)
 
 
-class _Representatives:
+@functools.cache
+def _representatives(m: int, n: int) -> _Table:
     """The profiles of an (m, n) cell least in their orbit under permuting
-    the criteria and relabelling the alternatives, in lexicographic order.
-    Each is built once per process, as a ``Profile`` kept in ``profiles``,
-    and only as far as a scan reads: iterating yields the kept ones and,
-    past their end, builds at least as many again under a lock, so a scan
-    cut by its budget keeps few.  Only this group is kept: it needs
-    m <= 6, and the benchmark's verify-small scans its (3, 3) cell, with 10
-    representatives, 91 times a pass."""
+    the criteria and relabelling the alternatives, in lexicographic order,
+    each built once per process as a ``Profile``.  Only this group is kept:
+    it needs m <= 6, and the benchmark's verify-small scans its (3, 3)
+    cell, with 10 representatives, 91 times a pass."""
+    labels, ranks = default_labels(m), _permutations(m)
 
-    def __init__(self, m: int, n: int):
-        self._labels = default_labels(m)
-        self._table = _permutations(m)
-        self._rest = _least_tuples(_relabellings(m), n)  # advanced under the lock only
-        self._lock = threading.Lock()  # the table is cached and shared by every caller
-        self._complete = False
-        self.profiles: list[Profile] = []
+    def build(profiles: list[Profile], tuples: list[tuple[int, ...]]) -> list[Profile]:
+        rows = ranks.reach(max(map(max, tuples)))
+        return profiles + [Profile.from_ranks(labels, rows[list(tup)]) for tup in tuples]
 
-    def _grow(self, k: int) -> bool:
-        """Build through representative ``k`` if the cell has it; whether it does."""
-        with self._lock:
-            built = len(self.profiles)
-            if built <= k and not self._complete:
-                want = max(k + 1, 2 * built, 64) - built
-                tuples = list(itertools.islice(self._rest, want))
-                self._complete = len(tuples) < want
-                rows = self._table.reach(max(map(max, tuples), default=0)).rows
-                self.profiles += [Profile.from_ranks(self._labels, rows[list(tup)]) for tup in tuples]
-            return k < len(self.profiles)
-
-    def __iter__(self) -> Iterator[Profile]:
-        k = 0
-        while k < len(self.profiles) or self._grow(k):
-            yield self.profiles[k]
-            k += 1
-
-
-_representatives = functools.cache(_Representatives)
+    return _Table(_least_tuples(_relabellings(m), n), build, [])
 
 
 def _index_tuples(count: int, n: int, *, sort: bool, low: int = 0) -> Iterator[tuple[int, ...]]:
@@ -616,9 +618,9 @@ def all_profiles(m: int, n: int, *, orbits: bool | str = False) -> Iterator[Prof
         yield from _representatives(m, n)
         return
     labels = default_labels(m)
-    table = _permutations(m)
-    for tup in _index_tuples(table.count, n, sort=bool(group)):
-        yield Profile.from_ranks(labels, table.reach(max(tup)).rows[list(tup)])
+    ranks = _permutations(m)
+    for tup in _index_tuples(math.factorial(m), n, sort=bool(group)):
+        yield Profile.from_ranks(labels, ranks.reach(max(tup))[list(tup)])
 
 
 def enumerate_majority_relations(m: int) -> Iterator[MajorityRelation]:

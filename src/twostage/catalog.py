@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .axioms import AXIOMS
-from .procedures import PROCEDURE_NAMES, Procedure, make_procedure
-from .profiles import ScopedProfile, scoped
+from .procedures import PROCEDURE_NAMES, Procedure, ScopedProfile, make_procedure, scoped
 
 __all__ = [
     "TwoStage",
@@ -62,7 +61,8 @@ def decode_two_stage(two_stage_id: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class TwoStage:
-    """A first-stage procedure, then a second on the survivors.
+    """A first-stage procedure, then a second on the survivors.  Both are
+    indexed :class:`Procedure` objects: :func:`compose` refuses any other.
 
     An empty first stage short-circuits to an empty final choice (there is
     nothing to contract onto).
@@ -116,11 +116,13 @@ class TwoStage:
 
 def _stage_choice(stage: Procedure, data, subset: Iterable[str] | None, memo: dict | None) -> frozenset[str]:
     """``stage``'s choice from ``subset`` of ``data``, kept in a check's
-    ``memo`` under the stage and the subset when there is one and the subset
-    is a frozenset or the whole universe (None)."""
+    ``memo`` under the stage's fields and the subset when there is one and
+    the subset is a frozenset or the whole universe (None).  Equal stages
+    share an entry, and the key's tuple hashes without calling the
+    dataclass ``__hash__``, which would build a tuple of its own."""
     if memo is None or not (subset is None or type(subset) is frozenset):
         return stage.choose(data, subset)
-    key = (stage, subset)
+    key = (stage.index, stage.q, stage.k, subset)
     choice = memo.get(key)
     if choice is None:
         choice = memo[key] = stage.choose(data, subset)

@@ -26,10 +26,9 @@ profile's labels skips the contraction and the conversion: over one
 alternative each kind's input is the same for every profile with n
 criteria (rank 0, no majority edge, zero support, grade 1), so it is built
 directly and the kernel still decides the choice.  Within one condition
-check or two-stage call, a profile is seen through a scope that holds one
-array over its whole universe, S when a rule of the call reads S and μ
-otherwise; every read of μ or S is that array restricted to the subset
-(see ``_kernel_input``).  A kernel turns the positions it picks into
+check or two-stage call, a profile is seen through a
+:class:`ScopedProfile`, which derives μ or S once over its whole universe
+and restricts it for each subset.  A kernel turns the positions it picks into
 labels with ``_labels_where``, or with ``_argmax_set`` for its top scores.
 
 ``_REGISTRY`` is the one place to add a procedure: its row gives the
@@ -59,7 +58,6 @@ from .profiles import (
     GradeTable,
     MajorityRelation,
     Profile,
-    ScopedProfile,
     TournamentMatrix,
     _Universe,
     _support_dtype,
@@ -825,6 +823,51 @@ def _one_label_input(kind: str, p: Profile, subset: Iterable[str]) -> _Universe:
     return Profile._trusted(labels, np.zeros((n, 1), np.int32))
 
 
+class ScopedProfile(Profile):
+    """A profile seen for the length of one condition check or one two-stage
+    call: the viewed profile's labels and read-only ranks, plus ``held``,
+    the one m × m array the scope derives over its whole universe (None
+    until a choice from the whole universe reads μ or S).
+
+    :func:`_kernel_input` is the one reader of ``held`` and ``support``.
+    The first choice from the whole universe that reads μ or S derives the
+    held array: S when that read is S or ``support`` says an S read will
+    follow, otherwise μ, written over its own counts
+    (:func:`majority_relation`).  A held S serves every later read of S and
+    of μ, restricted to the subset, with μ read from S by
+    :meth:`TournamentMatrix.majority`: S(x, y) counts the same criteria in a
+    contracted profile as in the full one, so an S-first, μ-second call
+    reads μ over the survivors alone.  A held μ serves μ.  Any other read
+    contracts and derives, as on a plain profile, and a subset choice never
+    derives the full array itself, which at large m costs far more than the
+    subset's.  Grades and profile kernels always contract, since they
+    re-rank within the subset, and a contraction carries nothing of the
+    view.  The view compares equal to the profile it views, and nothing is
+    kept on that profile: every view starts empty.
+
+    ``memo`` is a condition check's choice memo, None in any other scope:
+    a two-stage rule keeps each stage's choice from a frozenset subset, or
+    from the whole universe, in it (``catalog.TwoStage.choose_detailed``).
+    """
+
+    __slots__ = ("held", "support", "memo")
+
+    def __init__(self, p: Profile, support: bool, memo: dict | None = None):
+        self.labels, self.ranks = p.labels, p.ranks
+        self.held: _Universe | None = None
+        self.support = support
+        self.memo = memo
+
+
+def scoped(data, rule, memo: dict | None = None):
+    """``data`` for one condition check or two-stage call of ``rule``: a plain
+    profile is seen through a fresh :class:`ScopedProfile`, set to hold S if
+    ``rule`` reads S and carrying a check's ``memo``."""
+    if type(data) is Profile:
+        return ScopedProfile(data, "support" in getattr(rule, "kinds", ()), memo)
+    return data
+
+
 def _kernel_input(kind: str, data, subset: Iterable[str] | None, name: str):
     """What a ``kind`` kernel reads, for the choice from ``subset`` of
     ``data``: a profile is contracted and then converted; any other input
@@ -842,18 +885,9 @@ def _kernel_input(kind: str, data, subset: Iterable[str] | None, name: str):
     kernel does.  A relation, support matrix or grade table given directly
     is still restricted: a grade table's values are its own, not re-ranked.
 
-    A condition check or a two-stage call hands the rule a
-    :class:`ScopedProfile`, which holds one array over its whole universe.
-    The first choice from the whole universe that reads μ or S derives it:
-    S when that read is S or the scope's ``support`` says an S read will
-    follow, otherwise μ, derived in place.  A held S serves every later
-    read of S and of μ, restricted to the subset, with μ read from S by
-    ``majority()``, so an S-first, μ-second call reads μ over the survivors
-    alone; a held μ serves μ.  Any other read contracts and derives, as on
-    a plain profile.  A subset choice never derives the full array itself,
-    which at large m costs far more than the subset's; and grades and
-    profile kernels always contract, since they re-rank within the subset.
-    No kernel calls this itself: each reads only the input its row names.
+    A :class:`ScopedProfile` serves its reads of μ and S from the array it
+    holds, as its docstring says.  No kernel calls this itself: each reads
+    only the input its row names.
 
     The converters are looked up as module globals on each call, so a
     caller that replaces one (the benchmark's tracer does) sees every use.

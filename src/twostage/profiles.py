@@ -305,47 +305,6 @@ class Profile(_Universe):
         return int(self.ranks[criterion, self.index(label)])
 
 
-class ScopedProfile(Profile):
-    """A profile seen for the length of one condition check or one two-stage
-    call: the viewed profile's labels and read-only ranks, plus ``held``,
-    the one m × m array the scope derives over its whole universe (None
-    until a choice from the whole universe reads μ or S).
-
-    ``support`` says that an S read will follow a μ read.  The first
-    whole-universe read of μ or S decides ``held``: S when that read is S
-    or ``support`` is set, otherwise μ, written over its own counts
-    (:func:`majority_relation`).  A held S serves every later read of S,
-    and of μ through :meth:`TournamentMatrix.majority`, restricted to the
-    subset, since S(x, y) counts the same criteria in a contracted profile
-    as in the full one; a held μ serves μ.  Any other read contracts and
-    derives, as on a plain profile (see ``procedures._kernel_input``).  A
-    profile kernel gets a plain contraction, which carries nothing of the
-    view.  The view compares equal to the profile it views, and nothing is
-    kept on that profile: every view starts empty.
-
-    ``memo`` is a condition check's choice memo, None in any other scope:
-    a two-stage rule keeps each stage's choice from a frozenset subset, or
-    from the whole universe, in it (``catalog.TwoStage.choose_detailed``).
-    """
-
-    __slots__ = ("held", "support", "memo")
-
-    def __init__(self, p: Profile, support: bool, memo: dict | None = None):
-        self.labels, self.ranks = p.labels, p.ranks
-        self.held: _Universe | None = None
-        self.support = support
-        self.memo = memo
-
-
-def scoped(data, rule, memo: dict | None = None):
-    """``data`` for one condition check or two-stage call of ``rule``: a plain
-    profile is seen through a fresh :class:`ScopedProfile`, set to hold S if
-    ``rule`` reads S and carrying a check's ``memo``."""
-    if type(data) is Profile:
-        return ScopedProfile(data, "support" in getattr(rule, "kinds", ()), memo)
-    return data
-
-
 @dataclass(frozen=True)
 class RankImprovement:
     """Move ``target`` up by ``steps`` positions in one criterion.
@@ -710,7 +669,7 @@ def _pairwise_support(p: Profile) -> np.ndarray:
       int32.  Above it the narrow compare wins (1.7x at m = 100, n = 6).
 
     A condition check or a two-stage call derives this matrix at most once
-    over the whole universe, through a :class:`ScopedProfile`, and
+    over the whole universe, through a ``procedures.ScopedProfile``, and
     restricts it for each subset: as S, with the majority relation read
     from it, when a rule of the call reads S, else as the relation alone.
     """

@@ -41,7 +41,7 @@ from twostage import (
     verify_bounded,
 )
 from twostage import axioms
-from twostage.axioms import AXIOMS, _Permutations, _permutations, _Representatives
+from twostage.axioms import AXIOMS, _permutations
 from twostage.procedures import Procedure
 
 
@@ -389,12 +389,12 @@ def test_a_search_cut_by_its_budget_builds_few_permutations():
     result = search_counterexample(compose(2, 1), "H", cfg)
     elapsed = time.perf_counter() - start
     assert (result.status, result.examined, result.evaluated) == ("budget-exceeded", 50, 50)
-    assert len(_permutations(11).rows) <= 128
+    assert len(_permutations(11).items) <= 128
     assert elapsed < 2.0
 
 
 def test_the_permutation_table_grows_consistently_across_threads():
-    table = _Permutations(8)
+    table = _permutations.__wrapped__(8)
 
     def grow():
         for k in range(0, 5000, 7):
@@ -411,9 +411,9 @@ def test_the_permutation_table_grows_consistently_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    orders = itertools.islice(itertools.permutations(range(8)), len(table.rows))
-    assert table.rows.tolist() == [np.argsort(order).tolist() for order in orders]
-    assert table.index == {row.tobytes(): k for k, row in enumerate(table.rows)}
+    orders = itertools.islice(itertools.permutations(range(8)), len(table.items))
+    assert table.items.tolist() == [np.argsort(order).tolist() for order in orders]
+    assert table.index == {row.tobytes(): k for k, row in enumerate(table.items)}
 
 
 def test_search_random_mode_is_seeded():
@@ -1086,6 +1086,16 @@ def test_a_check_computes_each_stage_choice_once():
     assert len(calls) == 4
 
 
+def test_stages_that_differ_only_in_their_parameter_keep_their_own_choices():
+    # both stages are q-approval, so a memo keyed by the index alone would
+    # hand the second stage the first stage's choices
+    rule = compose(Procedure(4, q=2), Procedure(4, q=1))
+    for m, n, seed in ((3, 3, 0), (4, 3, 1), (5, 4, 2)):
+        p = generate_profile(m, n, seed=seed)
+        for axiom in ("H", "C", "O", "ACA", "MON2"):
+            assert check_axiom(rule, p, axiom) == check_axiom(Unshared(rule), p, axiom), axiom
+
+
 def test_an_anonymous_rule_is_probed_once_per_distinct_criterion_order():
     # criteria 1 and 3 repeat one order, so criterion 3 is not probed
     p = Profile([("a", "b", "c"), ("c", "b", "a"), ("a", "b", "c")])
@@ -1140,12 +1150,12 @@ def test_the_representative_table_grows_consistently_across_threads():
         return _outcome(verify_bounded(rule, "MON2", 4, 3)), cell
 
     results = _scan_in_threads(scan)
-    single = [p.ranks.tolist() for p in _Representatives(4, 3)]
+    single = [p.ranks.tolist() for p in axioms._representatives.__wrapped__(4, 3)]
     axioms._representatives.cache_clear()
     want = (_outcome(verify_bounded(rule, "MON2", 4, 3)), single)
     assert len(single) == 111
     assert results == [want] * 4
-    assert [p.ranks.tolist() for p in axioms._representatives(4, 3).profiles] == single
+    assert [p.ranks.tolist() for p in axioms._representatives(4, 3).items] == single
 
 
 def test_a_scan_cut_by_its_budget_keeps_few_representatives_and_changes_no_full_scan():
@@ -1153,7 +1163,7 @@ def test_a_scan_cut_by_its_budget_keeps_few_representatives_and_changes_no_full_
     rule = compose(2, 1)
     cut = SearchConfig(m_values=(4,), n_values=(3,), budget=50)
     assert search_counterexample(rule, "MON2", cut).status == "budget-exceeded"
-    assert len(axioms._representatives(4, 3).profiles) <= 64
+    assert len(axioms._representatives(4, 3).items) <= 64
     after_cut = verify_bounded(rule, "MON2", 4, 3)
     axioms._representatives.cache_clear()
     fresh = verify_bounded(rule, "MON2", 4, 3)

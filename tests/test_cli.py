@@ -1,6 +1,10 @@
 """End-to-end runs of the command-line surface via ``main(argv)``."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -481,6 +485,11 @@ def test_fixtures_rejects_a_check_field_its_op_does_not_declare(capsys, tmp_path
     pytest.param('{kind: profile, text: "a b\\nb a\\na b\\n"}',
                  "{op: choose, apply: [{improve: {target: b, criterion: 9, steps: 1}}], expect: [a]}",
                  "check 1: transform 1: criterion 9 out of range: the profile has 2 criteria", id="criterion"),
+    pytest.param('{kind: profile, text: "a b\\nb a\\na b\\n"}', "{op: choose, apply: [{}], expect: [a]}",
+                 "check 1: transform 1 must hold exactly one of improve, perturb, realize", id="transform-none"),
+    pytest.param('{kind: majority, text: "a b\\n- 1\\n0 -\\n"}',
+                 "{op: choose, apply: [{perturb: {winner: b, loser: a}, realize: true}], expect: [a]}",
+                 "check 1: transform 1 must hold exactly one of improve, perturb, realize", id="transform-two"),
 ])
 def test_fixtures_names_where_an_input_or_check_cannot_be_read(capsys, tmp_path, input_text, check, message):
     (tmp_path / "bad.yaml").write_text(
@@ -587,6 +596,25 @@ def test_catalog_export_to_file(capsys, tmp_path):
     lines = target.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 785
     assert lines[0].startswith("id\tfirst\t")
+
+
+@pytest.mark.parametrize("lines", [0, 1])
+def test_catalog_into_a_closed_pipe_exits_quietly(lines):
+    # A reader gone before the first write makes that write raise
+    # BrokenPipeError.  One that has read a line leaves the command inside
+    # its one large write, which Python's buffered writer ends early
+    # without raising.  Either way the exit is 0 with nothing on stderr.
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.Popen([sys.executable, "-m", "twostage.cli", "catalog"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    read = [proc.stdout.readline() for _ in range(lines)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (0, b"")
+    assert all(line.startswith(b"id\tfirst\t") for line in read)
 
 
 def test_catalog_export_to_a_missing_directory_is_an_error(capsys, tmp_path):

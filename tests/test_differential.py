@@ -28,6 +28,7 @@ from twostage.bench import generate_profile  # noqa: E402
 from twostage.procedures import (  # noqa: E402
     PROCEDURE_NAMES,
     QParetoRule,
+    ScopedProfile,
     _contained,
     _kernel_input,
     _overlaps,
@@ -36,7 +37,6 @@ from twostage.procedures import (  # noqa: E402
 from twostage.profiles import (  # noqa: E402
     MajorityRelation,
     Profile,
-    ScopedProfile,
     contract,
     default_labels,
     grade_table,

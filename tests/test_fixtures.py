@@ -436,6 +436,13 @@ UNREADABLE = [
                            expect=["a"])},
                  "check 1: transform 1: criterion 2 out of range: the profile has 1 criterion",
                  id="criterion-one"),
+    pytest.param(_check(op="choose", apply=[{}], expect=["a"]),
+                 "check 1: transform 1 must hold exactly one of improve, perturb, realize",
+                 id="transform-none"),
+    pytest.param(_check(op="choose", apply=[{"improve": {"target": "b", "criterion": 1, "steps": 1},
+                                             "realize": True}], expect=["a"]),
+                 "check 1: transform 1 must hold exactly one of improve, perturb, realize",
+                 id="transform-two"),
 ]
 
 

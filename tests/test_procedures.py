@@ -32,6 +32,7 @@ from twostage.procedures import (
     _REGISTRY,
     Procedure,
     QParetoRule,
+    ScopedProfile,
     _kernel_input,
     _row_masks,
     black,
@@ -63,7 +64,7 @@ from twostage.procedures import (
     uncovered_2,
     weakly_stable_sets,
 )
-from twostage.profiles import ScopedProfile, TournamentMatrix, default_labels
+from twostage.profiles import TournamentMatrix, default_labels
 
 
 def orders_of(p: Profile):

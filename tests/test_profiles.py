@@ -8,7 +8,7 @@ import pytest
 import oracles
 from twostage.axioms import enumerate_majority_relations
 from twostage.bench import generate_profile
-from twostage.procedures import minimax, simpson
+from twostage.procedures import ScopedProfile, minimax, simpson
 
 from twostage.profiles import (
     GradeTable,
@@ -16,7 +16,6 @@ from twostage.profiles import (
     Profile,
     ProfileFormatError,
     RankImprovement,
-    ScopedProfile,
     TournamentMatrix,
     _Universe,
     _pairwise_support,
@@ -457,6 +456,13 @@ def test_inputs_of_different_kinds_never_compare_equal():
     empty = np.zeros((2, 2), dtype=np.int64)
     assert GradeTable(("a", "b"), empty) != MajorityRelation(("a", "b"), empty)
     assert MajorityRelation(("a",), [[False]]) != TournamentMatrix(("a",), [[0]], 1)
+
+
+def test_an_input_never_equals_something_that_is_not_an_input():
+    p = parse_profile(PROFILE_TEXT)
+    for value in [ScopedProfile(p, support=True), *_every_kind(p)]:
+        assert (value == "abc") is False and (value != 3) is True, value.kind
+        assert value != p.labels and value != None  # noqa: E711
 
 
 # (m, n) at each switch point of the support kernel: the rank dtype
