@@ -458,20 +458,17 @@ class _Table:
     ``reach(k)`` builds through item ``k`` if the source has it, drawing at
     least as many again as are built (64 at first), so a scan cut at a budget
     builds about as many items as it reads.  ``build(items, batch)`` returns
-    ``items`` followed by the items made from a drawn batch, and ``key``,
-    when given, files each built item's key in ``index``, by position.
+    ``items`` followed by the items made from a drawn batch.
 
     A table is cached and shared by every caller, so it grows under a lock
-    and checks again under it what is built.  ``index`` is filled before
-    ``items`` is replaced, and ``items`` is replaced whole, never changed in
-    place, so a reader that holds no lock sees a prefix built in full."""
+    and checks again under it what is built.  ``items`` is replaced whole,
+    never changed in place, and only then is the table marked complete, so
+    a reader that holds no lock and finds it complete sees every item."""
 
-    def __init__(self, source: Iterator, build: Callable, items, key: Callable | None = None):
+    def __init__(self, source: Iterator, build: Callable, items):
         self.items = items
-        self.index: dict = {}
         self._source = source  # advanced under the lock only
         self._build = build
-        self._key = key
         self._lock = threading.Lock()
         self._complete = False
 
@@ -483,12 +480,9 @@ class _Table:
                 if built <= k and not self._complete:
                     want = max(k + 1, 2 * built, 64) - built
                     batch = list(itertools.islice(self._source, want))
-                    self._complete = len(batch) < want
                     if batch:
-                        items = self._build(self.items, batch)
-                        if self._key is not None:
-                            self.index.update((self._key(item), j) for j, item in enumerate(items[built:], built))
-                        self.items = items
+                        self.items = self._build(self.items, batch)
+                    self._complete = len(batch) < want
         return self.items
 
     def __iter__(self) -> Iterator:
@@ -499,20 +493,24 @@ class _Table:
 
 
 @functools.cache
-def _permutations(m: int) -> _Table:
+def _permutations(m: int) -> tuple[_Table, dict[bytes, int]]:
     """The m! permutations of ``range(m)`` in lexicographic order as one
-    read-only array of rank rows: ``items[k, j]`` is alternative ``j``'s
-    place in permutation ``k``, and ``index`` maps the bytes of a row back
-    to ``k``.  A profile holding permutation ``k`` sits at position ``k`` or
-    later, so a scan cut at a budget builds about as many rows as the
-    budget, however large m! is."""
+    read-only array of rank rows, ``items[k, j]`` being alternative ``j``'s
+    place in permutation ``k``, and an index that maps the bytes of a built
+    row back to ``k``.  A profile holding permutation ``k`` sits at position
+    ``k`` or later, so a scan cut at a budget builds about as many rows as
+    the budget, however large m! is.  The index is filled before the rows
+    it covers are returned, and so before the table publishes them."""
+    index: dict[bytes, int] = {}
 
     def build(rows: np.ndarray, batch: list) -> np.ndarray:
-        rows = np.concatenate((rows, np.argsort(batch, axis=1).astype(np.int32)))
+        new = np.argsort(batch, axis=1).astype(np.int32)
+        index.update((row.tobytes(), k) for k, row in enumerate(new, len(rows)))
+        rows = np.concatenate((rows, new))
         rows.setflags(write=False)
         return rows
 
-    return _Table(itertools.permutations(range(m)), build, np.empty((0, m), np.int32), np.ndarray.tobytes)
+    return _Table(itertools.permutations(range(m)), build, np.empty((0, m), np.int32)), index
 
 
 @functools.cache
@@ -521,7 +519,8 @@ def _relabellings(m: int) -> np.ndarray:
     ``j`` is renamed ``orders[s][j]``.  Row 0 is the identity."""
     if m > _RELABEL_MAX_M:
         raise ValueError(f"orbits under relabelling need m <= {_RELABEL_MAX_M}, got {m}")
-    orders = _permutations(m).reach(math.factorial(m) - 1).argsort(axis=1)
+    table, _ = _permutations(m)
+    orders = table.reach(math.factorial(m) - 1).argsort(axis=1)
     radix = m ** np.arange(m - 1, -1, -1, dtype=np.int32)
     codes = orders @ radix  # increasing, as the permutations are lexicographic
     return np.searchsorted(codes, orders[:, orders] @ radix).astype(np.int16)
@@ -557,7 +556,8 @@ def _representatives(m: int, n: int) -> _Table:
     each built once per process as a ``Profile``.  Only this group is kept:
     it needs m <= 6, and the benchmark's verify-small scans its (3, 3)
     cell, with 10 representatives, 91 times a pass."""
-    labels, ranks = default_labels(m), _permutations(m)
+    labels = default_labels(m)
+    ranks, _ = _permutations(m)
 
     def build(profiles: list[Profile], tuples: list[tuple[int, ...]]) -> list[Profile]:
         rows = ranks.reach(max(map(max, tuples)))
@@ -618,7 +618,7 @@ def all_profiles(m: int, n: int, *, orbits: bool | str = False) -> Iterator[Prof
         yield from _representatives(m, n)
         return
     labels = default_labels(m)
-    ranks = _permutations(m)
+    ranks, _ = _permutations(m)
     for tup in _index_tuples(math.factorial(m), n, sort=bool(group)):
         yield Profile.from_ranks(labels, ranks.reach(max(tup))[list(tup)])
 
@@ -776,7 +776,7 @@ def _scan_cell(
     counts profiles checked.
     """
     count = math.factorial(m)
-    index = _permutations(m).index  # filled in as far as all_profiles reads
+    _, index = _permutations(m)  # filled in as far as all_profiles reads
     evaluated = 0
     # called by its module name, so a traced run sees the enumeration
     for p in all_profiles(m, n, orbits=_orbits(rule, m)):

@@ -116,13 +116,14 @@ class TwoStage:
 
 def _stage_choice(stage: Procedure, data, subset: Iterable[str] | None, memo: dict | None) -> frozenset[str]:
     """``stage``'s choice from ``subset`` of ``data``, kept in a check's
-    ``memo`` under the stage's fields and the subset when there is one and
-    the subset is a frozenset or the whole universe (None).  Equal stages
-    share an entry, and the key's tuple hashes without calling the
-    dataclass ``__hash__``, which would build a tuple of its own."""
+    ``memo`` under the stage's class and fields and the subset when there
+    is one and the subset is a frozenset or the whole universe (None).
+    Equal stages share an entry, as the dataclass ``__eq__`` has them, and
+    the key's tuple hashes without calling the dataclass ``__hash__``, which
+    would build a tuple of its own."""
     if memo is None or not (subset is None or type(subset) is frozenset):
         return stage.choose(data, subset)
-    key = (stage.index, stage.q, stage.k, subset)
+    key = (type(stage), stage.index, stage.q, stage.k, subset)
     choice = memo.get(key)
     if choice is None:
         choice = memo[key] = stage.choose(data, subset)

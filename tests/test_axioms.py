@@ -389,12 +389,13 @@ def test_a_search_cut_by_its_budget_builds_few_permutations():
     result = search_counterexample(compose(2, 1), "H", cfg)
     elapsed = time.perf_counter() - start
     assert (result.status, result.examined, result.evaluated) == ("budget-exceeded", 50, 50)
-    assert len(_permutations(11).items) <= 128
+    table, _ = _permutations(11)
+    assert len(table.items) <= 128
     assert elapsed < 2.0
 
 
 def test_the_permutation_table_grows_consistently_across_threads():
-    table = _permutations.__wrapped__(8)
+    table, index = _permutations.__wrapped__(8)
 
     def grow():
         for k in range(0, 5000, 7):
@@ -413,7 +414,22 @@ def test_the_permutation_table_grows_consistently_across_threads():
     assert not any(thread.is_alive() for thread in threads)
     orders = itertools.islice(itertools.permutations(range(8)), len(table.items))
     assert table.items.tolist() == [np.argsort(order).tolist() for order in orders]
-    assert table.index == {row.tobytes(): k for k, row in enumerate(table.items)}
+    assert index == {row.tobytes(): k for k, row in enumerate(table.items)}
+
+
+def test_a_table_whose_source_ends_inside_a_batch_is_read_whole_across_threads():
+    # 4! = 24 orders, fewer than the first batch of 64, so the first reach
+    # also finds the table complete; no thread may see it complete but empty
+    for _ in range(200):
+        table, index = _permutations.__wrapped__(4)
+        start = threading.Barrier(4)
+
+        def read():
+            start.wait()
+            return len(table.reach(23))
+
+        assert _scan_in_threads(read) == [24] * 4
+        assert len(index) == 24
 
 
 def test_search_random_mode_is_seeded():
@@ -1086,10 +1102,23 @@ def test_a_check_computes_each_stage_choice_once():
     assert len(calls) == 4
 
 
-def test_stages_that_differ_only_in_their_parameter_keep_their_own_choices():
-    # both stages are q-approval, so a memo keyed by the index alone would
-    # hand the second stage the first stage's choices
-    rule = compose(Procedure(4, q=2), Procedure(4, q=1))
+class Everything(Procedure):
+    """Chooses every alternative it is offered."""
+
+    def choose(self, data, subset=None):
+        return frozenset(data.labels if subset is None else subset)
+
+
+# a memo keyed by the index alone would hand the second q-approval stage
+# the first one's choices, and one keyed by the fields alone would hand
+# Procedure(20) those of the subclass before it
+@pytest.mark.parametrize(
+    "first, second",
+    [(Procedure(4, q=2), Procedure(4, q=1)), (Everything(20), Procedure(20))],
+    ids=["parameter", "class"],
+)
+def test_stages_that_differ_in_parameter_or_class_keep_their_own_choices(first, second):
+    rule = compose(first, second)
     for m, n, seed in ((3, 3, 0), (4, 3, 1), (5, 4, 2)):
         p = generate_profile(m, n, seed=seed)
         for axiom in ("H", "C", "O", "ACA", "MON2"):
