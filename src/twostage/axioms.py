@@ -579,21 +579,16 @@ def _index_tuples(count: int, n: int, *, sort: bool, low: int = 0) -> Iterator[t
     )
 
 
-@functools.cache
-def _order_index(m: int) -> dict[tuple[str, ...], int]:
-    """Each linear order of ``default_labels(m)`` by its lexicographic index."""
-    return {order: k for k, order in enumerate(itertools.permutations(default_labels(m)))}
-
-
-def _least_form(orders: Sequence[tuple[str, ...]], group: str) -> tuple:
-    """A key shared by exactly the profiles in the orbit of ``orders`` (linear
-    orders of ``default_labels(m)``): the sorted orders, or under relabelling
-    the least index tuple of the orbit."""
+def _least_form(ranks: np.ndarray, group: str) -> tuple:
+    """A key shared by exactly the profiles in the orbit of the rank matrix
+    ``ranks``: its rows' bytes sorted, or under relabelling the least index
+    tuple of the orbit, each row keyed through the permutation index."""
     if group == _CRITERIA:
-        return tuple(sorted(orders))
-    m = len(orders[0])
-    index = _order_index(m)
-    images = np.sort(_relabellings(m)[:, [index[o] for o in orders]], axis=1)
+        return tuple(sorted(row.tobytes() for row in ranks))
+    m = ranks.shape[1]
+    act = _relabellings(m)  # builds all m! rows, so the index holds each
+    _, index = _permutations(m)
+    images = np.sort(act[:, [index[row.tobytes()] for row in ranks]], axis=1)
     return (m, min(map(tuple, images.tolist())))
 
 
@@ -829,19 +824,21 @@ def search_counterexample(
             return SearchResult("budget-exceeded", examined, evaluated=evaluated)
         m = rng.choice(cfg.m_values)
         n = rng.choice(cfg.n_values)
-        labels = default_labels(m)
-        orders = []
+        rows = []
         for _ in range(n):
-            ballot = list(labels)
+            # shuffling the indices draws the order that shuffling the
+            # labels would; its rank row is the inverse permutation
+            ballot = list(range(m))
             rng.shuffle(ballot)
-            orders.append(tuple(ballot))
+            rows.append(sorted(range(m), key=ballot.__getitem__))
+        ranks = np.array(rows, dtype=np.int32)
         examined += 1
         group = _orbits(rule, m)
         if group:
-            orbit = _least_form(orders, group)
+            orbit = _least_form(ranks, group)
             if orbit in passed:
                 continue
-        p = Profile(orders)
+        p = Profile.from_ranks(default_labels(m), ranks)
         evaluated += 1
         witness = check(p)
         if witness is not None:

@@ -60,6 +60,7 @@ from .profiles import (
     Profile,
     TournamentMatrix,
     _Universe,
+    _short_buffer,
     _support_dtype,
     borda_scores,
     contract,
@@ -209,8 +210,37 @@ def nanson(p: Profile) -> frozenset[str]:
 # majority-relation solutions
 # ---------------------------------------------------------------------------
 
+# Below this many entries a relation's degrees are one bool sum into int32:
+# the narrow sums below cost 0.5-0.6 us more a call at m = 3-6.
+_NARROW_DEGREES_FROM = 1 << 14
+
+
+def _degrees(beats: np.ndarray, axis: int) -> np.ndarray:
+    """How many Trues each column (``axis`` 0) or row (``axis`` 1) of a
+    bool matrix holds, as int32: in-degrees and out-degrees of a relation.
+
+    A bool sum into int32 goes through a casting loop.  Past
+    ``_NARROW_DEGREES_FROM`` entries the bytes are summed as uint8
+    instead: columns in blocks of at most 255 rows, each block's sum
+    exact in uint8, rows into uint16 (int64 from 65,536 columns).  Only
+    the result, one count per row or column, is widened.  On a majority
+    relation at m = 8000 that is 4.5 against 16.0 ms for the columns and
+    5.6 against 11.0 ms for the rows (medians of interleaved calls, 2-vCPU
+    x86 VM)."""
+    if beats.size < _NARROW_DEGREES_FROM:
+        return beats.sum(axis=axis, dtype=np.int32)
+    counts = beats.view(np.uint8)
+    if axis == 1:
+        wide = np.uint16 if counts.shape[1] < 1 << 16 else np.int64
+        return counts.sum(axis=1, dtype=wide).astype(np.int32)
+    degrees = np.zeros(counts.shape[1], dtype=np.int32)
+    for r0 in range(0, len(counts), 255):
+        degrees += counts[r0 : r0 + 255].sum(axis=0, dtype=np.uint8)
+    return degrees
+
+
 def condorcet_winner(mu: MajorityRelation) -> frozenset[str]:
-    return _labels_where(mu, mu.matrix.sum(axis=1) == mu.m - 1)
+    return _labels_where(mu, _degrees(mu.matrix, 1) == mu.m - 1)
 
 
 def _unbeaten(mu: MajorityRelation, beats: np.ndarray) -> frozenset[str]:
@@ -229,11 +259,11 @@ def copeland(mu: MajorityRelation, variant: int) -> frozenset[str]:
     """Copeland winners.  Variant 1 scores wins minus losses, variant 2
     wins alone, variant 3 (negated) losses alone."""
     if variant == 1:
-        scores = mu.matrix.sum(axis=1, dtype=np.int32) - mu.matrix.sum(axis=0, dtype=np.int32)
+        scores = _degrees(mu.matrix, 1) - _degrees(mu.matrix, 0)
     elif variant == 2:
-        scores = mu.matrix.sum(axis=1, dtype=np.int32)
+        scores = _degrees(mu.matrix, 1)
     elif variant == 3:
-        scores = -mu.matrix.sum(axis=0, dtype=np.int32)
+        scores = -_degrees(mu.matrix, 0)
     else:
         raise ValueError(f"no Copeland variant {variant}")
     return _argmax_set(mu, scores)
@@ -356,7 +386,7 @@ def fishburn(mu: MajorityRelation) -> frozenset[str]:
     if len(beats) <= _COVERERS:
         within = _contained(beats.astype(np.float32).T)
         return _unbeaten(mu, within & ~within.T)
-    sizes = beats.sum(axis=0, dtype=np.int32)
+    sizes = _degrees(beats, 0)
 
     def covered(X, Y):
         return (_upper_within(beats, X, Y) & (sizes[X][:, None] < sizes[None, Y])).any(axis=0)
@@ -372,7 +402,7 @@ def uncovered_1(mu: MajorityRelation) -> frozenset[str]:
         return _unbeaten(mu, beats & _contained(beats.astype(np.float32).T))
     return _uncovered(
         mu,
-        beats.sum(axis=0, dtype=np.int32),
+        _degrees(beats, 0),
         lambda X, Y: _upper_covers(beats, X, Y).any(axis=0),
     )
 
@@ -384,7 +414,7 @@ def uncovered_2(mu: MajorityRelation) -> frozenset[str]:
     beats = mu.matrix  # row x = indicator of L(x)
     if len(beats) <= _COVERERS:
         return _unbeaten(mu, beats & _contained(beats.astype(np.float32)).T)
-    lows = beats.sum(axis=1, dtype=np.int32)
+    lows = _degrees(beats, 1)
 
     def covered(X, Y):
         lower = beats[X].astype(np.float32)
@@ -436,7 +466,7 @@ def richelson(mu: MajorityRelation) -> frozenset[str]:
         return _unbeaten(mu, beats & _contained(A.T) & _contained(A).T)
     return _uncovered(
         mu,
-        beats.sum(axis=0, dtype=np.int32),
+        _degrees(beats, 0),
         lambda X, Y: _no_tie_beaten(beats, X, Y, _upper_covers(beats, X, Y)),
     )
 
@@ -720,11 +750,12 @@ def q_pareto(g: GradeTable, q: int) -> frozenset[str]:
         raise ValueError("q-Pareto needs q >= 0")
     m = g.m
     dominates = np.ones((m, m), dtype=bool)
-    for i in range(g.n):
-        row = g.grades[i]
-        dominates &= row[:, None] >= row[None, :]
+    with _short_buffer(m):  # the support kernel's broadcast compare
+        for i in range(g.n):
+            row = g.grades[i]
+            dominates &= row[:, None] >= row[None, :]
     np.fill_diagonal(dominates, False)
-    return _labels_where(g, dominates.sum(axis=0) <= q)
+    return _labels_where(g, _degrees(dominates, 0) <= q)
 
 
 # ---------------------------------------------------------------------------

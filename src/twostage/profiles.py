@@ -14,6 +14,7 @@ a constructor takes labels in any order and aligns its array with them sorted.
 from __future__ import annotations
 
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -638,6 +639,37 @@ def _support_dtype(n: int) -> type:
     return np.int64
 
 
+# From this many alternatives, a broadcast compare over rows of m elements
+# runs with a ufunc buffer of ``_SHORT_BUFFER`` elements (see
+# ``_short_buffer``).
+_SHORT_BUFFER_FROM_M = 500
+_SHORT_BUFFER = 1024
+
+
+@contextmanager
+def _short_buffer(m: int) -> Iterator[None]:
+    """Runs its block with NumPy's ufunc buffer cut to ``_SHORT_BUFFER``
+    elements when the rows it compares, of m elements each, are long
+    enough for that to pay, and restores the caller's size on every exit.
+
+    NumPy's iterator buffers a 2-D broadcast compare such as
+    ``row[:, None] >= row[None, :]`` while its rows are shorter than a
+    third of the buffer: it runs direct from 2731 elements at the default
+    of 8192 (from 1366 at 4096, from 5462 at 16384).  The buffered loop
+    costs 1.3-1.7 times as much per element as the direct one.  With 1024
+    the threshold falls to 342, so from m = 500 the compare runs direct;
+    below that the smaller buffer is the slower one (266 against 236 us
+    for the support matrix at m = 200, n = 10, 2-vCPU x86 VM)."""
+    if m < _SHORT_BUFFER_FROM_M:
+        yield
+        return
+    old = np.setbufsize(_SHORT_BUFFER)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def _pairwise_support(p: Profile) -> np.ndarray:
     """(m, m) matrix of S(x, y) = how many criteria rank x above y.
 
@@ -648,10 +680,14 @@ def _pairwise_support(p: Profile) -> np.ndarray:
       over the criteria; one streaming pass over the whole accumulator per
       criterion would otherwise dominate for large alternative counts.
     * Ranks are compared in the narrowest signed type that holds them
-      (int16 up to m = 32768).  The int32 broadcast compare goes through
-      NumPy's buffered iterator at about three times the per-element cost
-      while m is below about 2700; the narrow compare does not, so
-      m = 2000 no longer costs more than m = 3000.
+      (int16 up to m = 32768), and from m = 500 with a short ufunc buffer
+      (``_short_buffer``).  At NumPy's default buffer the broadcast
+      compare is buffered while m is below 2731, whatever the dtype; with
+      the short one it is not.  Per call at n = 10 (default -> short
+      buffer, medians of interleaved calls on a 2-vCPU x86 VM):
+      m = 1000 1.35 -> 1.12 ms, m = 2000 5.5 -> 4.1 ms, m = 2730
+      11.0 -> 6.9 ms; at m = 2000 with n = 101, 54 -> 40 ms.  From
+      m = 2731 up the two agree.
     * Each compare spans as many criteria as fit in ``1 << 16`` elements.
       A small profile takes one broadcast and one reduce, where a pass per
       criterion would pay NumPy's per-call dispatch n times.  A large
@@ -682,14 +718,15 @@ def _pairwise_support(p: Profile) -> np.ndarray:
     width = max(8, min(m, (1 << 20) // (2 * m)))
     step = min(n, max(1, (1 << 16) // (width * m)))
     buf = np.empty((step, width, m), dtype=bool)
-    for r0 in range(0, m, width):
-        r1 = min(m, r0 + width)
-        for i0 in range(0, n, step):
-            block = ranks[i0:i0 + step]
-            less = buf[:len(block), :r1 - r0]
-            np.less(block[:, r0:r1, None], block[:, None, :], out=less)
-            less = less.view(np.uint8)
-            counts[r0:r1] += less.sum(0, dtype=acc_dtype) if step > 1 else less[0]
+    with _short_buffer(m):
+        for r0 in range(0, m, width):
+            r1 = min(m, r0 + width)
+            for i0 in range(0, n, step):
+                block = ranks[i0:i0 + step]
+                less = buf[:len(block), :r1 - r0]
+                np.less(block[:, r0:r1, None], block[:, None, :], out=less)
+                less = less.view(np.uint8)
+                counts[r0:r1] += less.sum(0, dtype=acc_dtype) if step > 1 else less[0]
     return counts
 
 

@@ -9,6 +9,7 @@ rule that produced it.
 
 import itertools
 import math
+import random
 import sys
 import threading
 import time
@@ -43,6 +44,7 @@ from twostage import (
 from twostage import axioms
 from twostage.axioms import AXIOMS, _permutations
 from twostage.procedures import Procedure
+from twostage.profiles import default_labels
 
 
 class FixedOrderRule:
@@ -929,6 +931,49 @@ def test_random_search_skips_orbits_that_already_passed():
     anonymous = search_counterexample(AnonymousOnly(compose(20, 20)), "H", cfg)
     assert _outcome(anonymous) == _outcome(plain)
     assert result.evaluated < anonymous.evaluated <= 182 < plain.evaluated == 300
+
+
+def _label_shuffle_draws(cfg):
+    """The profiles a random search draws, made the plain way: each order a
+    shuffled list of labels."""
+    rng = random.Random(cfg.seed)
+    for _ in range(cfg.samples):
+        m, n = rng.choice(cfg.m_values), rng.choice(cfg.n_values)
+        orders = []
+        for _ in range(n):
+            ballot = list(default_labels(m))
+            rng.shuffle(ballot)
+            orders.append(ballot)
+        yield Profile(orders)
+
+
+def _orbit_key(p, relabel):
+    """The least sorted order tuple over the profile's relabellings, or
+    over the identity alone."""
+    names = itertools.permutations(p.labels) if relabel else [p.labels]
+    return min(
+        tuple(sorted(tuple(dict(zip(p.labels, new))[x] for x in o) for o in p.orders))
+        for new in names
+    )
+
+
+@pytest.mark.parametrize("wrap", [PlainRule, AnonymousOnly, None])
+def test_random_search_checks_the_label_shuffle_draws_once_per_orbit(wrap, monkeypatch):
+    rule = compose(20, 20) if wrap is None else wrap(compose(20, 20))
+    checked = []
+    monkeypatch.setattr(axioms, "_checker", lambda *args: checked.append)
+    cfg = SearchConfig(m_values=(1, 2, 3, 4), n_values=(1, 3, 4), mode="random", samples=150, seed=17)
+    result = search_counterexample(rule, "H", cfg)
+    group = axioms._orbits(rule, 4)
+    seen, want = set(), []
+    for p in _label_shuffle_draws(cfg):
+        key = _orbit_key(p, group == axioms._BOTH) if group else len(seen)
+        if key not in seen:
+            seen.add(key)
+            want.append(p)
+    assert (result.status, result.examined, result.evaluated) == ("exhausted", 150, len(want))
+    assert checked == want
+    assert len(want) < 150 if group else len(want) == 150
 
 
 @pytest.mark.parametrize("m, n", [(1, 3), (2, 3), (3, 1), (3, 2), (3, 3), (4, 2)])

@@ -33,6 +33,7 @@ from twostage.procedures import (
     Procedure,
     QParetoRule,
     ScopedProfile,
+    _degrees,
     _kernel_input,
     _row_masks,
     black,
@@ -134,6 +135,47 @@ def test_relation_rules_match_oracles_exhaustive_to_m4():
 def test_relation_rules_match_oracles_random_m5():
     for mu in random_relations(5, 250, seed=20260818):
         assert_relation_rules_match(mu)
+
+
+# Each matrix random and all True, whose counts reach the top of every
+# uint8 block and, over 70,000 columns, pass uint16; rows 254-257 and 511
+# sit about one and two 255-row blocks.  (5, 5) takes the plain sum.
+@pytest.mark.parametrize(
+    "shape", [(5, 5), (254, 70), (255, 70), (256, 70), (257, 70), (511, 40), (2, 70_000)]
+)
+def test_degrees_match_a_wide_sum_on_both_axes(shape):
+    drawn = np.random.default_rng(sum(shape)).random(shape) < 0.5
+    for beats in (drawn, np.ones(shape, dtype=bool)):
+        for view in (beats, beats.T):
+            for axis in (0, 1):
+                got = _degrees(view, axis)
+                assert got.dtype == np.int32
+                assert (got == view.sum(axis=axis, dtype=np.int64)).all()
+
+
+def large_relation(m, kind):
+    """A relation past one 255-row block of the narrow degree counts and
+    past the covering rules' first block."""
+    if kind == "tournament":  # nothing covered
+        upper = np.triu(np.random.default_rng(m).random((m, m)) < 0.5, 1)
+        return MajorityRelation(default_labels(m), upper | np.triu(~upper, 1).T)
+    n = {"ties": 4, "order": 1, "odd": 5}[kind]  # one order has a Condorcet winner
+    return majority_relation(generate_profile(m, n, seed=m))
+
+
+@pytest.mark.parametrize(
+    "m, kind", [(256, "ties"), (257, "tournament"), (300, "odd"), (400, "order"), (600, "ties")]
+)
+def test_degree_rules_match_oracles_on_large_relations(m, kind):
+    mu = large_relation(m, kind)
+    labels, edges = mu.labels, oracles.edge_set(mu)
+    for variant in (1, 2, 3):
+        assert copeland(mu, variant) == oracles.brute_copeland(labels, edges, variant)
+    assert condorcet_winner(mu) == oracles.brute_condorcet(labels, edges)
+    assert fishburn(mu) == oracles.brute_fishburn(labels, edges)
+    assert uncovered_1(mu) == oracles.brute_uncovered_1(labels, edges)
+    assert uncovered_2(mu) == oracles.brute_uncovered_2(labels, edges)
+    assert richelson(mu) == oracles.brute_richelson(labels, edges)
 
 
 def sparse_relations(m, count, seed):
@@ -512,6 +554,19 @@ def test_q_pareto_hand_case():
     g = GradeTable(("a", "b", "c"), np.array([[2, 2, 1], [1, 2, 2]]))
     assert q_pareto(g, 0) == frozenset({"b"})
     assert q_pareto(g, 1) == frozenset({"a", "b", "c"})
+
+
+def test_q_pareto_past_the_short_buffer_size_matches_the_oracle():
+    # from m = 500 the per-criterion compare runs with a short ufunc buffer
+    g = grade_table(generate_profile(520, 2, seed=520))
+    columns = {lab: g.column(lab) for lab in g.labels}
+    old = np.setbufsize(4096)
+    try:
+        for q in (0, 3):
+            assert q_pareto(g, q) == oracles.brute_q_pareto(g.labels, columns, q)
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
 
 
 def test_q_pareto_grows_with_q_and_accepts_profiles():

@@ -495,6 +495,68 @@ def test_support_kernel_matches_a_brute_count(m, n):
     assert p.ranks.dtype == np.int32 and (p.ranks == ranks).all()
 
 
+def int32_support(p):
+    """S by the one-call int32 formula, four criteria at a time, so that no
+    n x m x m bool array is held at once."""
+    r = p.ranks
+    want = np.zeros((p.m, p.m), dtype=np.int64)
+    for i in range(0, p.n, 4):
+        want += np.less(r[i:i + 4, :, None], r[i:i + 4, None, :]).sum(0)
+    return want
+
+
+# NumPy's iterator buffers the kernel's broadcast compare while m is below a
+# third of its ufunc buffer: below 342 at 1024 elements, the buffer the
+# kernel runs with from m = 500, and below 2731 at the default 8192.
+@pytest.mark.parametrize("n", [3, 101])
+@pytest.mark.parametrize("m", [341, 342, 500, 2730, 2731, 2732])
+def test_support_kernel_at_the_iterators_buffering_thresholds(m, n):
+    p = generate_profile(m, n, seed=10 * m + n)
+    default = np.getbufsize()
+    got = _pairwise_support(p)
+    assert got.dtype == np.uint8 and (got == int32_support(p)).all()
+    assert np.getbufsize() == default
+
+
+@pytest.mark.parametrize("m", [341, 342, 499, 500, 2731])
+def test_the_support_kernel_compares_with_a_short_buffer_from_m_500(m, monkeypatch):
+    # the buffer in force at each compare, with the caller's own size around it
+    p = generate_profile(m, 2, seed=m)
+    want = int32_support(p)
+    seen = set()
+    less = np.less
+
+    def recording_less(*args, **kwargs):
+        seen.add(np.getbufsize())
+        return less(*args, **kwargs)
+
+    monkeypatch.setattr(np, "less", recording_less)
+    old = np.setbufsize(4096)
+    try:
+        assert (_pairwise_support(p) == want).all()
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
+    assert seen == ({1024} if m >= 500 else {4096})
+
+
+def test_the_support_kernel_restores_the_callers_buffer_when_the_compare_raises(monkeypatch):
+    p = generate_profile(600, 3, seed=600)
+
+    def failing_less(*args, **kwargs):
+        raise MemoryError("compare failed")
+
+    monkeypatch.setattr(np, "less", failing_less)
+    for size in (np.getbufsize(), 4096):  # the default, then the caller's own
+        old = np.setbufsize(size)
+        try:
+            with pytest.raises(MemoryError, match="compare failed"):
+                _pairwise_support(p)
+            assert np.getbufsize() == size
+        finally:
+            np.setbufsize(old)
+
+
 @pytest.mark.parametrize(
     "subset, message",
     [
